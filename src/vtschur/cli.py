@@ -23,12 +23,33 @@ SUITES = (
 )
 
 
+class BadRequest(ValueError):
+    """Parameters outside a suite's domain: a usage error, exit code 2."""
+
+
 def allow_large():
     return os.environ.get("VTSCHUR_ALLOW_LARGE", "") == "1"
 
 
+def check_request(suite, cfg):
+    """Raise BadRequest when the parameters of a suite are out of its domain."""
+    n, m = cfg["n"], cfg["m"]
+    try:
+        if suite in ("hecke", "oracle"):
+            for p in cfg["primes"]:
+                flags.check_prime(p)
+        if suite == "duality":
+            tensor.check_point(*cfg["spec"])
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
+    top = {"jparity-tilde": n - 1, "jparity-hat": n - 2}.get(suite)
+    if top is not None and not 1 <= m <= top:
+        raise BadRequest("%s needs 1 <= m <= %d, got m=%d" % (suite, top, m))
+
+
 def run_suite(suite, cfg):
     n, d, m = cfg["n"], cfg["d"], cfg["m"]
+    check_request(suite, cfg)
     rep = Report(suite=suite, config=cfg)
     t0 = time.time()
     if suite == "schur":
@@ -102,6 +123,9 @@ def cmd_verify(args):
         rep = run_suite(args.suite, cfg)
     except flags.GuardExceeded as exc:
         print("guard exceeded: %s" % exc, file=sys.stderr)
+        return 2
+    except BadRequest as exc:
+        print("bad request: %s" % exc, file=sys.stderr)
         return 2
     text = rep.to_json() if args.format == "json" else rep.to_text()
     if args.out:
@@ -197,7 +221,10 @@ def parse_spec(text):
     from fractions import Fraction
 
     v0, t0 = text.split(",")
-    return (Fraction(v0), Fraction(t0))
+    try:
+        return (Fraction(v0), Fraction(t0))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("zero denominator in %r" % text) from None
 
 
 def build_parser():

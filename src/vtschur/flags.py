@@ -85,10 +85,6 @@ def _sum_dim(rows_a, rows_b, p):
     return len(rref(rows_a + rows_b, p))
 
 
-def space_dim(rows):
-    return len(rows)
-
-
 def contains(big, small, p):
     """Is span(small) inside span(big)?"""
     return _sum_dim(big, small, p) == len(big)
@@ -197,18 +193,6 @@ def orbit_matrix(V, W, p):
         )
         for i in range(1, len(vs))
     )
-
-
-def orbit_matrix_XX(V, W, p):
-    return orbit_matrix(V, W, p)
-
-
-def orbit_matrix_XY(V, F, p):
-    return orbit_matrix(V, F, p)
-
-
-def orbit_matrix_YY(F, G, p):
-    return orbit_matrix(F, G, p)
 
 
 def classify_pairs(left_flags, right_flags, p):

@@ -25,10 +25,6 @@ def sigma_elt(x):
     return {r: sigma_poly(c) for r, c in x.items()}
 
 
-def sigma_op(P):
-    return {r: sigma_elt(col) for r, col in P.items()}
-
-
 def gen_sign(sym):
     return -1 if sym[0] == "E" else 1
 

@@ -118,8 +118,8 @@ def hecke_mul(x, y):
         raise ValueError("degree mismatch: %d vs %d" % (dx, dy))
     out = {}
     for w, c in y.items():
-        piece = mul_Tw(scale(x, c), w)
-        out = add(out, piece)
+        if c:
+            out = add(out, mul_Tw(scale(x, c), w))
     return out
 
 

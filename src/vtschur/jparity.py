@@ -47,10 +47,6 @@ def j_operator(variant, sign, m, n, d):
     }
 
 
-def j_apply(variant, sign, m, d, x):
-    return {r: c for r, c in x.items() if _keep(variant, sign, m, d, r)}
-
-
 def j_schur_element(variant, sign, m, n, d):
     """The projector as a diagonal braced element of the flag algebra."""
     out = {}

@@ -146,9 +146,6 @@ class VTPoly:
         p.c = {(x + a, y + b): v for (x, y), v in self.c.items()}
         return p
 
-    def map_coeffs(self, f):
-        return VTPoly({k: f(x) for k, x in self.c.items()})
-
     def __repr__(self):
         return "VTPoly(%s)" % (to_text(self),)
 
@@ -387,14 +384,6 @@ def exact_div(p, q):
             else:
                 rem.pop(k, None)
     return VTPoly({(a + pa - qa, b + pb - qb): x for (a, b), x in out.items()})
-
-
-def divides(p, q):
-    try:
-        exact_div(p, q)
-        return True
-    except InexactDivision:
-        return False
 
 
 # -- serialization ---------------------------------------------------------

@@ -1,17 +1,24 @@
 """Exact rational and modular linear algebra at desk scale.
 
-Rational ranks and nullspaces run Fraction-based Gaussian elimination, which
-is exact but only viable for a few hundred unknowns.  Larger commutant
-computations are certified by a two-sided sandwich instead:
+Fraction elimination (`frac_rank`, `IncrementalRank`, `frac_solve`) is
+exact but viable only for a few hundred unknowns; the ranks stay as the
+reference the modular path is tested against.  Commutant dimensions are
+certified mod p by a sandwich: ranks can only drop under reduction mod p,
+so the modular rank of a family known to lie in the commutant is a lower
+bound, and nullities can only grow, so the modular nullity of the integer
+constraint system is an upper bound.  When the two meet, the dimension is
+pinned exactly.
 
-* a family of explicit elements known (symbolically) to lie in the commutant
-  gives a lower bound through its rank, and ranks can only drop under
-  reduction mod p, so a modular rank of that family is already a lower bound
-  for its rational rank;
-* the nullity of the integer constraint system can only grow under reduction
-  mod p, so a modular nullity is an upper bound for the rational nullity.
+The constraint system is sparse and block diagonal over the connected
+components of its unknowns, so its rank is summed over the components
+(`component_rank`).  Lower bounds come from one span closure
+(`mod_span_closure`) that grows reduced row-echelon bases a block of rows
+at a time (`ModIncrementalRank`).
 
-When the two bounds meet, the dimension is pinned exactly.
+Residues mod p are float64: products of two stay below 2^53 for p < 2^26,
+and a matrix product is exact while its inner dimension times (p-1)^2 stays
+below 2^53 (Dumas, Giorgi and Pernet, "FFLAS and FFPACK", ACM TOMS 35(3),
+2008); `mul_mod` chunks longer inner dimensions.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 CERT_PRIMES = (2000003, 2000029)
+
+# entries per block of products in a span closure (bounds its memory)
+PRODUCT_BLOCK = 1 << 22
 
 
 def frac_rank(rows):
@@ -102,158 +112,222 @@ def frac_solve(matrix, rhs):
     return x
 
 
-def modular_rank(rows, ncols, p):
-    """Rank mod p of sparse rows given as {col: int} dicts (or lists)."""
-    dense = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if isinstance(row, dict):
-            for c, x in row.items():
-                dense[i, c] = x % p
-        else:
-            dense[i] = [x % p for x in row]
-    return _mod_rref_rank(dense, p)
+# -- modular arithmetic on float64 arrays -------------------------------------
+
+def exact_inner(p):
+    """Longest inner dimension of a float64 product of residues mod p that is exact."""
+    return (2 ** 53 - 1) // (p - 1) ** 2
 
 
-def _mod_rref_rank(m, p):
-    m = m % p
-    nrows, ncols = m.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        block = m[r:, c]
-        nz = np.nonzero(block)[0]
+def mul_mod(a, b, p):
+    """(a @ b) mod p for float64 arrays of residues in [0, p), batched like np.matmul.
+
+    The inner dimension is split into chunks of at most exact_inner(p).
+    """
+    step = exact_inner(p)
+    k = a.shape[-1]
+    out = np.matmul(a[..., :step], b[..., :step, :]) % p
+    for lo in range(step, k, step):
+        out += np.matmul(a[..., lo:lo + step], b[..., lo:lo + step, :]) % p
+        out %= p
+    return out
+
+
+def _rref(m, p):
+    """Gauss-Jordan elimination mod p of the rows of m, in order.
+
+    Returns (rows, pivots): a basis of the row space with a 1 at each row's
+    pivot and 0 there in the other rows; row k comes from the k-th row of m
+    independent of the rows before it.
+    """
+    m = m[m.any(axis=1)]
+    pivots = []
+    kept = []
+    for i in range(m.shape[0]):
+        nz = np.flatnonzero(m[i])
         if nz.size == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
+        c = int(nz[0])
+        m[i] = m[i] * pow(int(m[i, c]), -1, p) % p
         col = m[:, c].copy()
-        col[r] = 0
-        nzrows = np.nonzero(col)[0]
-        if nzrows.size:
-            m[nzrows] = (m[nzrows] - np.outer(col[nzrows], m[r])) % p
-        r += 1
-    return r
+        col[i] = 0
+        rows = np.flatnonzero(col)
+        if rows.size:
+            m[rows] = (m[rows] - np.outer(col[rows], m[i])) % p
+        pivots.append(c)
+        kept.append(i)
+    return m[kept], np.array(pivots, dtype=np.intp)
 
 
 class ModIncrementalRank:
-    """Row-echelon accumulator over F_p for numpy int64 vectors."""
+    """Reduced row-echelon basis over F_p, grown a block of rows at a time.
+
+    Rows are float64 residues.  The basis has a 1 at each pivot column of
+    its own row and 0 there in every other row.
+    """
 
     def __init__(self, ncols, p):
         self.p = p
         self.ncols = ncols
-        self.rows = []
-        self.pivots = []
+        self.basis = np.zeros((0, ncols))
+        self.pivots = np.zeros(0, dtype=np.intp)
 
-    def add(self, vec):
+    def add(self, rows):
+        """Add a block of rows; returns by how much the rank grew.
+
+        The block is reduced against the basis in one product, then within
+        itself; its independent rows are appended (basis[-grew:]), and the
+        older rows are cleared at their pivots.
+        """
         p = self.p
-        v = vec % p
-        for piv, row in zip(self.pivots, self.rows):
-            f = int(v[piv])
-            if f:
-                v = (v - f * row) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), p - 2, p)
-        v = (v * inv) % p
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
+        v = np.asarray(rows, dtype=np.float64).reshape(-1, self.ncols) % p
+        v = (v - mul_mod(v[:, self.pivots], self.basis, p)) % p
+        new, piv = _rref(v, p)
+        if piv.size:
+            self.basis = (self.basis - mul_mod(self.basis[:, piv], new, p)) % p
+            self.basis = np.concatenate([self.basis, new])
+            self.pivots = np.concatenate([self.pivots, piv])
+        return piv.size
 
     @property
     def rank(self):
-        return len(self.rows)
+        return self.pivots.size
 
 
-def mod_mat(M, p):
-    """Integerize (clear denominators) and reduce a Fraction matrix mod p."""
-    denom = 1
-    for row in M:
-        for x in row:
-            f = Fraction(x)
-            denom = denom * f.denominator // _gcd(denom, f.denominator)
-    if denom % p == 0:
-        raise ArithmeticError("denominator divisible by the working prime")
-    out = np.zeros((len(M), len(M[0])), dtype=np.int64)
-    for i, row in enumerate(M):
-        for j, x in enumerate(row):
-            f = Fraction(x) * denom
-            out[i, j] = int(f) % p
-    return out
+def modular_rank(rows, ncols, p):
+    """Rank mod p of the rows of a 2-D integer array (or nested lists of ints)."""
+    return _rref((np.asarray(rows).reshape(-1, ncols) % p).astype(np.float64), p)[1].size
 
 
-def mod_span_closure(seeds, multipliers, p, max_rounds):
-    """F_p-dimension of the span of words, closing under left multiplication.
+# -- commutants ------------------------------------------------------------------
 
-    All inputs are numpy int64 matrices already reduced mod p.  Returns
-    (rank, stabilized); the rank of any set of reduced integer matrices is a
-    lower bound for the rational rank of the unreduced ones.
+def commutant_constraint_rows(mats, p):
+    """Sylvester system of {X : X M = M X for every M}, as sparse entries mod p.
+
+    mats are N x N float64 residue arrays; the unknown X is flattened row
+    major, and constraint (i, j) of the g-th matrix is row g N^2 + i N + j.
+    Returns (rows, cols, vals): the nonzero entries, duplicates summed.
     """
-    acc = ModIncrementalRank(seeds[0].size, p)
-    frontier = [M for M in seeds if acc.add(M.reshape(-1))]
-    rounds = 0
-    while frontier and rounds < max_rounds:
-        rounds += 1
+    N = mats[0].shape[0] if mats else 0
+    NN = N * N
+    ar = np.arange(N)[:, None]
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for g, M in enumerate(mats):
+        k, j = np.nonzero(M)
+        x = M[k, j]
+        base = g * NN
+        # (X M)[i, j] = sum_k X[i, k] M[k, j]
+        keys.append(((base + ar * N + j) * NN + ar * N + k).ravel())
+        vals.append(np.broadcast_to(x, (N, x.size)).ravel())
+        # (M X)[i, j] = sum_k M[i, k] X[k, j], with (i, k) running over the nonzeros
+        keys.append(((base + k * N + ar) * NN + j * N + ar).ravel())
+        vals.append(np.broadcast_to(p - x, (N, x.size)).ravel())
+    keys, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    vals = np.bincount(inv, weights=np.concatenate(vals), minlength=keys.size) % p
+    keep = vals != 0
+    keys = keys[keep]
+    return keys // max(NN, 1), keys % max(NN, 1), vals[keep]
+
+
+def components(rows, cols, ncols):
+    """Connected components of the unknowns, two being joined when a row uses both.
+
+    Returns a label per unknown (the smallest unknown of its component),
+    by min-label propagation over the rows with pointer jumping.
+    """
+    label = np.arange(ncols)
+    nrows = int(rows.max()) + 1
+    while True:
+        low = np.full(nrows, ncols)
+        np.minimum.at(low, rows, label[cols])
+        new = label.copy()
+        np.minimum.at(new, cols, low[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def component_rank(rows, cols, vals, ncols, p):
+    """Rank mod p of a sparse system given by its nonzero entries.
+
+    A row with a single entry forces its unknown to 0: each such unknown
+    adds 1 to the rank and leaves the system, until no such row is left.
+    The rest is block diagonal over the components of its unknowns, so its
+    rank is the sum of the blocks' ranks (modular_rank on each).
+    """
+    rank = 0
+    while rows.size:
+        single = np.bincount(rows)[rows] == 1
+        if not single.any():
+            break
+        dead = np.zeros(ncols, dtype=bool)
+        dead[cols[single]] = True
+        rank += int(dead.sum())
+        keep = ~dead[cols]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if rows.size == 0:
+        return rank
+    comp = components(rows, cols, ncols)[cols]
+    order = np.argsort(comp, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
+        r_ids, r_loc = np.unique(rows[idx], return_inverse=True)
+        c_ids, c_loc = np.unique(cols[idx], return_inverse=True)
+        dense = np.zeros((r_ids.size, c_ids.size))
+        dense[r_loc, c_loc] = vals[idx]
+        rank += modular_rank(dense, c_ids.size, p)
+    return rank
+
+
+def commutant_upper(mats, N, p):
+    """Nullity mod p of the commutant constraints of mats (an upper bound)."""
+    rows, cols, vals = commutant_constraint_rows(mats, p)
+    return N * N - component_rank(rows, cols, vals, N * N, p)
+
+
+def mod_span_closure(seeds, multipliers, p, grade, stop=None):
+    """F_p-rank of the span of words, closing the seeds under left multiplication.
+
+    seeds and multipliers are N x N residue arrays.  `grade` labels the N^2
+    entries (row-major) so that every word is supported on one label: the
+    span is the direct sum of its graded pieces, each with its own basis on
+    its own columns (a product spread over two labels raises ValueError).
+    Each round multiplies the basis rows the last round added by every
+    multiplier and adds the products, one block per label, until a round
+    adds nothing or the rank reaches `stop`.  Returns (rank, rounds).
+    """
+    N = seeds[0].shape[0]
+    if N > exact_inner(p):
+        raise ValueError("products of %d x %d matrices are not exact in float64 mod %d" % (N, N, p))
+    order = np.argsort(grade, kind="stable")
+    cols = {int(grade[c[0]]): c for c in np.split(order, np.flatnonzero(np.diff(grade[order])) + 1)}
+    accs = {c: ModIncrementalRank(c_cols.size, p) for c, c_cols in cols.items()}
+    rank = rounds = 0
+    products = [np.stack(seeds)]
+    while True:
+        pieces = {}
+        for P in products:
+            P = P.reshape(len(P), N * N)
+            P = P[P.any(axis=1)]
+            lab = grade[(P != 0).argmax(axis=1)]
+            if ((P != 0) & (grade != lab[:, None])).any():
+                raise ValueError("a product is not homogeneous for the grading")
+            for c in np.unique(lab).tolist():
+                pieces.setdefault(c, []).append(P[lab == c][:, cols[c]] % p)
         new = []
-        for G in multipliers:
-            for M in frontier:
-                P = (G @ M) % p
-                if acc.add(P.reshape(-1)):
-                    new.append(P)
-        frontier = new
-    return acc.rank, not frontier
-
-
-def commutant_constraint_rows(mats, as_int=True):
-    """Sylvester rows for {X : X M = M X for all M}, unknown X flattened row-major.
-
-    Each matrix M is a list of lists of Fractions; rows are emitted as sparse
-    {flat index: value} dicts.  With as_int the rows are scaled to integers
-    (scaling rows never changes the solution space).
-    """
-    rows = []
-    for M in mats:
-        N = len(M)
-        for i in range(N):
-            for j in range(N):
-                row = {}
-                for k in range(N):
-                    if M[k][j]:
-                        row[i * N + k] = row.get(i * N + k, Fraction(0)) + M[k][j]
-                    if M[i][k]:
-                        row[k * N + j] = row.get(k * N + j, Fraction(0)) - M[i][k]
-                row = {c: x for c, x in row.items() if x}
-                if row:
-                    rows.append(scale_to_int(row) if as_int else row)
-    return rows
-
-
-def scale_to_int(row):
-    denom = 1
-    for x in row.values():
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
-    return {c: int(x * denom) for c, x in row.items()}
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def commutant_dim_exact(mats):
-    """Exact commutant dimension over Q by Fraction elimination (small N)."""
-    N = len(mats[0])
-    rows = commutant_constraint_rows(mats, as_int=False)
-    dense = []
-    for row in rows:
-        r = [Fraction(0)] * (N * N)
-        for c, x in row.items():
-            r[c] = x
-        dense.append(r)
-    return N * N - frac_rank(dense)
+        for c, blocks in pieces.items():
+            grew = accs[c].add(np.concatenate(blocks))
+            if grew:
+                rows = np.zeros((grew, N * N))
+                rows[:, cols[c]] = accs[c].basis[-grew:]
+                new.append(rows.reshape(grew, N, N))
+                rank += grew
+                if rank == stop:
+                    return rank, rounds
+        if not new:
+            return rank, rounds
+        frontier = np.concatenate(new)
+        step = max(1, PRODUCT_BLOCK // (N * N))
+        products = (np.matmul(G, frontier[lo:lo + step])  # exact: N (p-1)^2 < 2^53
+                    for G in multipliers for lo in range(0, len(frontier), step))
+        rounds += 1

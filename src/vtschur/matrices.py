@@ -55,17 +55,6 @@ def scale(M, k):
     return tuple(tuple(k * a for a in row) for row in M)
 
 
-def entries_sum(M):
-    return sum(sum(row) for row in M)
-
-
-def is_theta(M, d=None):
-    """Natural matrix whose entries sum to d (any d when omitted)."""
-    if any(x < 0 for row in M for x in row):
-        return False
-    return d is None or entries_sum(M) == d
-
-
 def is_stab(M):
     """Integer matrix with nonnegative off-diagonal entries."""
     return all(x >= 0 for i, row in enumerate(M) for j, x in enumerate(row) if i != j)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 @dataclass
@@ -55,7 +56,8 @@ class Report:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"),
+                          default=_json_fraction) + "\n"
 
     def to_text(self):
         lines = ["suite %s: %s (%.2fs)" % (self.suite, "PASS" if self.passed else "FAIL", self.elapsed)]
@@ -67,3 +69,10 @@ class Report:
             if witness is not None and status == "FAIL":
                 lines.append("        witness: %s" % (witness,))
         return "\n".join(lines) + "\n"
+
+
+def _json_fraction(x):
+    """A Fraction in a JSON report: an integer when integral, else "num/den"."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+    raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)

@@ -56,14 +56,6 @@ def shift(A, p, mode="I", m=None):
 
 # -- stabilized products ----------------------------------------------------------
 
-def stab_mult_E(B, x):
-    return schur.mult_chevE(B, x, stab=True)
-
-
-def stab_mult_F(C, x):
-    return schur.mult_chevF(C, x, stab=True)
-
-
 def stab_mul(x, y):
     """Product of limit-algebra elements with Chevalley-shaped left support."""
     return schur.chev_mul(x, y, stab=True)

@@ -4,6 +4,11 @@ Basis vectors are sequences r = (r_1, ..., r_d) with entries in [1, n];
 elements are dicts {seq: VTPoly}.  Operators (LinOp) are column-sparse dicts
 {basis seq: element}, the common arena where every relation of the presented
 algebras is verified exactly.
+
+The double-centralizer checks share one certificate per (n, d, v0, t0)
+(_certificate): modular nullities ranked by connected component meet the
+ranks of word span closures, at the first certification prime at which v0
+and t0 are units.
 """
 
 from __future__ import annotations
@@ -137,10 +142,6 @@ def apply_word(word, x, n):
 
 # -- operators -----------------------------------------------------------------
 
-def op_zero():
-    return {}
-
-
 def op_identity(n, d):
     return {r: {r: laurent.ONE} for r in all_seqs(n, d)}
 
@@ -205,14 +206,6 @@ def op_T(j, n, d):
     return op_clean({r: act_T(j, {r: laurent.ONE}) for r in all_seqs(n, d)})
 
 
-def op_Tword(word, n, d):
-    """Right action operator of T_{word}: earlier letters act first."""
-    P = op_identity(n, d)
-    for j in word:
-        P = op_compose(op_T(j, n, d), P)
-    return P
-
-
 # -- duality checks --------------------------------------------------------------
 
 def commute_check(n, d, allow_large=False):
@@ -236,62 +229,77 @@ def commute_check(n, d, allow_large=False):
     return out
 
 
-def specialize_op(P, v0, t0, n, d):
-    """Dense Fraction matrix of an operator (rows/cols in all_seqs order)."""
-    seqs = all_seqs(n, d)
-    idx = {r: i for i, r in enumerate(seqs)}
-    N = len(seqs)
-    M = [[Fraction(0)] * N for _ in range(N)]
+def check_point(v0, t0):
+    """The specialization (v0, t0) as Fractions; ValueError if it is degenerate."""
+    v0, t0 = Fraction(v0), Fraction(t0)
+    if v0 * t0 in (1, -1) or v0 == 0 or t0 == 0:
+        raise ValueError("degenerate specialization (v0, t0) = (%s, %s)" % (v0, t0))
+    return v0, t0
+
+
+def _residue(x, p):
+    """A rational as an element of F_p (ValueError if p divides its denominator)."""
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _op_mod(P, idx, v, t, p):
+    """Dense float64 residue matrix of an operator at v, t in F_p (rows/cols by idx)."""
+    M = np.zeros((len(idx), len(idx)))
     for r, col in P.items():
         j = idx[r]
         for s, c in col.items():
-            M[idx[s]][j] = laurent.specialize(c, v0, t0)
+            M[idx[s], j] = sum(_residue(x, p) * pow(v, a, p) * pow(t, b, p)
+                               for (a, b), x in c.c.items()) % p
     return M
 
 
-def _u_side_ops(n, d, v0, t0):
-    return [specialize_op(op_sym(g, n, d), v0, t0, n, d) for g in gens(n)]
+@lru_cache(maxsize=4)
+def _certificate(n, d, v0, t0):
+    """Certified (dim of the commutant of the Hecke action, dim of the
+    commutant of the quantum action, rounds of the word closure).
 
+    For each prime of linalg.CERT_PRIMES at which v0 and t0 are units, the
+    operators are evaluated mod p and both commutants are sandwiched:
 
-def _hecke_side_ops(n, d, v0, t0):
-    return [specialize_op(op_T(j, n, d), v0, t0, n, d) for j in range(1, d)]
+    * upper bounds: modular nullities of the two constraint systems, ranked
+      by connected component;
+    * lower bound of the Hecke action's commutant: the span of generator
+      words, closed from the identity until it reaches the upper bound.  The
+      words commute with the Hecke action, so this closure also certifies
+      the word-image rank;
+    * lower bound of the quantum action's commutant: the span of the Hecke
+      words (the image of the Hecke algebra), by the same closure.
 
-
-def _mat_mul(A, B):
-    N = len(A)
-    out = [[Fraction(0)] * N for _ in range(N)]
-    for i in range(N):
-        Ai = A[i]
-        for k in range(N):
-            if Ai[k]:
-                Bk = B[k]
-                a = Ai[k]
-                row = out[i]
-                for j in range(N):
-                    if Bk[j]:
-                        row[j] += a * Bk[j]
-    return out
-
-
-def _span_closure(seed_mats, multipliers, max_rounds):
-    """Dimension of the span of words, by closing the span under left
-    multiplication; returns (rank accumulator, stabilized flag)."""
-    acc = linalg.IncrementalRank()
-    frontier = []
-    for M in seed_mats:
-        if acc.add([x for row in M for x in row]):
-            frontier.append(M)
-    rounds = 0
-    while frontier and rounds < max_rounds:
-        rounds += 1
-        new = []
-        for G in multipliers:
-            for M in frontier:
-                P = _mat_mul(G, M)
-                if acc.add([x for row in P for x in row]):
-                    new.append(P)
-        frontier = new
-    return acc, not frontier
+    The first prime at which both pairs meet returns; ArithmeticError if
+    none does.
+    """
+    seqs = all_seqs(n, d)
+    idx = {r: i for i, r in enumerate(seqs)}
+    N = len(seqs)
+    ident = np.eye(N)
+    # words are homogeneous for the weight shift wt(row) - wt(column)
+    wts = [tuple(r.count(a) for a in range(1, n + 1)) for r in seqs]
+    shifts = {}
+    grade = np.array([shifts.setdefault(tuple(x - y for x, y in zip(wr, wc)), len(shifts))
+                      for wr in wts for wc in wts])
+    bounds = "no prime of %s is usable at (v0, t0) = (%s, %s)" % (linalg.CERT_PRIMES, v0, t0)
+    for p in linalg.CERT_PRIMES:
+        try:
+            v, t = _residue(v0, p), _residue(t0, p)
+            pow(v * t, -1, p)
+        except ValueError:  # v0 or t0 is not a unit mod p
+            continue
+        u_ops = [_op_mod(op_sym(g, n, d), idx, v, t, p) for g in gens(n)]
+        t_ops = [_op_mod(op_T(j, n, d), idx, v, t, p) for j in range(1, d)]
+        h_upper = linalg.commutant_upper(t_ops, N, p)
+        u_upper = linalg.commutant_upper(u_ops, N, p)
+        h_lower, rounds = linalg.mod_span_closure([ident], u_ops, p, grade, stop=h_upper)
+        u_lower, _ = linalg.mod_span_closure([ident], t_ops, p, grade, stop=u_upper)
+        if (h_lower, u_lower) == (h_upper, u_upper):
+            return h_upper, u_upper, rounds
+        bounds = ("commutant bounds disagree at p=%d: %d..%d for the Hecke action, "
+                  "%d..%d for the quantum action" % (p, h_lower, h_upper, u_lower, u_upper))
+    raise ArithmeticError(bounds)
 
 
 def centralizer_dim(side, n, d, v0=2, t0=3):
@@ -301,85 +309,27 @@ def centralizer_dim(side, n, d, v0=2, t0=3):
     image of the flag algebra when n >= d); side='uvt' the commutant of all
     quantum-algebra generators.  Degenerate specializations are rejected.
 
-    Small cases run the full rational nullspace; for large ones the value is
-    pinned by an explicit commuting family (lower bound, exactness argument
-    in linalg) against the modular nullity of the constraints (upper bound).
+    Both sides come from one cached certificate per (n, d, v0, t0): modular
+    lower and upper bounds that meet (see _certificate).
     """
-    v0, t0 = Fraction(v0), Fraction(t0)
-    if v0 * t0 in (1, -1) or v0 == 0 or t0 == 0:
-        raise ValueError("degenerate specialization (v0, t0) = (%s, %s)" % (v0, t0))
-    if d == 0:
-        return 1
-    if side == "hecke":
-        mats = _hecke_side_ops(n, d, v0, t0)
-        if not mats:
-            return len(all_seqs(n, d)) ** 2
-    elif side == "uvt":
-        mats = _u_side_ops(n, d, v0, t0)
-    else:
+    if side not in ("hecke", "uvt"):
         raise ValueError("side must be 'hecke' or 'uvt'")
-    N = len(all_seqs(n, d))
-    if N <= 9:
-        return linalg.commutant_dim_exact(mats)
-    rows = linalg.commutant_constraint_rows(mats)
-    for p in linalg.CERT_PRIMES:
-        upper = N * N - linalg.modular_rank(rows, N * N, p)
-        if side == "hecke":
-            gens_mod = [linalg.mod_mat(M, p) for M in _u_side_ops(n, d, v0, t0)]
-            ident = np.eye(N, dtype=np.int64)
-            lower, _ = linalg.mod_span_closure([ident], gens_mod, p, max_rounds=8 * d)
-        else:
-            fam = [specialize_op(op_Tword(w, n, d), v0, t0, n, d) for w in _all_hecke_words(d)]
-            fam_rows = [[x for row in M for x in row] for M in fam]
-            lower = linalg.modular_rank(
-                [linalg.scale_to_int({i: Fraction(x) for i, x in enumerate(r) if x}) for r in fam_rows],
-                N * N, p)
-        if lower == upper:
-            return lower
-    raise ArithmeticError("commutant bounds disagree: lower %d vs upper %d" % (lower, upper))
-
-
-def _all_hecke_words(d):
-    from . import hecke
-
-    return [[i + 1 for i in hecke.reduced_word(w)] for w in hecke.all_perms(d)]
+    hdim, udim, _ = _certificate(n, d, *check_point(v0, t0))
+    return hdim if side == "hecke" else udim
 
 
 def surjectivity_rank(n, d, v0=2, t0=3, cap=None):
     """Rank of the span of generator-word operator images.
 
-    The word-length cap starts at 2d and doubles at most twice; a failure to
-    stabilize raises.  Small cases run exact Fraction closure; large ones are
-    certified by a modular closure (lower bound) meeting the Hecke-commutant
-    dimension (upper bound, since the image commutes with the Hecke action).
+    The word-length cap starts at 2d and doubles at most twice; a span that
+    needs longer words raises.  The rank is the closure of the shared
+    certificate, which meets the Hecke-commutant dimension (an upper bound,
+    since the image commutes with the Hecke action).
     """
-    if d == 0:
-        return 1
-    v0, t0 = Fraction(v0), Fraction(t0)
-    N = len(all_seqs(n, d))
-    cap = cap or 2 * d
-    if N <= 9:
-        gens_mats = _u_side_ops(n, d, v0, t0)
-        ident = [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]
-        for _ in range(3):
-            acc, stabilized = _span_closure([ident], gens_mats, max_rounds=cap)
-            if stabilized:
-                return acc.rank
-            cap *= 2
+    hdim, _, rounds = _certificate(n, d, *check_point(v0, t0))
+    if rounds > 4 * (cap or 2 * d):
         raise ArithmeticError("word-image span did not stabilize below the cap")
-
-    upper = centralizer_dim("hecke", n, d, v0, t0)
-    p = linalg.CERT_PRIMES[0]
-    gens_mod = [linalg.mod_mat(M, p) for M in _u_side_ops(n, d, v0, t0)]
-    ident = np.eye(N, dtype=np.int64)
-    for _ in range(3):
-        lower, stabilized = linalg.mod_span_closure([ident], gens_mod, p, max_rounds=cap)
-        if stabilized or lower == upper:
-            if lower != upper:
-                raise ArithmeticError("span rank %d below commutant dimension %d" % (lower, upper))
-            return lower
-        cap *= 2
-    raise ArithmeticError("word-image span did not stabilize below the cap")
+    return hdim
 
 
 # -- coproduct ------------------------------------------------------------------

@@ -17,14 +17,6 @@ from .laurent import ONE, VTPoly, mono
 
 # -- Cartan datum --------------------------------------------------------------
 
-def omega(n):
-    """Lower-bidiagonal pairing matrix: 1 on the diagonal, -1 below it."""
-    return tuple(
-        tuple(1 if i == j else (-1 if i == j + 1 else 0) for j in range(n))
-        for i in range(n)
-    )
-
-
 def pairing(n, i, j):
     """<i, j>: the (i, j) entry of the pairing matrix (1-based)."""
     return (1 if i == j else 0) - (1 if i == j + 1 else 0)

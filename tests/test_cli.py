@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -104,3 +106,32 @@ def test_guard_exceeded_exit_2():
     code, _, err = run_cli(["verify", "oracle", "--n", "2", "--d", "2", "--primes", "11,13"])
     assert code == 2
     assert "guard" in err.lower()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "duality", "--spec", "1,1"],
+    ["verify", "hecke", "--d", "2", "--primes", "4"],
+    ["verify", "jparity-hat", "--n", "2", "--d", "2", "--m", "1"],
+])
+def test_bad_request_exit_2(args):
+    code, _, err = run_cli(args)
+    assert code == 2
+    assert "bad request" in err
+
+
+def test_default_report_json_bytes_pinned():
+    args = cli.build_parser().parse_args(["verify", "duality"])
+    cfg = {k: getattr(args, k) for k in ("n", "d", "m", "primes", "window", "spec")}
+    text = cli.run_suite("duality", cfg).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "4475bb486583b21c457f4e0eff7bb215e57005aa9ead6d5affc11e67dc174437"
+    code, out, _ = run_cli(["verify", "duality", "--spec", "2,3", "--format", "json"])
+    assert code == 0 and out == text
+
+
+def test_fraction_spec_round_trips_through_json():
+    code, out, _ = run_cli(["verify", "duality", "--spec", "1/2,3", "--format", "json"])
+    assert code == 0
+    spec = json.loads(out)["config"]["spec"]
+    assert spec == ["1/2", 3]
+    assert cli.parse_spec(",".join(str(x) for x in spec)) == (Fraction(1, 2), Fraction(3))

@@ -136,3 +136,10 @@ def test_json_roundtrip():
     doc = hk.to_json(x, 3)
     y, d = hk.from_json(doc)
     assert y == x and d == 3
+
+
+def test_mul_skips_zero_coefficients():
+    x = hk.Ti(3, 1)
+    w1, w2 = (1, 0, 2), (0, 2, 1)
+    assert hk.hecke_mul(x, {w1: laurent.ONE, w2: laurent.ZERO}) == hk.hecke_mul(x, {w1: laurent.ONE})
+    assert hk.hecke_mul(x, {w2: laurent.ZERO}) == {}

@@ -1,0 +1,95 @@
+"""Property tests of the modular linear algebra against dense and rational references."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vtschur import linalg
+
+P0 = linalg.CERT_PRIMES[0]
+PROPS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def block_systems(draw):
+    """A sparse integer system whose unknowns split into a few blocks.
+
+    Each block is a small random matrix on its own columns; rows of all
+    blocks are shuffled together, and some rows are single entries.
+    """
+    p = draw(st.sampled_from((7, P0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ncols = draw(st.integers(1, 30))
+    blocks = rng.integers(0, draw(st.integers(1, 6)), size=ncols)
+    entries = []
+    nrows = 0
+    for b in np.unique(blocks):
+        cols = np.flatnonzero(blocks == b)
+        for _ in range(int(rng.integers(1, 2 * cols.size + 2))):
+            support = cols[rng.random(cols.size) < draw(st.sampled_from((0.2, 0.6, 1.0)))]
+            if support.size == 0:
+                support = cols[:1]
+            vals = rng.integers(-3, 4, size=support.size) % p
+            entries += [(nrows, int(c), float(x)) for c, x in zip(support, vals) if x]
+            nrows += 1
+    rng.shuffle(entries)
+    rows, cols, vals = (np.array(x) for x in zip(*entries)) if entries else (np.zeros(0, int),) * 3
+    return p, nrows, ncols, rows.astype(np.int64), cols.astype(np.int64), vals.astype(np.float64)
+
+
+@PROPS
+@given(block_systems())
+def test_component_rank_equals_dense_rank(system):
+    p, nrows, ncols, rows, cols, vals = system
+    dense = np.zeros((nrows, ncols))
+    np.add.at(dense, (rows, cols), vals)
+    assert linalg.component_rank(rows, cols, vals, ncols, p) == linalg.modular_rank(dense, ncols, p)
+
+
+@PROPS
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((-1, 0, 1, 2)), st.sampled_from((1, 2)),
+       st.sampled_from(linalg.CERT_PRIMES))
+def test_float_mul_mod_equals_int64(seed, offset, chunks, p):
+    """At and around the chunk boundary of the inner dimension, with maximal entries."""
+    rng = np.random.default_rng(seed)
+    k = chunks * linalg.exact_inner(p) + offset
+    a = rng.integers(0, p, size=(3, k))
+    b = rng.integers(0, p, size=(k, 2))
+    # one output entry sums k products of near-maximal residues of both parities:
+    # past the chunk boundary it would exceed 2^53 and round
+    a[0] = rng.integers(p - 20, p, size=k)
+    b[:, 0] = rng.integers(p - 20, p, size=k)
+    want = np.zeros((3, 2), dtype=np.int64)  # int64 cannot overflow: k (p-1)^2 < 2^63
+    for lo in range(0, k, 1000):
+        want = (want + a[:, lo:lo + 1000] @ b[lo:lo + 1000] % p) % p
+    got = linalg.mul_mod(a.astype(np.float64), b.astype(np.float64), p)
+    assert np.array_equal(got.astype(np.int64), want)
+
+
+@PROPS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 4))
+def test_modular_ranks_equal_rational_rank(seed, nrows, ncols):
+    """Entries in [-9, 9] and at most 4 columns keep every minor below the
+    certification primes, so the modular and rational ranks agree, in one
+    elimination and in blocks of random size."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-9, 10, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.5)
+    want = linalg.frac_rank(m.tolist())
+    assert linalg.modular_rank(m, ncols, P0) == want
+    acc = linalg.ModIncrementalRank(ncols, P0)
+    cuts = np.sort(rng.integers(0, nrows + 1, size=3))
+    for block in np.split(m, cuts):
+        acc.add(block)
+    assert acc.rank == want
+    assert np.array_equal(acc.basis[:, acc.pivots], np.eye(want))
+
+
+def test_span_closure_rejects_a_grading_the_words_break():
+    ident = np.eye(2)
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    grade = np.array([0, 1, 1, 0])  # diagonal against off-diagonal entries
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert linalg.mod_span_closure([ident], [swap], P0, grade) == (2, 2)  # round 2 adds nothing
+    assert linalg.mod_span_closure([ident], [swap], P0, grade, stop=2) == (2, 1)
+    with pytest.raises(ValueError):
+        linalg.mod_span_closure([ident], [shear], P0, grade)

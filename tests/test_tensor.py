@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from vtschur import laurent, tensor as tn
+from vtschur import laurent, linalg, tensor as tn
 from vtschur.laurent import ONE, T, mono
 
 
@@ -100,3 +101,108 @@ def test_op_word_order():
     P = tn.op_word([("E", 1), ("F", 1)], n, d)
     assert tn.op_apply(P, {(1,): ONE}) == {(1,): T}
     assert tn.op_apply(P, {(2,): ONE}) == {}
+
+
+# -- the certified duality path against an exact Fraction reference ---------------
+
+def _frac_matrix(P, n, d, v0, t0):
+    seqs = tn.all_seqs(n, d)
+    idx = {r: i for i, r in enumerate(seqs)}
+    M = [[Fraction(0)] * len(seqs) for _ in seqs]
+    for r, col in P.items():
+        for s, c in col.items():
+            M[idx[s]][idx[r]] = laurent.specialize(c, v0, t0)
+    return M
+
+
+def _frac_commutant_dim(mats, N):
+    """N^2 minus the rational rank of the dense Sylvester rows of X M = M X."""
+    rows = []
+    for M in mats:
+        for i in range(N):
+            for j in range(N):
+                row = [Fraction(0)] * (N * N)
+                for k in range(N):
+                    row[i * N + k] += M[k][j]
+                    row[k * N + j] -= M[i][k]
+                rows.append(row)
+    return N * N - linalg.frac_rank(rows)
+
+
+def _frac_word_rank(mats, N):
+    """Rational rank of the span of words in mats, closed from the identity."""
+    acc = linalg.IncrementalRank()
+    frontier = [[[Fraction(int(i == j)) for j in range(N)] for i in range(N)]]
+    acc.add([x for row in frontier[0] for x in row])
+    while frontier:
+        new = []
+        for G in mats:
+            for M in frontier:
+                P = [[sum(a * M[k][j] for k, a in enumerate(G[i]) if a) for j in range(N)]
+                     for i in range(N)]
+                if acc.add([x for row in P for x in row]):
+                    new.append(P)
+        frontier = new
+    return acc.rank
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("spec", [(2, 3), (5, 7)])
+def test_certified_dims_match_fraction_reference(n, d, spec):
+    N = n ** d
+    u = [_frac_matrix(tn.op_sym(g, n, d), n, d, *spec) for g in tn.gens(n)]
+    t = [_frac_matrix(tn.op_T(j, n, d), n, d, *spec) for j in range(1, d)]
+    assert tn.centralizer_dim("hecke", n, d, *spec) == _frac_commutant_dim(t, N)
+    assert tn.centralizer_dim("uvt", n, d, *spec) == _frac_commutant_dim(u, N)
+    assert tn.surjectivity_rank(n, d, *spec) == _frac_word_rank(u, N)
+
+
+def _mod_ops(n, d, p, spec=(2, 3)):
+    idx = {r: i for i, r in enumerate(tn.all_seqs(n, d))}
+    v, t = (tn._residue(Fraction(x), p) for x in spec)
+    u = [tn._op_mod(tn.op_sym(g, n, d), idx, v, t, p) for g in tn.gens(n)]
+    h = [tn._op_mod(tn.op_T(j, n, d), idx, v, t, p) for j in range(1, d)]
+    return u, h
+
+
+@pytest.mark.parametrize("n,d,side", [(3, 3, "hecke"), (3, 2, "uvt")])
+def test_component_rank_equals_dense_rank(n, d, side):
+    p = linalg.CERT_PRIMES[0]
+    u, h = _mod_ops(n, d, p)
+    mats = h if side == "hecke" else u
+    NN = (n ** d) ** 2
+    rows, cols, vals = linalg.commutant_constraint_rows(mats, p)
+    dense = np.zeros((len(mats) * NN, NN))
+    dense[rows, cols] = vals
+    assert linalg.component_rank(rows, cols, vals, NN, p) == linalg.modular_rank(dense, NN, p)
+
+
+def test_prime_with_unusable_spec_falls_through(monkeypatch):
+    p0, p1 = linalg.CERT_PRIMES
+    used = []
+    upper = linalg.commutant_upper
+
+    def spy(mats, N, p):
+        used.append(p)
+        return upper(mats, N, p)
+
+    monkeypatch.setattr(linalg, "commutant_upper", spy)
+    tn._certificate.cache_clear()
+    assert tn.centralizer_dim("hecke", 2, 2, Fraction(3, p0), 7) == 10
+    assert tn.centralizer_dim("uvt", 2, 2, p0, 7) == 2
+    assert set(used) == {p1}
+    with pytest.raises(ArithmeticError):
+        tn.centralizer_dim("hecke", 2, 2, Fraction(3, p0 * p1), 7)
+
+
+def test_planted_bound_disagreement_raises(monkeypatch):
+    upper = linalg.commutant_upper
+    monkeypatch.setattr(linalg, "commutant_upper", lambda mats, N, p: upper(mats, N, p) + 1)
+    tn._certificate.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            tn.centralizer_dim("hecke", 2, 2)
+        with pytest.raises(ArithmeticError):
+            tn.surjectivity_rank(2, 2)
+    finally:
+        tn._certificate.cache_clear()
