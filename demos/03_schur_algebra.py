@@ -16,7 +16,7 @@ n, d = 2, 2
 # a product with a genuine binomial: {E_11 + E_12} * {E_11 + E_21}
 B = mat([[1, 1], [0, 0]])
 A = mat([[1, 0], [1, 0]])
-prod = schur.mult_chevE(B, {A: ONE})
+prod = schur.lmul_braced(B, {A: ONE})
 for M, c in prod.items():
     print("{B} * {A} ->", M, "coefficient", laurent.to_text(c))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from . import laurent
-from .laurent import VTPoly, mono
+from .laurent import clean, elt_add, elt_scale, mono
 
 QUAD_LIN = mono(1, 1) + mono(-1, 1, -1)   # vt - v^{-1}t
 QUAD_CONST = mono(0, 2)                   # t^2
@@ -65,25 +65,6 @@ def basis(w):
     return {tuple(w): laurent.ONE}
 
 
-def clean(x):
-    return {w: c for w, c in x.items() if c}
-
-
-def scale(x, poly):
-    return clean({w: c * poly for w, c in x.items()})
-
-
-def add(x, y):
-    out = dict(x)
-    for w, c in y.items():
-        s = out.get(w, laurent.ZERO) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
 def mul_Ti(x, i):
     """Right multiplication by the generator T_i (1-based index)."""
     d = len(next(iter(x)))
@@ -119,7 +100,7 @@ def hecke_mul(x, y):
     out = {}
     for w, c in y.items():
         if c:
-            out = add(out, mul_Tw(scale(x, c), w))
+            out = elt_add(out, mul_Tw(elt_scale(x, c), w))
     return out
 
 
@@ -135,8 +116,8 @@ def quadratic_certificate(i, d):
     """
     ti = Ti(d, i)
     sq = hecke_mul(ti, ti)
-    elt = add(sq, scale(ti, -QUAD_LIN))
-    elt = add(elt, scale(unit(d), -QUAD_CONST))
+    elt = elt_add(sq, elt_scale(ti, -QUAD_LIN))
+    elt = elt_add(elt, elt_scale(unit(d), -QUAD_CONST))
     rs = {
         "T^2": laurent.to_rs(laurent.ONE).terms(),
         "T": laurent.to_rs(-QUAD_LIN).terms(),
@@ -171,7 +152,7 @@ def perm_matrix(w):
     return tuple(tuple(1 if w[j] == i else 0 for j in range(d)) for i in range(d))
 
 
-def geometric_structure_match(d, p):
+def geometric_structure_match(d, p, allow_large=False):
     """Compare algebraic products against complete-flag convolution counts.
 
     T_w corresponds to (v^{-1} t)^{l(w)} e_{sigma_w}; the counting structure
@@ -180,7 +161,7 @@ def geometric_structure_match(d, p):
     """
     from . import flags
 
-    table = flags.conv_table(p, d, d, kinds=("Y", "Y", "Y"))
+    table = flags.conv_table(p, d, d, kinds=("Y", "Y", "Y"), allow_large=allow_large)
     out = []
     for w in all_perms(d):
         for u in all_perms(d):

@@ -162,6 +162,30 @@ def mono(a, b, coeff=1):
     return VTPoly.mono(a, b, coeff)
 
 
+# -- sparse elements -----------------------------------------------------------
+# Elements of every algebra and module downstream are dicts {basis key: VTPoly}.
+
+def clean(x):
+    return {k: c for k, c in x.items() if c}
+
+
+def elt_add(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        s = out.get(k, ZERO) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def elt_scale(x, poly):
+    if not poly:
+        return {}
+    return {k: c * poly for k, c in x.items()}
+
+
 def bar(p):
     """Bar involution: v -> v^{-1}; t is left untouched."""
     return VTPoly({(-a, b): x for (a, b), x in p.c.items()})

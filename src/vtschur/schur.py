@@ -13,34 +13,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import laurent, tensor
-from .laurent import mono
+from .laurent import clean, elt_add, elt_scale, mono
 from .matrices import (
     add as mat_add, co, compositions, diag, diag_of, dminusr, ro,
     theta_matrices, unit as mat_unit,
 )
+from .uvt import pairing
 
 # -- element plumbing ---------------------------------------------------------
-
-def clean(x):
-    return {A: c for A, c in x.items() if c}
-
-
-def elt_add(x, y):
-    out = dict(x)
-    for A, c in y.items():
-        s = out.get(A, laurent.ZERO) + c
-        if s:
-            out[A] = s
-        else:
-            out.pop(A, None)
-    return out
-
-
-def elt_scale(x, poly):
-    if not poly:
-        return {}
-    return {A: c * poly for A, c in x.items()}
-
 
 def unit(n, d):
     return {diag(lam): laurent.ONE for lam in compositions(n, d)}
@@ -76,54 +56,75 @@ def chev_shape(B):
     return None
 
 
-def _theta_ok(M, stab):
-    if stab:
-        return all(M[i][j] >= 0 for i in range(len(M)) for j in range(len(M)) if i != j)
-    return all(x >= 0 for row in M for x in row)
+def _chev_rows(kind, h):
+    """0-based (source, target) rows of a Chevalley factor at h: 'E' moves
+    entries from row h + 1 to row h (1-based), 'F' from row h to row h + 1."""
+    return (h, h - 1) if kind == "E" else (h - 1, h)
 
 
-def mult_chevE(B, x, stab=False):
-    """Left multiplication of a braced element by {B}, B - r E_{h,h+1} diagonal.
+def _chev_factor(kind, h, r, cols):
+    """The Chevalley matrix of shape (kind, h, r) with column sums cols, or
+    None when its diagonal would go negative."""
+    src, tgt = _chev_rows(kind, h)
+    dvec = list(cols)
+    dvec[src] -= r
+    if dvec[src] < 0:
+        return None
+    return mat_add(diag(dvec), mat_unit(len(dvec), tgt + 1, src + 1, r))
 
-    Implements the closed-form sum over t in N^n with sum r: the new matrix
-    A_t = A + sum_u t_u (E_{hu} - E_{h+1,u}), weight v^beta t^alpha and the
-    product of overlined Gaussian binomials (a_{hu} + t_u choose t_u).
-    With stab=True diagonal entries may go negative (off-diagonals never do).
+
+def lmul_braced(B, x, stab=False):
+    """Left multiplication of a braced element by {B}, B of Chevalley shape.
+
+    For B - r E_{h,h+1} diagonal this is the closed-form sum over t in N^n
+    with sum r: the new matrix A_t = A + sum_u t_u (E_{hu} - E_{h+1,u}),
+    weight v^beta t^alpha and the product of overlined Gaussian binomials
+    (a_{hu} + t_u choose t_u).  The F shape (B - r E_{h+1,h} diagonal) is the
+    mirror: t moves from row h to row h + 1, and the exponent sums read the
+    columns in reverse order.  With stab=True diagonal entries may go
+    negative (off-diagonals never do).
     """
     shape = chev_shape(B)
-    if shape is None or shape[0] == "F":
-        raise ValueError("left factor is not of E type: %r" % (B,))
-    if shape[0] == "diag":
-        cb = co(B)
-        return clean({A: c for A, c in x.items() if ro(A) == cb})
-    _, h, r = shape
-    n = len(B)
+    if shape is None:
+        raise ValueError("left factor %r is not Chevalley-shaped" % (B,))
+    kind, h, r = shape
     cb = co(B)
+    if kind == "diag":
+        return clean({A: c for A, c in x.items() if ro(A) == cb})
+    n = len(B)
+    src, tgt = _chev_rows(kind, h)
+    order = range(n) if kind == "E" else range(n - 1, -1, -1)
+    comps = compositions(n, r)
     out = {}
     for A, cA in x.items():
         if ro(A) != cb:
             raise ValueError("row/column sums mismatch: co(B)=%r ro(A)=%r" % (cb, ro(A)))
-        a = A
-        for tv in compositions(n, r):
-            if any(tv[u] > a[h][u] for u in range(n) if u != h):
+        a_src, a_tgt = A[src], A[tgt]
+        # sums of the target row's entries at or after column u and of the
+        # source row's strictly after it, "after" in the shape's column order
+        tgt_after, src_after = [0] * n, [0] * n
+        acc_tgt = acc_src = 0
+        for u in reversed(order):
+            acc_tgt += a_tgt[u]
+            tgt_after[u] = acc_tgt
+            src_after[u] = acc_src
+            acc_src += a_src[u]
+        for tv in comps:
+            if any(tv[u] > a_src[u] for u in range(n) if u != src):
                 continue
-            if not stab and tv[h] > a[h][h]:
+            if not stab and tv[src] > a_src[src]:
                 continue
-            At = [list(row) for row in a]
-            for u in range(n):
-                At[h - 1][u] += tv[u]
-                At[h][u] -= tv[u]
-            At = tuple(tuple(row) for row in At)
-            alpha = beta = 0
-            s_ge = sum(a[h - 1][j] * tv[l] for j in range(n) for l in range(n) if j >= l)
-            s_gt = sum(a[h][j] * tv[l] for j in range(n) for l in range(n) if j > l)
-            s_tt = sum(tv[j] * tv[l] for j in range(n) for l in range(n) if j < l)
-            alpha = s_ge + s_gt - s_tt
-            beta = s_ge - s_gt + s_tt
-            coef = mono(beta, alpha)
+            At = list(A)
+            At[tgt] = tuple(m + t for m, t in zip(a_tgt, tv))
+            At[src] = tuple(m - t for m, t in zip(a_src, tv))
+            At = tuple(At)
+            s_tgt = sum(t * s for t, s in zip(tv, tgt_after))
+            s_src = sum(t * s for t, s in zip(tv, src_after))
+            s_tt = (r * r - sum(t * t for t in tv)) // 2
+            coef = mono(s_tgt - s_src + s_tt, s_tgt + s_src - s_tt)
             for u in range(n):
                 if tv[u]:
-                    coef = coef * laurent.qbinom_bar(a[h - 1][u] + tv[u], tv[u])
+                    coef = coef * laurent.qbinom_bar(a_tgt[u] + tv[u], tv[u])
             if not coef:
                 continue
             prev = out.get(At, laurent.ZERO) + cA * coef
@@ -132,61 +133,6 @@ def mult_chevE(B, x, stab=False):
             else:
                 out.pop(At, None)
     return out
-
-
-def mult_chevF(C, x, stab=False):
-    """Mirror rule for a left factor {C} with C - r E_{h+1,h} diagonal."""
-    shape = chev_shape(C)
-    if shape is None or shape[0] == "E":
-        raise ValueError("left factor is not of F type: %r" % (C,))
-    if shape[0] == "diag":
-        cb = co(C)
-        return clean({A: c for A, c in x.items() if ro(A) == cb})
-    _, h, r = shape
-    n = len(C)
-    cb = co(C)
-    out = {}
-    for A, cA in x.items():
-        if ro(A) != cb:
-            raise ValueError("row/column sums mismatch: co(C)=%r ro(A)=%r" % (cb, ro(A)))
-        a = A
-        for tv in compositions(n, r):
-            if any(tv[u] > a[h - 1][u] for u in range(n) if u != h - 1):
-                continue
-            if not stab and tv[h - 1] > a[h - 1][h - 1]:
-                continue
-            At = [list(row) for row in a]
-            for u in range(n):
-                At[h - 1][u] -= tv[u]
-                At[h][u] += tv[u]
-            At = tuple(tuple(row) for row in At)
-            s_le = sum(a[h][j] * tv[l] for j in range(n) for l in range(n) if j <= l)
-            s_lt = sum(a[h - 1][j] * tv[l] for j in range(n) for l in range(n) if j < l)
-            s_tt = sum(tv[j] * tv[l] for j in range(n) for l in range(n) if j < l)
-            alpha = s_le + s_lt - s_tt
-            beta = s_le - s_lt + s_tt
-            coef = mono(beta, alpha)
-            for u in range(n):
-                if tv[u]:
-                    coef = coef * laurent.qbinom_bar(a[h][u] + tv[u], tv[u])
-            if not coef:
-                continue
-            prev = out.get(At, laurent.ZERO) + cA * coef
-            if prev:
-                out[At] = prev
-            else:
-                out.pop(At, None)
-    return out
-
-
-def lmul_braced(B, x, stab=False):
-    """Left multiplication by a single braced basis element of Chevalley shape."""
-    shape = chev_shape(B)
-    if shape is None:
-        raise ValueError("left factor %r is not Chevalley-shaped" % (B,))
-    if shape[0] == "F":
-        return mult_chevF(B, x, stab=stab)
-    return mult_chevE(B, x, stab=stab)
 
 
 def chev_mul(x, y, stab=False):
@@ -255,23 +201,12 @@ def mul_gen(sym, x, n, d):
             va = sign * k if kind == "A" else -sign * k
             out[A] = c * mono(va, sign * k)
         return clean(out)
-    i = sym[1]
     for A, c in x.items():
-        prof = list(ro(A))
-        if kind == "E":
-            prof[i] -= 1
-            if prof[i] < 0:
-                continue
-            B = mat_add(diag(prof), mat_unit(n, i, i + 1))
-            piece = mult_chevE(B, {A: c})
-            piece = elt_scale(piece, laurent.T)
-        else:
-            prof[i - 1] -= 1
-            if prof[i - 1] < 0:
-                continue
-            C = mat_add(diag(prof), mat_unit(n, i + 1, i))
-            piece = mult_chevF(C, {A: c})
-        out = elt_add(out, piece)
+        B = _chev_factor(kind, sym[1], 1, ro(A))
+        if B is None:
+            continue
+        piece = lmul_braced(B, {A: c})
+        out = elt_add(out, elt_scale(piece, laurent.T) if kind == "E" else piece)
     return out
 
 
@@ -332,7 +267,7 @@ def verify_relations(n, d, include_printed_variants=True):
     # R2 conjugations (the F-lines carry the model-corrected t-exponent)
     for i in range(1, n + 1):
         for j in range(1, n):
-            br = bracket(n, i, j)
+            br = pairing(n, i, j)
             lhsA = w(Ap(i), E(j), Ap(i, -1))
             checks.append(("R2 A E i=%d j=%d" % (i, j),
                            lhsA == elt_scale(w(E(j)), mono(br, br))))
@@ -345,8 +280,8 @@ def verify_relations(n, d, include_printed_variants=True):
             lhsBF = w(Bp(i), F(j), Bp(i, -1))
             checks.append(("R2 B F i=%d j=%d" % (i, j),
                            lhsBF == elt_scale(w(F(j)), mono(br, -br))))
-            if include_printed_variants and bracket(n, j, i) != br:
-                brt = bracket(n, j, i)
+            if include_printed_variants and pairing(n, j, i) != br:
+                brt = pairing(n, j, i)
                 ok_printed = lhsAF == elt_scale(w(F(j)), mono(-br, -brt))
                 checks.append(("expect-fail printed R2 A F i=%d j=%d" % (i, j), ok_printed))
                 ok_printed_b = lhsBF == elt_scale(w(F(j)), mono(br, -brt))
@@ -408,11 +343,6 @@ def verify_relations(n, d, include_printed_variants=True):
         checks.append(("R7 E_%d" % i, expand_word([E(i)] * (d + 1), n, d) == {}))
         checks.append(("R7 F_%d" % i, expand_word([F(i)] * (d + 1), n, d) == {}))
     return checks
-
-
-def bracket(n, i, j):
-    """The Cartan pairing <i,j>: 1 if i=j, -1 if i=j+1, else 0."""
-    return (1 if i == j else 0) - (1 if i == j + 1 else 0)
 
 
 # -- partial order ----------------------------------------------------------------
@@ -477,24 +407,15 @@ def triangular_factors(A):
     specs = [("E", h, A[i - 1][j - 1]) for (i, h, j) in e_triples]
     specs += [("F", h, A[i - 1][j - 1]) for (i, h, j) in f_triples]
     factors = []
-    profile = list(co(A))
+    profile = co(A)
     for kind, h, r in reversed(specs):
-        if kind == "E":
-            dvec = list(profile)
-            dvec[h] -= r
-            if dvec[h] < 0:
-                raise ChainInfeasible("column profile %r cannot absorb %d at %d" % (profile, r, h))
-            B = mat_add(diag(dvec), mat_unit(n, h, h + 1, r))
-        else:
-            dvec = list(profile)
-            dvec[h - 1] -= r
-            if dvec[h - 1] < 0:
-                raise ChainInfeasible("column profile %r cannot absorb %d at %d" % (profile, r, h))
-            B = mat_add(diag(dvec), mat_unit(n, h + 1, h, r))
+        B = _chev_factor(kind, h, r, profile)
+        if B is None:
+            raise ChainInfeasible("column profile %r cannot absorb %d at %d" % (profile, r, h))
         factors.append(B)
-        profile = list(ro(B))
+        profile = ro(B)
     factors.reverse()
-    if tuple(profile) != ro(A):
+    if profile != ro(A):
         raise ChainInfeasible("chain does not close onto the row profile of %r" % (A,))
     return factors
 
@@ -642,7 +563,7 @@ def product_via_operators(x, y, n, d):
 
 # -- oracle comparison ----------------------------------------------------------------
 
-def oracle_compare(n, d, primes=(3, 5, 7)):
+def oracle_compare(n, d, primes=(3, 5, 7), allow_large=False):
     """Check every admissible Chevalley product against flag counting.
 
     For each left factor {B} of E or F shape and each compatible A, the
@@ -652,7 +573,7 @@ def oracle_compare(n, d, primes=(3, 5, 7)):
     """
     from . import flags
 
-    tables = {p: flags.conv_table(p, d, n) for p in primes}
+    tables = {p: flags.conv_table(p, d, n, allow_large=allow_large) for p in primes}
     results = []
     thetas = theta_matrices(n, d)
     lefts = []

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laurent, linalg, schur
-from .laurent import ONE, VTPoly, mono
+from .laurent import ONE, VTPoly, clean, elt_add, elt_scale, mono
 from .matrices import add as mat_add, co, diag, diag_of, is_stab, ro, unit as mat_unit, zero
+from .uvt import _ev, pairing
 
 
 class FitInconsistent(ArithmeticError):
@@ -120,14 +121,10 @@ def interior_part(x, window):
 
 
 def window_eq(x, y, window):
-    return interior_part(schur.clean(x), window) == interior_part(schur.clean(y), window)
+    return interior_part(clean(x), window) == interior_part(clean(y), window)
 
 
 # -- the completion relation suite ---------------------------------------------------
-
-def _ev(n, a, val=1):
-    return tuple(val if k == a else 0 for k in range(1, n + 1))
-
 
 def limit_relation_suite(n, window):
     """The limit-algebra relation suite, compared on window interiors.
@@ -142,7 +139,7 @@ def limit_relation_suite(n, window):
     def cmp(name, lhs, rhs, nfactors):
         nonlocal skipped
         win = WeightWindow(window.W, max(window.margin, nfactors - 1))
-        lhs_c, rhs_c = schur.clean(lhs), schur.clean(rhs)
+        lhs_c, rhs_c = clean(lhs), clean(rhs)
         skipped += sum(1 for M in set(lhs_c) | set(rhs_c) if not win.interior(M))
         checks.append((name, interior_part(lhs_c, win) == interior_part(rhs_c, win)))
 
@@ -156,41 +153,41 @@ def limit_relation_suite(n, window):
         for jv in jvecs:
             zj = diagonal_weight(jv, window, n)
             lhs = stab_mul(zj, E)
-            rhs = schur.elt_scale(stab_mul(E, zj), mono(jv[h - 1] - jv[h], abs(jv[h - 1]) - abs(jv[h])))
+            rhs = elt_scale(stab_mul(E, zj), mono(jv[h - 1] - jv[h], abs(jv[h - 1]) - abs(jv[h])))
             cmp("weight past E_%d %r" % (h, jv), lhs, rhs, 2)
             lhsF = stab_mul(zj, F)
-            rhsF = schur.elt_scale(stab_mul(F, zj), mono(jv[h] - jv[h - 1], abs(jv[h]) - abs(jv[h - 1])))
+            rhsF = elt_scale(stab_mul(F, zj), mono(jv[h] - jv[h - 1], abs(jv[h]) - abs(jv[h - 1])))
             cmp("weight past F_%d %r" % (h, jv), lhsF, rhsF, 2)
         # t (E F - F E) (v - v^{-1}) = 0(e_h - e_{h+1}) - 0(e_{h+1} - e_h)
-        comm = schur.elt_add(stab_mul(E, F), schur.elt_scale(stab_mul(F, E), -ONE))
-        lhs = schur.elt_scale(comm, laurent.T * (mono(1, 0) - mono(-1, 0)))
+        comm = elt_add(stab_mul(E, F), elt_scale(stab_mul(F, E), -ONE))
+        lhs = elt_scale(comm, laurent.T * (mono(1, 0) - mono(-1, 0)))
         jplus = tuple(a - b for a, b in zip(_ev(n, h), _ev(n, h + 1)))
         jminus = tuple(-x for x in jplus)
-        rhs = schur.elt_add(diagonal_weight(jplus, window, n),
-                            schur.elt_scale(diagonal_weight(jminus, window, n), -ONE))
+        rhs = elt_add(diagonal_weight(jplus, window, n),
+                      elt_scale(diagonal_weight(jminus, window, n), -ONE))
         cmp("cartan commutator h=%d" % h, lhs, rhs, 2)
     vt_mid = mono(1, 1) + mono(-1, 1)
     for i in range(1, n - 1):
         E1, E2 = e_limit(i, window, n), e_limit(i + 1, window, n)
         F1, F2 = f_limit(i, window, n), f_limit(i + 1, window, n)
-        s1 = schur.elt_add(
-            schur.elt_add(stab_mul(E1, stab_mul(E1, E2)),
-                          schur.elt_scale(stab_mul(E1, stab_mul(E2, E1)), -vt_mid)),
-            schur.elt_scale(stab_mul(E2, stab_mul(E1, E1)), mono(0, 2)))
+        s1 = elt_add(
+            elt_add(stab_mul(E1, stab_mul(E1, E2)),
+                    elt_scale(stab_mul(E1, stab_mul(E2, E1)), -vt_mid)),
+            elt_scale(stab_mul(E2, stab_mul(E1, E1)), mono(0, 2)))
         cmp("serre E first i=%d" % i, s1, {}, 3)
-        s2 = schur.elt_add(
-            schur.elt_add(schur.elt_scale(stab_mul(E2, stab_mul(E2, E1)), mono(0, 2)),
-                          schur.elt_scale(stab_mul(E2, stab_mul(E1, E2)), -vt_mid)),
+        s2 = elt_add(
+            elt_add(elt_scale(stab_mul(E2, stab_mul(E2, E1)), mono(0, 2)),
+                    elt_scale(stab_mul(E2, stab_mul(E1, E2)), -vt_mid)),
             stab_mul(E1, stab_mul(E2, E2)))
         cmp("serre E second i=%d" % i, s2, {}, 3)
-        s3 = schur.elt_add(
-            schur.elt_add(stab_mul(F1, stab_mul(F1, F2)),
-                          schur.elt_scale(stab_mul(F1, stab_mul(F2, F1)), -(mono(1, -1) + mono(-1, -1)))),
-            schur.elt_scale(stab_mul(F2, stab_mul(F1, F1)), mono(0, -2)))
+        s3 = elt_add(
+            elt_add(stab_mul(F1, stab_mul(F1, F2)),
+                    elt_scale(stab_mul(F1, stab_mul(F2, F1)), -(mono(1, -1) + mono(-1, -1)))),
+            elt_scale(stab_mul(F2, stab_mul(F1, F1)), mono(0, -2)))
         cmp("serre F first i=%d" % i, s3, {}, 3)
-        s4 = schur.elt_add(
-            schur.elt_add(schur.elt_scale(stab_mul(F2, stab_mul(F2, F1)), mono(0, -2)),
-                          schur.elt_scale(stab_mul(F2, stab_mul(F1, F2)), -(mono(1, -1) + mono(-1, -1)))),
+        s4 = elt_add(
+            elt_add(elt_scale(stab_mul(F2, stab_mul(F2, F1)), mono(0, -2)),
+                    elt_scale(stab_mul(F2, stab_mul(F1, F2)), -(mono(1, -1) + mono(-1, -1)))),
             stab_mul(F1, stab_mul(F2, F2)))
         cmp("serre F second i=%d" % i, s4, {}, 3)
     return checks, skipped
@@ -204,11 +201,10 @@ def generator_transport_suite(n, window):
     not the unit, because the completion weights carry |j| exponents.
     """
     checks = []
-    from . import uvt
 
     def img(sym):
         if sym[0] == "E":
-            return schur.elt_scale(e_limit(sym[1], window, n), laurent.T)
+            return elt_scale(e_limit(sym[1], window, n), laurent.T)
         if sym[0] == "F":
             return f_limit(sym[1], window, n)
         sgn = sym[2] if sym[0] == "A" else -sym[2]
@@ -222,34 +218,34 @@ def generator_transport_suite(n, window):
 
     for i in range(1, n + 1):
         for j in range(1, n):
-            br = uvt.pairing(n, i, j)
+            br = pairing(n, i, j)
             lhs = prod((("A", i, 1), ("E", j)))
-            rhs = schur.elt_scale(prod((("E", j), ("A", i, 1))), mono(br, br))
+            rhs = elt_scale(prod((("E", j), ("A", i, 1))), mono(br, br))
             checks.append(("R2 transport A%d E%d" % (i, j), window_eq(lhs, rhs, window)))
             lhsB = prod((("B", i, 1), ("E", j)))
-            rhsB = schur.elt_scale(prod((("E", j), ("B", i, 1))), mono(-br, br))
+            rhsB = elt_scale(prod((("E", j), ("B", i, 1))), mono(-br, br))
             checks.append(("R2 transport B%d E%d" % (i, j), window_eq(lhsB, rhsB, window)))
     for i in range(1, n):
         for j in range(1, n):
-            comm = schur.elt_add(prod((("E", i), ("F", j))),
-                                 schur.elt_scale(prod((("F", j), ("E", i))), -ONE))
-            lhs = schur.elt_scale(comm, mono(1, 0) - mono(-1, 0))
+            comm = elt_add(prod((("E", i), ("F", j))),
+                           elt_scale(prod((("F", j), ("E", i))), -ONE))
+            lhs = elt_scale(comm, mono(1, 0) - mono(-1, 0))
             rhs = {}
             if i == j:
-                rhs = schur.elt_add(prod((("A", i, 1), ("B", i + 1, 1))),
-                                    schur.elt_scale(prod((("B", i, 1), ("A", i + 1, 1))), -ONE))
+                rhs = elt_add(prod((("A", i, 1), ("B", i + 1, 1))),
+                              elt_scale(prod((("B", i, 1), ("A", i + 1, 1))), -ONE))
             win3 = WeightWindow(window.W, max(window.margin, 2))
             checks.append(("R3 transport %d,%d" % (i, j),
-                           interior_part(schur.clean(lhs), win3) == interior_part(schur.clean(rhs), win3)))
+                           interior_part(clean(lhs), win3) == interior_part(clean(rhs), win3)))
     vt_mid = mono(1, 1) + mono(-1, 1)
     for i in range(1, n - 1):
-        lhs = schur.elt_add(
-            schur.elt_add(prod((("E", i), ("E", i), ("E", i + 1))),
-                          schur.elt_scale(prod((("E", i), ("E", i + 1), ("E", i))), -vt_mid)),
-            schur.elt_scale(prod((("E", i + 1), ("E", i), ("E", i))), mono(0, 2)))
+        lhs = elt_add(
+            elt_add(prod((("E", i), ("E", i), ("E", i + 1))),
+                    elt_scale(prod((("E", i), ("E", i + 1), ("E", i))), -vt_mid)),
+            elt_scale(prod((("E", i + 1), ("E", i), ("E", i))), mono(0, 2)))
         win4 = WeightWindow(window.W, max(window.margin, 2))
         checks.append(("R4 transport i=%d" % i,
-                       interior_part(schur.clean(lhs), win4) == {}))
+                       interior_part(clean(lhs), win4) == {}))
     return checks
 
 

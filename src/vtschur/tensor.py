@@ -20,33 +20,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import laurent, linalg
-from .laurent import VTPoly, mono
+from .laurent import clean, elt_add, elt_scale, mono
 
 # -- elements ----------------------------------------------------------------
 
 def all_seqs(n, d):
     return [tuple(s) for s in itertools.product(range(1, n + 1), repeat=d)]
-
-
-def clean(x):
-    return {r: c for r, c in x.items() if c}
-
-
-def add(x, y):
-    out = dict(x)
-    for r, c in y.items():
-        s = out.get(r, laurent.ZERO) + c
-        if s:
-            out[r] = s
-        else:
-            out.pop(r, None)
-    return out
-
-
-def scale(x, poly):
-    if not poly:
-        return {}
-    return {r: c * poly for r, c in x.items()}
 
 
 # -- the defining actions ------------------------------------------------------
@@ -157,12 +136,12 @@ def op_eq(P, Q):
 def op_add(P, Q):
     out = {r: dict(col) for r, col in P.items()}
     for r, col in Q.items():
-        out[r] = add(out.get(r, {}), col)
+        out[r] = elt_add(out.get(r, {}), col)
     return op_clean(out)
 
 
 def op_scale(P, poly):
-    return op_clean({r: scale(col, poly) for r, col in P.items()})
+    return op_clean({r: elt_scale(col, poly) for r, col in P.items()})
 
 
 def op_sub(P, Q):
@@ -172,7 +151,7 @@ def op_sub(P, Q):
 def op_apply(P, x):
     out = {}
     for r, c in x.items():
-        out = add(out, scale(P.get(r, {}), c))
+        out = elt_add(out, elt_scale(P.get(r, {}), c))
     return out
 
 
@@ -358,16 +337,18 @@ def coproduct_word(word):
     return legs
 
 
-def tensor_word_op(left_word, right_word, n, d1, d2):
-    """Operator of (left tensor right) on V^{d1} x V^{d2} under concatenation."""
+def tensor_word_op(words, n, degrees):
+    """Operator of words[0] x words[1] x ... on V^{degrees[0]} x V^{degrees[1]}
+    x ..., each leg acting on its own block of consecutive positions."""
+    cuts = list(itertools.accumulate(degrees, initial=0))
     out = {}
-    for r in all_seqs(n, d1 + d2):
-        x1 = apply_word(left_word, {r[:d1]: laurent.ONE}, n)
-        x2 = apply_word(right_word, {r[d1:]: laurent.ONE}, n)
-        col = {}
-        for s1, c1 in x1.items():
-            for s2, c2 in x2.items():
-                col[s1 + s2] = c1 * c2
+    for r in all_seqs(n, cuts[-1]):
+        col = apply_word(words[0], {r[:cuts[1]]: laurent.ONE}, n)
+        for word, a, b in zip(words[1:], cuts[1:], cuts[2:]):
+            if not col:
+                break
+            leg = apply_word(word, {r[a:b]: laurent.ONE}, n)
+            col = {s1 + s2: c1 * c2 for s1, c1 in col.items() for s2, c2 in leg.items()}
         if col:
             out[r] = col
     return op_clean(out)
@@ -381,6 +362,6 @@ def coproduct_compat(n, d1, d2):
         full = op_sym(g, n, d)
         split = {}
         for lw, rw in coproduct_legs(g):
-            split = op_add(split, tensor_word_op(lw, rw, n, d1, d2))
+            split = op_add(split, tensor_word_op((lw, rw), n, (d1, d2)))
         out.append(("%r on %d+%d" % (g, d1, d2), op_eq(full, split)))
     return out

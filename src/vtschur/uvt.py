@@ -138,10 +138,6 @@ def B(a, s=1):
 VMINUS = mono(1, 0) - mono(-1, 0)  # v - v^{-1}
 
 
-def _combo_op(combo, n, d):
-    return tensor.op_combo(combo, n, d)
-
-
 def _star_combo(words, n):
     """[(coeff, syms)] with each word star-folded into a plain word."""
     return [(c * star_word(s, n), s) for c, s in words]
@@ -233,7 +229,7 @@ def verify_relation(rel, n, d, star=False):
     """Check one relation catalog as exact operator identities."""
     results = []
     for name, lhs, rhs in relation_instances(rel, n, star=star):
-        ok = tensor.op_eq(_combo_op(lhs, n, d), _combo_op(rhs, n, d))
+        ok = tensor.op_eq(tensor.op_combo(lhs, n, d), tensor.op_combo(rhs, n, d))
         results.append((name, ok))
     return results
 
@@ -325,15 +321,15 @@ def hopf_checks(n, d, printed_antipode=False):
         legs = tensor.coproduct_legs(g)
         for d1 in range(d + 1):
             for d2 in range(d - d1 + 1):
-                d3 = d - d1 - d2
+                split = (d1, d2, d - d1 - d2)
                 left = {}
                 right = {}
                 for l, r in legs:
                     for l1, l2 in tensor.coproduct_word(l):
-                        left = tensor.op_add(left, _triple_op(l1, l2, r, n, d1, d2, d3))
+                        left = tensor.op_add(left, tensor.tensor_word_op((l1, l2, r), n, split))
                     for r1, r2 in tensor.coproduct_word(r):
-                        right = tensor.op_add(right, _triple_op(l, r1, r2, n, d1, d2, d3))
-                results.append(("coassoc %r %d+%d+%d" % (g, d1, d2, d3), tensor.op_eq(left, right)))
+                        right = tensor.op_add(right, tensor.tensor_word_op((l, r1, r2), n, split))
+                results.append(("coassoc %r %d+%d+%d" % ((g,) + split), tensor.op_eq(left, right)))
         # counit legs
         eps_id = {}
         for l, r in legs:
@@ -380,22 +376,6 @@ def _word_antipode(word, printed):
             for c2, w2 in antipode(sym, printed=printed)
         ]
     return combos
-
-
-def _triple_op(w1, w2, w3, n, d1, d2, d3):
-    out = {}
-    for r in tensor.all_seqs(n, d1 + d2 + d3):
-        x1 = tensor.apply_word(w1, {r[:d1]: ONE}, n)
-        x2 = tensor.apply_word(w2, {r[d1:d1 + d2]: ONE}, n)
-        x3 = tensor.apply_word(w3, {r[d1 + d2:]: ONE}, n)
-        col = {}
-        for s1, c1 in x1.items():
-            for s2, c2 in x2.items():
-                for s3, c3 in x3.items():
-                    col[s1 + s2 + s3] = c1 * c2 * c3
-        if col:
-            out[r] = col
-    return tensor.op_clean(out)
 
 
 def star_associativity_sample(n, trials=100, seed=0):

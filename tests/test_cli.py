@@ -2,11 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from vtschur import cli, hecke, laurent, schur
+from vtschur import cli, flags, hecke, laurent, schur
 
 
 def run_cli(args):
@@ -112,6 +113,12 @@ def test_guard_exceeded_exit_2():
     ["verify", "duality", "--spec", "1,1"],
     ["verify", "hecke", "--d", "2", "--primes", "4"],
     ["verify", "jparity-hat", "--n", "2", "--d", "2", "--m", "1"],
+    ["verify", "stab", "--window", "0"],
+    ["verify", "stab", "--window", "1"],
+    ["verify", "stab", "--window", "2"],
+    ["verify", "schur", "--n", "0"],
+    ["verify", "star", "--n", "0"],
+    ["verify", "duality", "--d", "-1"],
 ])
 def test_bad_request_exit_2(args):
     code, _, err = run_cli(args)
@@ -119,14 +126,61 @@ def test_bad_request_exit_2(args):
     assert "bad request" in err
 
 
+# sha256 of run_suite(...).to_json(), one cheap configuration per suite;
+# refactors of the algebra kernels must leave every report byte-identical
+PINNED_REPORTS = [
+    ("schur", {"n": 3, "d": 3},
+     "2f60adb46733a7aa8f1e0c9af9c1563b5a3f1124e1e1642b43cdd7a514a9ea0b"),
+    ("hecke", {"d": 3, "primes": (3,)},
+     "b685239a35c030c82265dee464fda20490b18f764ef67785de6afeb69d107d87"),
+    ("duality", {},
+     "4475bb486583b21c457f4e0eff7bb215e57005aa9ead6d5affc11e67dc174437"),
+    ("uvt", {"n": 2, "d": 3},
+     "bc44be223dfb69076f7668754160a7b41efb60c1ebccdd2d89fa76b25134ce58"),
+    ("star", {"n": 3},
+     "c8823e1f2187da067fa8e2b1057d2f452d0fa084b70a015c79c2c6d81d1a7ed3"),
+    ("stab", {"window": 3},
+     "287e0c1e4701dc972781311813e38369e8d50fe290458ecb1157d5353884af24"),
+    ("jparity-tilde", {"n": 3, "d": 3, "m": 2},
+     "feec49a26ac30566d4a958c7a7b5f01ff544ec92b822dc3ac8edc523ad7c9a73"),
+    ("jparity-hat", {"n": 3},
+     "3ce0465c60af012344d779de62fc8190a3c3116fdfda1d4edaa1ee825b7542c9"),
+    ("descend", {"n": 3},
+     "0f34e120839e63a2bcaa41415498c45c69912ef278a0af21173c0996751dc5a4"),
+    ("oracle", {"n": 3, "primes": (3,)},
+     "f585cf64e883518c3894137daa9812086a6e485c8d4aabfd51ac631d5b1dd7c6"),
+]
+
+
+def default_config(suite="duality"):
+    args = cli.build_parser().parse_args(["verify", suite])
+    return {k: getattr(args, k) for k in ("n", "d", "m", "primes", "window", "spec")}
+
+
 def test_default_report_json_bytes_pinned():
-    args = cli.build_parser().parse_args(["verify", "duality"])
-    cfg = {k: getattr(args, k) for k in ("n", "d", "m", "primes", "window", "spec")}
-    text = cli.run_suite("duality", cfg).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "4475bb486583b21c457f4e0eff7bb215e57005aa9ead6d5affc11e67dc174437"
+    for suite, over, digest in PINNED_REPORTS:
+        cfg = dict(default_config(suite), **over)
+        text = cli.run_suite(suite, cfg).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, suite
+    text = cli.run_suite("duality", default_config()).to_json()
     code, out, _ = run_cli(["verify", "duality", "--spec", "2,3", "--format", "json"])
     assert code == 0 and out == text
+
+
+@pytest.mark.parametrize("suite,over", [
+    ("duality", {"n": 5, "d": 1}),
+    ("oracle", {"n": 2, "d": 1, "primes": (11,)}),
+    ("hecke", {"d": 2, "primes": (11,)}),
+])
+def test_allow_large_lifts_the_guards(monkeypatch, suite, over):
+    cfg = dict(default_config(suite), **over)
+    monkeypatch.delenv("VTSCHUR_ALLOW_LARGE", raising=False)
+    with pytest.raises(flags.GuardExceeded):
+        cli.run_suite(suite, cfg)
+    monkeypatch.setenv("VTSCHUR_ALLOW_LARGE", "1")
+    with warnings.catch_warnings(record=True):  # lifted flag guards warn
+        warnings.simplefilter("always")
+        assert cli.run_suite(suite, cfg).passed
 
 
 def test_fraction_spec_round_trips_through_json():

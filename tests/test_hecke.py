@@ -4,7 +4,7 @@ import pytest
 
 from vtschur import hecke as hk
 from vtschur import laurent
-from vtschur.laurent import mono
+from vtschur.laurent import elt_add, elt_scale, mono
 
 
 def test_inversions_and_words():
@@ -132,7 +132,7 @@ def test_geometric_model(d, p):
 
 
 def test_json_roundtrip():
-    x = hk.add(hk.Ti(3, 1), hk.scale(hk.unit(3), mono(1, 1)))
+    x = elt_add(hk.Ti(3, 1), elt_scale(hk.unit(3), mono(1, 1)))
     doc = hk.to_json(x, 3)
     y, d = hk.from_json(doc)
     assert y == x and d == 3

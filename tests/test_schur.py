@@ -24,28 +24,60 @@ def test_mult_chevE_examples():
     # {E_12} * {diag(0,1)} = {E_12}: the single admissible move
     B = mat_unit(2, 1, 2)
     A = diag((0, 1))
-    assert sc.mult_chevE(B, {A: ONE}) == {B: ONE}
+    assert sc.lmul_braced(B, {A: ONE}) == {B: ONE}
     # diagonal left factor acts as a row-profile filter
     D = diag((1, 1))
     x = {diag((1, 1)): ONE, diag((2, 0)): ONE}
-    assert sc.mult_chevE(D, x) == {diag((1, 1)): ONE}
+    assert sc.lmul_braced(D, x) == {diag((1, 1)): ONE}
     # the binomial case, checked against the counting oracle by hand:
     # {E_11 + E_12} * {E_11 + E_21} = v t (v^{-2} + 1) {2 E_11}
     B = mat([[1, 1], [0, 0]])
     A = mat([[1, 0], [1, 0]])
-    out = sc.mult_chevE(B, {A: ONE})
+    out = sc.lmul_braced(B, {A: ONE})
     assert out == {mat([[2, 0], [0, 0]]): mono(1, 1) * (mono(-2, 0) + 1)}
 
 
 def test_mult_chevF_examples():
     C = mat_unit(2, 2, 1)
     A = diag((1, 0))
-    assert sc.mult_chevF(C, {A: ONE}) == {C: ONE}
+    assert sc.lmul_braced(C, {A: ONE}) == {C: ONE}
     # mirror binomial case
     C = mat([[0, 0], [1, 1]])
     A = mat([[0, 1], [0, 1]])
-    out = sc.mult_chevF(C, {A: ONE})
+    out = sc.lmul_braced(C, {A: ONE})
     assert list(out) == [mat([[0, 0], [0, 2]])]
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
+def test_chev_mul_matches_operator_model(n, d):
+    # seeded random Chevalley-shaped left factors, both shapes and every
+    # r <= d, against the general product of the faithful operator model
+    rng = random.Random(100 * n + d)
+    thetas = theta_matrices(n, d)
+    chev = [B for B in thetas if sc.chev_shape(B) is not None]
+    by_shape = {}
+    for B in chev:
+        kind, _h, r = sc.chev_shape(B)
+        if kind != "diag":
+            by_shape.setdefault((kind, r), []).append(B)
+    assert sorted(by_shape) == [(k, r) for k in "EF" for r in range(1, d + 1)]
+
+    def poly():
+        return mono(rng.randint(-2, 2), rng.randint(-1, 1), rng.choice((-2, -1, 1, 3))) + \
+            mono(rng.randint(-2, 2), rng.randint(-1, 1))
+
+    nonzero = 0
+    for _key, lefts in sorted(by_shape.items()):
+        for _ in range(2):
+            B = rng.choice(lefts)
+            x = {B: poly(), rng.choice(chev): poly()}
+            matching = [A for A in thetas if ro(A) == co(B)]
+            y = {A: poly() for A in rng.sample(matching, min(3, len(matching)))}
+            y.update((A, poly()) for A in rng.sample(thetas, 2))
+            got = sc.clean(sc.chev_mul(x, y))
+            assert got == sc.clean(sc.product_via_operators(x, y, n, d)), (B, x, y)
+            nonzero += bool(got)
+    assert nonzero == 2 * len(by_shape)
 
 
 def test_row_column_support():

@@ -85,7 +85,7 @@ def test_coproduct_compat_small(gen):
         full = tn.op_sym(gen, 2, d1 + d2)
         split = {}
         for lw, rw in tn.coproduct_legs(gen):
-            split = tn.op_add(split, tn.tensor_word_op(lw, rw, 2, d1, d2))
+            split = tn.op_add(split, tn.tensor_word_op((lw, rw), 2, (d1, d2)))
         assert tn.op_eq(full, split)
 
 
