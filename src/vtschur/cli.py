@@ -34,6 +34,11 @@ def check_request(suite, cfg):
         raise BadRequest("need n >= 1 and d >= 0, got n=%d d=%d" % (n, d))
     if suite == "stab" and cfg["window"] < 3:
         raise BadRequest("stab needs window >= 3, got %d" % cfg["window"])
+    # below these degrees the printed variants hold trivially, so their
+    # expect-fail checks could not be refuted
+    low = {"schur": 1, "jparity-tilde": 1, "jparity-hat": 2}.get(suite, 0)
+    if d < low:
+        raise BadRequest("%s needs d >= %d, got d=%d" % (suite, low, d))
     try:
         if suite in ("hecke", "oracle"):
             for p in cfg["primes"]:

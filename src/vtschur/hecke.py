@@ -31,11 +31,6 @@ def inversions(w):
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
-def perm_mul(u, w):
-    """Composition u after w: (u w)(i) = u(w(i))."""
-    return tuple(u[w[i]] for i in range(len(w)))
-
-
 def right_s(w, i):
     """w s_i: swap positions i, i+1 (0-indexed generator i)."""
     w = list(w)
@@ -206,5 +201,8 @@ def from_json(doc):
         raise ValueError("not a hecke element")
     x = {}
     for term in doc["terms"]:
-        x[tuple(term["perm"])] = laurent.from_json(term["poly"])
+        w = tuple(term["perm"])
+        if sorted(w) != list(range(doc["d"])):
+            raise ValueError("perm %r is not a permutation of range(%d)" % (w, doc["d"]))
+        x[w] = laurent.from_json(term["poly"])
     return clean(x), doc["d"]

@@ -12,7 +12,7 @@ forms stay addressable as expected-fail entries.
 
 from __future__ import annotations
 
-from . import laurent, schur, tensor
+from . import schur, tensor
 from .laurent import ONE, mono
 from .matrices import compositions, diag
 
@@ -71,19 +71,6 @@ def j_elt_op(variant, sign, m, n, d):
     for D in j_schur_element(variant, sign, m, n, d):
         lam = tuple(D[i][i] for i in range(n))
         out = tensor.op_add(out, schur.content_projector(lam, n, d))
-    return out
-
-
-def _cartan_quotient_op(i, n, d, negated=False):
-    """diag (A_i B_{i+1} - B_i A_{i+1})/(v - v^{-1}) as balanced integers."""
-    out = {}
-    for r in tensor.all_seqs(n, d):
-        ci = sum(1 for x in r if x == i)
-        cj = sum(1 for x in r if x == i + 1)
-        k = cj - ci if negated else ci - cj
-        c = laurent.vint(k).shift(0, ci + cj)
-        if c:
-            out[r] = {r: c}
     return out
 
 
@@ -196,8 +183,9 @@ def verify_hat_relations(n, d, m, include_printed_variants=True):
                        tensor.op_eq(tensor.op_compose(J[s], Fm1Fm), tensor.op_compose(Fm1Fm, J[o]))))
     EmFm = tensor.op_compose(Em, Fm)
     Fm1Em1 = tensor.op_compose(Fm1, Em1)
-    quot_m = _cartan_quotient_op(m, n, d)
-    quot_m1 = _cartan_quotient_op(m + 1, n, d, negated=True)
+    # diag (A_i B_{i+1} - B_i A_{i+1})/(v - v^{-1}) at i = m, and negated at m + 1
+    quot_m = schur.elt_op(schur.cartan_elt(m, n, d), n, d)
+    quot_m1 = tensor.op_scale(schur.elt_op(schur.cartan_elt(m + 1, n, d), n, d), -ONE)
     for s, o in (("+", "-"), ("-", "+")):
         dj = tensor.op_sub(J[s], J[o])
         lhs = tensor.op_sub(tensor.op_compose(J[s], EmFm), tensor.op_compose(EmFm, J[o]))

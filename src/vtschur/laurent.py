@@ -10,6 +10,7 @@ here mutates a VTPoly after construction, so they can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class OddVPower(ValueError):
@@ -134,9 +135,6 @@ class VTPoly:
         """Terms in canonical (lexicographic) order as ((a, b), coeff)."""
         return sorted(self.c.items())
 
-    def is_monomial(self):
-        return len(self.c) == 1
-
     def coeff(self, a, b):
         return self.c.get((a, b), 0)
 
@@ -214,6 +212,7 @@ def vint(k):
     return VTPoly({(k - 1 - 2 * j, 0): 1 for j in range(k)})
 
 
+@lru_cache(maxsize=256)
 def qbinom(n, k):
     """Gaussian binomial prod_{i<=k} (n+1-i)_v / (i)_v, exact division.
 

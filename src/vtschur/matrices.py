@@ -51,10 +51,6 @@ def add(M, N):
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(M, N))
 
 
-def scale(M, k):
-    return tuple(tuple(k * a for a in row) for row in M)
-
-
 def is_stab(M):
     """Integer matrix with nonnegative off-diagonal entries."""
     return all(x >= 0 for i, row in enumerate(M) for j, x in enumerate(row) if i != j)

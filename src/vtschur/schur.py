@@ -448,12 +448,13 @@ def content_projector(lam, n, d):
 
 @lru_cache(maxsize=None)
 def braced_op(A, n, d):
-    """Tensor-space operator of a single braced basis element (n >= d)."""
-    if n < d:
-        raise ValueError("the operator model is faithful only for n >= d")
+    """Tensor-space operator of a single braced basis element (n >= d unless
+    A is diagonal: a diagonal element acts as a content projector for all n)."""
     shape = chev_shape(A)
     if shape is not None and shape[0] == "diag":
         return content_projector(diag_of(A), n, d)
+    if n < d:
+        raise ValueError("the operator model is faithful only for n >= d")
     if shape is not None:
         kind, h, r = shape
         sym = ("E", h) if kind == "E" else ("F", h)
@@ -484,72 +485,40 @@ def elt_op(x, n, d):
     return out
 
 
-def _poly_solve(rows, rhs):
-    """Solve an overdetermined linear system with VTPoly entries exactly.
+def _height(A):
+    """The total of the corner sums that preceq compares.
 
-    Fraction-free forward elimination followed by back substitution through
-    exact division; the residual is verified on every original row.
+    An entry k = |i - j| steps off the diagonal lies in k(k + 1)/2 of the
+    corners.  If prec(B, A), no corner sum of B exceeds that of A, and one is
+    smaller: the corner sums fix the off-diagonal entries by
+    inclusion-exclusion and the row sums then fix the diagonal, so equal
+    sums would force B == A.  Hence prec(B, A) implies _height(B) < _height(A).
     """
-    k = len(rows[0])
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [piv * x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    x = [laurent.ZERO] * k
-    for idx in reversed(range(r)):
-        c = pivots[idx]
-        acc = m[idx][k]
-        for c2 in range(c + 1, k):
-            if m[idx][c2]:
-                acc = acc - m[idx][c2] * x[c2]
-        x[c] = laurent.exact_div(acc, m[idx][c])
-    for row, b in zip(rows, rhs):
-        if sum((ci * xi for ci, xi in zip(row, x)), laurent.ZERO) != b:
-            raise laurent.InexactDivision("polynomial system is inconsistent")
-    return x
+    return sum(m * abs(i - j) * (abs(i - j) + 1) // 2
+               for i, row in enumerate(A) for j, m in enumerate(row))
 
 
 def op_to_elt(P, n, d):
-    """Re-express an operator in the braced basis (n >= d, faithfulness)."""
-    seqs = tensor.all_seqs(n, d)
-    content = {r: tuple(sum(1 for x in r if x == a) for a in range(1, n + 1)) for r in seqs}
-    blocks = {}
-    for A in theta_matrices(n, d):
-        blocks.setdefault((ro(A), co(A)), []).append(A)
+    """Re-express an operator in the braced basis (n >= d, faithfulness).
+
+    braced_op(A) is unitriangular: its entries sit at pairs of sequences
+    whose position matrix B has preceq(B, A), and it holds a unit monomial at
+    the pairs of position A.  Walking the matrices by decreasing _height, the
+    residual at one position-A pair is therefore c_A times that unit; the
+    term is peeled off, and what is left at the end must be zero.
+    """
     out = {}
-    Pc = tensor.op_clean(P)
-    covered = set()
-    for (mu, nu), mats in sorted(blocks.items()):
-        coords = [(s_row, s_col) for s_col in seqs if content[s_col] == nu
-                  for s_row in seqs if content[s_row] == mu]
-        rows = []
-        rhs = []
-        ops = [tensor.op_clean(braced_op(A, n, d)) for A in mats]
-        for s_row, s_col in coords:
-            rows.append([op.get(s_col, {}).get(s_row, laurent.ZERO) for op in ops])
-            rhs.append(Pc.get(s_col, {}).get(s_row, laurent.ZERO))
-            covered.add((s_row, s_col))
-        sol = _poly_solve(rows, rhs)
-        for A, c in zip(mats, sol):
-            if c:
-                out[A] = c
-    for s_col, col in Pc.items():
-        for s_row, c in col.items():
-            if (s_row, s_col) not in covered and c:
-                raise ValueError("operator has support outside all content blocks")
+    rest = tensor.op_clean(P)
+    for A in sorted(theta_matrices(n, d), key=_height, reverse=True):
+        s_row = tuple(i + 1 for i, row in enumerate(A) for m in row for _ in range(m))
+        s_col = tuple(j + 1 for row in A for j, m in enumerate(row) for _ in range(m))
+        entry = rest.get(s_col, {}).get(s_row)
+        if entry:
+            op = braced_op(A, n, d)
+            out[A] = c = laurent.exact_div(entry, op[s_col][s_row])
+            rest = tensor.op_sub(rest, tensor.op_scale(op, c))
+    if rest:
+        raise laurent.InexactDivision("operator is not in the image of the algebra")
     return out
 
 
@@ -624,8 +593,11 @@ def to_json(x, n, d, basis="braced"):
 def from_json(doc):
     if doc.get("algebra") != "schur":
         raise ValueError("not a schur element")
+    n, d = doc["n"], doc["d"]
     x = {}
     for term in doc["terms"]:
         A = tuple(tuple(int(v) for v in row) for row in term["matrix"])
+        if len(A) != n or any(len(row) != n or min(row) < 0 for row in A) or sum(map(sum, A)) != d:
+            raise ValueError("matrix %r is not %d x %d natural summing to %d" % (A, n, n, d))
         x[A] = laurent.from_json(term["poly"])
-    return clean(x), doc["n"], doc["d"], doc.get("basis", "braced")
+    return clean(x), n, d, doc.get("basis", "braced")

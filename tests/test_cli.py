@@ -119,11 +119,35 @@ def test_guard_exceeded_exit_2():
     ["verify", "schur", "--n", "0"],
     ["verify", "star", "--n", "0"],
     ["verify", "duality", "--d", "-1"],
+    # the printed variants hold trivially below these degrees
+    ["verify", "schur", "--d", "0"],
+    ["verify", "jparity-tilde", "--n", "2", "--d", "0"],
+    ["verify", "jparity-hat", "--n", "3", "--d", "0"],
+    ["verify", "jparity-hat", "--n", "3", "--d", "1"],
 ])
 def test_bad_request_exit_2(args):
     code, _, err = run_cli(args)
     assert code == 2
     assert "bad request" in err
+
+
+@pytest.mark.parametrize("algebra,doc", [
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
+               "terms": [{"matrix": [[1, 1], [1, 0]], "poly": [[0, 0, 1, 1]]}]}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
+               "terms": [{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "poly": [[0, 0, 1, 1]]}]}),
+    ("hecke", {"schema": 1, "algebra": "hecke", "d": 2,
+               "terms": [{"perm": [0, 0], "poly": [[0, 0, 1, 1]]}]}),
+])
+def test_mult_malformed_element_exit_2(tmp_path, algebra, doc):
+    bad = tmp_path / "bad.json"
+    good = tmp_path / "good.json"
+    bad.write_text(json.dumps(doc))
+    unit = schur.to_json(schur.unit(2, 2), 2, 2) if algebra == "schur" else hecke.to_json(hecke.unit(2), 2)
+    good.write_text(json.dumps(unit))
+    code, out, err = run_cli(["mult", "--algebra", algebra, "--lhs", str(good), "--rhs", str(bad)])
+    assert code == 2 and not out
+    assert "schema error" in err
 
 
 # sha256 of run_suite(...).to_json(), one cheap configuration per suite;

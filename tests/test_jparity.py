@@ -36,7 +36,8 @@ def test_tilde_suite(n, d, m):
     assert printed and not any(printed)
 
 
-@pytest.mark.parametrize("n,d,m", [(3, 2, 1), (4, 2, 2), (4, 3, 1)])
+# (3, 4, 1): n < d, where only the diagonal braced operators exist
+@pytest.mark.parametrize("n,d,m", [(3, 2, 1), (4, 2, 2), (4, 3, 1), (3, 4, 1)])
 def test_hat_suite(n, d, m):
     checks = jp.verify_hat_relations(n, d, m)
     failed = [name for name, ok in checks if not ok and not name.startswith("expect-fail")]

@@ -261,3 +261,54 @@ def test_product_via_operators_n3():
         lhs = sc.product_via_operators(sc.gen_elt(sym, n, d), sc.gen_elt(("F", 1), n, d), n, d)
         rhs = sc.mul_gen(sym, sc.gen_elt(("F", 1), n, d), n, d)
         assert sc.clean(lhs) == sc.clean(rhs), sym
+
+
+def _position(s_row, s_col, n):
+    B = [[0] * n for _ in range(n)]
+    for a, b in zip(s_row, s_col):
+        B[a - 1][b - 1] += 1
+    return tuple(map(tuple, B))
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
+def test_braced_op_unitriangular(n, d):
+    # every entry of braced_op(A) sits at a position matrix B <= A, and
+    # every position-A entry is a unit monomial
+    for A in theta_matrices(n, d):
+        at_A = 0
+        for s_col, col in sc.braced_op(A, n, d).items():
+            for s_row, c in col.items():
+                B = _position(s_row, s_col, n)
+                assert sc.preceq(B, A), (A, B)
+                if B == A:
+                    ((_ab, coeff),) = c.terms()
+                    assert coeff in (1, -1), (A, c)
+                    at_A += 1
+        assert at_A, A
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
+def test_height_strictly_monotone(n, d):
+    thetas = theta_matrices(n, d)
+    for A in thetas:
+        for B in thetas:
+            if sc.prec(B, A):
+                assert sc._height(B) < sc._height(A), (B, A)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
+def test_op_to_elt_inverts_elt_op(n, d):
+    rng = random.Random(10 * n + d)
+    thetas = theta_matrices(n, d)
+    for _ in range(10):
+        x = {A: mono(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((-2, -1, 1, 3)))
+             for A in rng.sample(thetas, min(4, len(thetas)))}
+        x[rng.choice(thetas)] = laurent.ZERO
+        assert sc.op_to_elt(sc.elt_op(x, n, d), n, d) == sc.clean(x)
+
+
+@pytest.mark.parametrize("P", [{(1, 2): {(2, 1): ONE}}, {(1, 2): {(1, 2): ONE}}])
+def test_op_to_elt_rejects_operator_outside_image(P):
+    # single matrix units lie outside the image of the algebra
+    with pytest.raises(laurent.InexactDivision):
+        sc.op_to_elt(P, 2, 2)
