@@ -147,31 +147,36 @@ def _load_json(path):
         return json.load(fh)
 
 
+# what reading a document of the wrong shape raises: a schema error, exit 2
+SCHEMA_ERRORS = (KeyError, ValueError, TypeError, AttributeError, OSError)
+
+
 def cmd_mult(args):
+    read = hecke.from_json if args.algebra == "hecke" else schur.from_json
     try:
-        lhs_doc = _load_json(args.lhs)
-        rhs_doc = _load_json(args.rhs)
-        if args.algebra == "hecke":
-            x, dx = hecke.from_json(lhs_doc)
-            y, dy = hecke.from_json(rhs_doc)
-            if dx != dy:
-                print("degree mismatch: %d vs %d" % (dx, dy), file=sys.stderr)
-                return 2
-            out = hecke.to_json(hecke.hecke_mul(x, y), dx)
-        else:
-            x, n1, d1, _ = schur.from_json(lhs_doc)
-            y, n2, d2, _ = schur.from_json(rhs_doc)
-            if (n1, d1) != (n2, d2):
-                print("size mismatch: %r vs %r" % ((n1, d1), (n2, d2)), file=sys.stderr)
-                return 2
-            try:
-                prod = schur.chev_mul(x, y)
-            except ValueError:
-                prod = schur.product_via_operators(x, y, n1, d1)
-            out = schur.to_json(prod, n1, d1)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+        lhs, rhs = read(_load_json(args.lhs)), read(_load_json(args.rhs))
+    except SCHEMA_ERRORS as exc:
         print("schema error: %s" % exc, file=sys.stderr)
         return 2
+    if args.algebra == "hecke":
+        (x, dx), (y, dy) = lhs, rhs
+        if dx != dy:
+            print("degree mismatch: %d vs %d" % (dx, dy), file=sys.stderr)
+            return 2
+        out = hecke.to_json(hecke.hecke_mul(x, y), dx)
+    else:
+        (x, n, d, _), (y, n2, d2, _) = lhs, rhs
+        if (n, d) != (n2, d2):
+            print("size mismatch: %r vs %r" % ((n, d), (n2, d2)), file=sys.stderr)
+            return 2
+        try:
+            prod = schur.chev_mul(x, y)
+        except ValueError:
+            if n < d:
+                print("bad request: general products need n >= d", file=sys.stderr)
+                return 2
+            prod = schur.product_via_operators(x, y, n, d)
+        out = schur.to_json(prod, n, d)
     text = json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -184,9 +189,10 @@ def cmd_mult(args):
 def cmd_stab_fit(args):
     try:
         doc = _load_json(args.pair)
-        A1 = tuple(tuple(int(x) for x in row) for row in doc["A1"])
-        A2 = tuple(tuple(int(x) for x in row) for row in doc["A2"])
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+        A1, A2 = (tuple(tuple(int(x) for x in row) for row in doc[k]) for k in ("A1", "A2"))
+        if not A1 or len(A2) != len(A1) or any(len(row) != len(A1) for row in A1 + A2):
+            raise ValueError("A1 and A2 must be square matrices of one size")
+    except SCHEMA_ERRORS as exc:
         print("schema error: %s" % exc, file=sys.stderr)
         return 2
     try:

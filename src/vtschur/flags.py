@@ -18,6 +18,7 @@ import itertools
 import warnings
 from functools import lru_cache
 
+from . import laurent
 from .matrices import co, ro
 
 MAX_D = 3
@@ -276,6 +277,22 @@ def conv_table(p, d, n, kinds=("X", "X", "X"), allow_large=False):
             out.setdefault(key, {}).setdefault(C, 0)
             out[key][C] += 1
     return out
+
+
+def counts_match(prod, counts, p):
+    """Whether an e-basis product {C: VTPoly} matches the flag counts {C: int} at v^2 = p.
+
+    Every coefficient must be t-free with even v-powers and evaluate to the
+    count of its C, and no counted C may be missing from the product.
+    """
+    for C, c in prod.items():
+        try:
+            vals = laurent.eval_q(c, p)
+        except laurent.OddVPower:
+            return False
+        if set(vals) - {0} or vals.get(0, 0) != counts.get(C, 0):
+            return False
+    return not set(counts) - set(prod)
 
 
 def convolution_report(B, A, p, d, n, kinds=("X", "X", "X")):

@@ -162,26 +162,11 @@ def geometric_structure_match(d, p, allow_large=False):
         for u in all_perms(d):
             alg = hecke_mul(basis(w), basis(u))
             geo = table.get((perm_matrix(w), perm_matrix(u)), {})
-            ok = True
-            seen = set()
-            for x, c in alg.items():
-                # move the dictionary's monomial to the algebraic side
-                shifted = c * mono(-1, 1) ** (inversions(x) - inversions(w) - inversions(u))
-                try:
-                    val = laurent.eval_q(shifted, p)
-                except laurent.OddVPower:
-                    ok = False
-                    break
-                if set(val) - {0}:
-                    ok = False
-                    break
-                cnt = geo.get(perm_matrix(x), 0)
-                if val.get(0, 0) != cnt:
-                    ok = False
-                    break
-                seen.add(perm_matrix(x))
-            if ok and set(geo) - seen:
-                ok = False
+            # move the dictionary's monomial to the algebraic side
+            shift = inversions(w) + inversions(u)
+            e_prod = {perm_matrix(x): c * mono(-1, 1) ** (inversions(x) - shift)
+                      for x, c in alg.items()}
+            ok = flags.counts_match(e_prod, geo, p)
             out.append((w, u, ok))
     return out
 

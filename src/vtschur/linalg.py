@@ -1,13 +1,16 @@
 """Exact rational and modular linear algebra at desk scale.
 
-Fraction elimination (`frac_rank`, `IncrementalRank`, `frac_solve`) is
-exact but viable only for a few hundred unknowns; the ranks stay as the
-reference the modular path is tested against.  Commutant dimensions are
-certified mod p by a sandwich: ranks can only drop under reduction mod p,
-so the modular rank of a family known to lie in the commutant is a lower
-bound, and nullities can only grow, so the modular nullity of the integer
-constraint system is an upper bound.  When the two meet, the dimension is
-pinned exactly.
+Fraction ranks (`frac_rank`, `IncrementalRank`) are dense, exact and viable
+only for a few hundred unknowns; they stay as the reference the modular path
+is tested against.  `frac_solve` solves sparse systems over Q (the
+stabilization fit) by Gauss-Jordan elimination on {column: coefficient}
+rows.
+
+Commutant dimensions are certified mod p by a sandwich: ranks can only
+drop under reduction mod p, so the modular rank of a family known to lie in
+the commutant is a lower bound, and nullities can only grow, so the modular
+nullity of the integer constraint system is an upper bound.  When the two
+meet, the dimension is pinned exactly.
 
 The constraint system is sparse and block diagonal over the connected
 components of its unknowns, so its rank is summed over the components
@@ -76,40 +79,47 @@ def _reduce_against(row, basis):
     return row
 
 
-def frac_solve(matrix, rhs):
-    """Solve matrix @ x = rhs exactly; returns x or None if inconsistent.
+def frac_solve(rows, rhs):
+    """Solve sum_c row[c] x_c = b exactly for each row, b in zip(rows, rhs).
 
-    matrix is a list of rows; the system may be overdetermined.  When the
-    solution is not unique an arbitrary member of the affine space is
-    returned (free variables set to zero).
+    Rows are sparse {column: coefficient} dicts; the system may be
+    overdetermined.  Gauss-Jordan elimination keeps the reduced row-echelon
+    form of the rows seen so far, each pivot the smallest column of its row;
+    that form is unique, so the pivots are those of elimination in column
+    order.  Free unknowns are 0.  Returns {column: value} for the nonzero
+    values, in column order, or None when the system is inconsistent.
     """
-    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    nrows = len(m)
-    ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+    basis, value = {}, {}  # pivot column -> reduced row (1 at the pivot), its rhs
+    for row, b in zip(rows, rhs):
+        row, b = {c: Fraction(x) for c, x in row.items() if x}, Fraction(b)
+        for c in [c for c in row if c in basis]:
+            f = row[c]
+            _sub_scaled(row, f, basis[c])
+            b -= f * value[c]
+        if not row:
+            if b:
+                return None
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x
+        piv = min(row)
+        inv = 1 / row[piv]
+        row, b = {c: x * inv for c, x in row.items()}, b * inv
+        for c, other in basis.items():
+            f = other.get(piv)
+            if f:
+                _sub_scaled(other, f, row)
+                value[c] -= f * b
+        basis[piv], value[piv] = row, b
+    return {c: value[c] for c in sorted(basis) if value[c]}
+
+
+def _sub_scaled(row, f, src):
+    """row -= f * src on sparse rows, dropping the entries that cancel."""
+    for c, y in src.items():
+        x = row.get(c, 0) - f * y
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
 
 
 # -- modular arithmetic on float64 arrays -------------------------------------

@@ -551,20 +551,6 @@ def oracle_compare(n, d, primes=(3, 5, 7), allow_large=False):
         if shape is not None and shape[0] != "diag":
             lefts.append(B)
 
-    def match_at(e_prod, counts, p):
-        seen = set()
-        for Cmat, c in e_prod.items():
-            try:
-                vals = laurent.eval_q(c, p)
-            except laurent.OddVPower:
-                return False
-            if set(vals) - {0}:
-                return False
-            if vals.get(0, 0) != counts.get(Cmat, 0):
-                return False
-            seen.add(Cmat)
-        return not (set(counts) - seen)
-
     for B in lefts:
         for A in thetas:
             if ro(A) != co(B):
@@ -575,7 +561,7 @@ def oracle_compare(n, d, primes=(3, 5, 7), allow_large=False):
                 Cmat: c * mono(shiftBA - dminusr(Cmat), dminusr(Cmat) - shiftBA)
                 for Cmat, c in prod.items()
             }
-            ok = all(match_at(e_prod, tables[p].get((B, A), {}), p) for p in primes)
+            ok = all(flags.counts_match(e_prod, tables[p].get((B, A), {}), p) for p in primes)
             results.append((B, A, ok))
     return results
 

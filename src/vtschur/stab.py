@@ -10,7 +10,7 @@ make the limit computable:
   Binomials contribute denominators that are quantum factorials in v, so the
   observations are cleared by a fixed factorial multiple first; the cleared
   pattern is a genuine Laurent polynomial and the fit is exact linear
-  algebra over Q.
+  algebra over Q, one sparse equation per shift and monomial.
 
 * the completion is modelled by truncating diagonal supports to a window
   [-W, W]^n; a relation with f factors is asserted only on matrices whose
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import laurent, linalg, schur
 from .laurent import ONE, VTPoly, clean, elt_add, elt_scale, mono
@@ -120,11 +119,33 @@ def interior_part(x, window):
     return {M: c for M, c in x.items() if window.interior(M)}
 
 
-def window_eq(x, y, window):
-    return interior_part(clean(x), window) == interior_part(clean(y), window)
+# -- the completion relation suites ---------------------------------------------------
+
+class _WindowChecks:
+    """Named window comparisons under the margin rule: a relation with f
+    factors is compared only on matrices that keep a margin of f - 1."""
+
+    def __init__(self, window):
+        self.window = window
+        self.checks = []
+        self.skipped = 0  # boundary matrices excluded from the comparisons
+
+    def cmp(self, name, lhs, rhs, nfactors):
+        win = WeightWindow(self.window.W, max(self.window.margin, nfactors - 1))
+        lhs, rhs = clean(lhs), clean(rhs)
+        self.skipped += sum(1 for M in set(lhs) | set(rhs) if not win.interior(M))
+        self.checks.append((name, interior_part(lhs, win) == interior_part(rhs, win)))
 
 
-# -- the completion relation suite ---------------------------------------------------
+def _serre(X, Y, a, b, c):
+    """a XXY - b XYX + c YXX, each product nested from the right."""
+    return elt_add(elt_add(elt_scale(stab_mul(X, stab_mul(X, Y)), a),
+                           elt_scale(stab_mul(X, stab_mul(Y, X)), -b)),
+                   elt_scale(stab_mul(Y, stab_mul(X, X)), c))
+
+
+VT_MID = mono(1, 1) + mono(-1, 1)
+
 
 def limit_relation_suite(n, window):
     """The limit-algebra relation suite, compared on window interiors.
@@ -132,65 +153,40 @@ def limit_relation_suite(n, window):
     Returns (checks, skipped): checks is a list of (name, ok); skipped counts
     boundary matrices excluded from each comparison.
     """
-    checks = []
-    skipped = 0
+    suite = _WindowChecks(window)
     jvecs = [_ev(n, 1), _ev(n, 2, -1), tuple(range(1, n + 1)), (-1,) * n]
-
-    def cmp(name, lhs, rhs, nfactors):
-        nonlocal skipped
-        win = WeightWindow(window.W, max(window.margin, nfactors - 1))
-        lhs_c, rhs_c = clean(lhs), clean(rhs)
-        skipped += sum(1 for M in set(lhs_c) | set(rhs_c) if not win.interior(M))
-        checks.append((name, interior_part(lhs_c, win) == interior_part(rhs_c, win)))
-
+    Z = {jv: diagonal_weight(jv, window, n) for jv in jvecs}
+    E = {h: e_limit(h, window, n) for h in range(1, n)}
+    F = {h: f_limit(h, window, n) for h in range(1, n)}
     for j1 in jvecs[:2]:
         for j2 in jvecs[2:]:
-            z1, z2 = diagonal_weight(j1, window, n), diagonal_weight(j2, window, n)
-            cmp("commuting weights %r %r" % (j1, j2), stab_mul(z1, z2), stab_mul(z2, z1), 2)
+            suite.cmp("commuting weights %r %r" % (j1, j2),
+                      stab_mul(Z[j1], Z[j2]), stab_mul(Z[j2], Z[j1]), 2)
     for h in range(1, n):
-        E = e_limit(h, window, n)
-        F = f_limit(h, window, n)
         for jv in jvecs:
-            zj = diagonal_weight(jv, window, n)
-            lhs = stab_mul(zj, E)
-            rhs = elt_scale(stab_mul(E, zj), mono(jv[h - 1] - jv[h], abs(jv[h - 1]) - abs(jv[h])))
-            cmp("weight past E_%d %r" % (h, jv), lhs, rhs, 2)
-            lhsF = stab_mul(zj, F)
-            rhsF = elt_scale(stab_mul(F, zj), mono(jv[h] - jv[h - 1], abs(jv[h]) - abs(jv[h - 1])))
-            cmp("weight past F_%d %r" % (h, jv), lhsF, rhsF, 2)
+            wt = mono(jv[h - 1] - jv[h], abs(jv[h - 1]) - abs(jv[h]))
+            suite.cmp("weight past E_%d %r" % (h, jv),
+                      stab_mul(Z[jv], E[h]), elt_scale(stab_mul(E[h], Z[jv]), wt), 2)
+            wt = mono(jv[h] - jv[h - 1], abs(jv[h]) - abs(jv[h - 1]))
+            suite.cmp("weight past F_%d %r" % (h, jv),
+                      stab_mul(Z[jv], F[h]), elt_scale(stab_mul(F[h], Z[jv]), wt), 2)
         # t (E F - F E) (v - v^{-1}) = 0(e_h - e_{h+1}) - 0(e_{h+1} - e_h)
-        comm = elt_add(stab_mul(E, F), elt_scale(stab_mul(F, E), -ONE))
+        comm = elt_add(stab_mul(E[h], F[h]), elt_scale(stab_mul(F[h], E[h]), -ONE))
         lhs = elt_scale(comm, laurent.T * (mono(1, 0) - mono(-1, 0)))
         jplus = tuple(a - b for a, b in zip(_ev(n, h), _ev(n, h + 1)))
         jminus = tuple(-x for x in jplus)
         rhs = elt_add(diagonal_weight(jplus, window, n),
                       elt_scale(diagonal_weight(jminus, window, n), -ONE))
-        cmp("cartan commutator h=%d" % h, lhs, rhs, 2)
-    vt_mid = mono(1, 1) + mono(-1, 1)
+        suite.cmp("cartan commutator h=%d" % h, lhs, rhs, 2)
+    vt_mid_inv = mono(1, -1) + mono(-1, -1)
     for i in range(1, n - 1):
-        E1, E2 = e_limit(i, window, n), e_limit(i + 1, window, n)
-        F1, F2 = f_limit(i, window, n), f_limit(i + 1, window, n)
-        s1 = elt_add(
-            elt_add(stab_mul(E1, stab_mul(E1, E2)),
-                    elt_scale(stab_mul(E1, stab_mul(E2, E1)), -vt_mid)),
-            elt_scale(stab_mul(E2, stab_mul(E1, E1)), mono(0, 2)))
-        cmp("serre E first i=%d" % i, s1, {}, 3)
-        s2 = elt_add(
-            elt_add(elt_scale(stab_mul(E2, stab_mul(E2, E1)), mono(0, 2)),
-                    elt_scale(stab_mul(E2, stab_mul(E1, E2)), -vt_mid)),
-            stab_mul(E1, stab_mul(E2, E2)))
-        cmp("serre E second i=%d" % i, s2, {}, 3)
-        s3 = elt_add(
-            elt_add(stab_mul(F1, stab_mul(F1, F2)),
-                    elt_scale(stab_mul(F1, stab_mul(F2, F1)), -(mono(1, -1) + mono(-1, -1)))),
-            elt_scale(stab_mul(F2, stab_mul(F1, F1)), mono(0, -2)))
-        cmp("serre F first i=%d" % i, s3, {}, 3)
-        s4 = elt_add(
-            elt_add(elt_scale(stab_mul(F2, stab_mul(F2, F1)), mono(0, -2)),
-                    elt_scale(stab_mul(F2, stab_mul(F1, F2)), -(mono(1, -1) + mono(-1, -1)))),
-            stab_mul(F1, stab_mul(F2, F2)))
-        cmp("serre F second i=%d" % i, s4, {}, 3)
-    return checks, skipped
+        suite.cmp("serre E first i=%d" % i, _serre(E[i], E[i + 1], ONE, VT_MID, mono(0, 2)), {}, 3)
+        suite.cmp("serre E second i=%d" % i, _serre(E[i + 1], E[i], mono(0, 2), VT_MID, ONE), {}, 3)
+        suite.cmp("serre F first i=%d" % i,
+                  _serre(F[i], F[i + 1], ONE, vt_mid_inv, mono(0, -2)), {}, 3)
+        suite.cmp("serre F second i=%d" % i,
+                  _serre(F[i + 1], F[i], mono(0, -2), vt_mid_inv, ONE), {}, 3)
+    return suite.checks, suite.skipped
 
 
 def generator_transport_suite(n, window):
@@ -200,53 +196,29 @@ def generator_transport_suite(n, window):
     The inverse relations are excluded: 0(e_a) 0(-e_a) is a genuine t-series,
     not the unit, because the completion weights carry |j| exponents.
     """
-    checks = []
-
-    def img(sym):
-        if sym[0] == "E":
-            return elt_scale(e_limit(sym[1], window, n), laurent.T)
-        if sym[0] == "F":
-            return f_limit(sym[1], window, n)
-        sgn = sym[2] if sym[0] == "A" else -sym[2]
-        return diagonal_weight(_ev(n, sym[1], sgn), window, n)
-
-    def prod(syms):
-        acc = None
-        for s in reversed(syms):
-            acc = img(s) if acc is None else stab_mul(img(s), acc)
-        return acc
-
+    suite = _WindowChecks(window)
+    E = {j: elt_scale(e_limit(j, window, n), laurent.T) for j in range(1, n)}
+    F = {j: f_limit(j, window, n) for j in range(1, n)}
+    A = {i: diagonal_weight(_ev(n, i), window, n) for i in range(1, n + 1)}
+    B = {i: diagonal_weight(_ev(n, i, -1), window, n) for i in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(1, n):
             br = pairing(n, i, j)
-            lhs = prod((("A", i, 1), ("E", j)))
-            rhs = elt_scale(prod((("E", j), ("A", i, 1))), mono(br, br))
-            checks.append(("R2 transport A%d E%d" % (i, j), window_eq(lhs, rhs, window)))
-            lhsB = prod((("B", i, 1), ("E", j)))
-            rhsB = elt_scale(prod((("E", j), ("B", i, 1))), mono(-br, br))
-            checks.append(("R2 transport B%d E%d" % (i, j), window_eq(lhsB, rhsB, window)))
+            suite.cmp("R2 transport A%d E%d" % (i, j),
+                      stab_mul(A[i], E[j]), elt_scale(stab_mul(E[j], A[i]), mono(br, br)), 2)
+            suite.cmp("R2 transport B%d E%d" % (i, j),
+                      stab_mul(B[i], E[j]), elt_scale(stab_mul(E[j], B[i]), mono(-br, br)), 2)
     for i in range(1, n):
         for j in range(1, n):
-            comm = elt_add(prod((("E", i), ("F", j))),
-                           elt_scale(prod((("F", j), ("E", i))), -ONE))
-            lhs = elt_scale(comm, mono(1, 0) - mono(-1, 0))
+            comm = elt_add(stab_mul(E[i], F[j]), elt_scale(stab_mul(F[j], E[i]), -ONE))
             rhs = {}
             if i == j:
-                rhs = elt_add(prod((("A", i, 1), ("B", i + 1, 1))),
-                              elt_scale(prod((("B", i, 1), ("A", i + 1, 1))), -ONE))
-            win3 = WeightWindow(window.W, max(window.margin, 2))
-            checks.append(("R3 transport %d,%d" % (i, j),
-                           interior_part(clean(lhs), win3) == interior_part(clean(rhs), win3)))
-    vt_mid = mono(1, 1) + mono(-1, 1)
+                rhs = elt_add(stab_mul(A[i], B[i + 1]), elt_scale(stab_mul(B[i], A[i + 1]), -ONE))
+            suite.cmp("R3 transport %d,%d" % (i, j),
+                      elt_scale(comm, mono(1, 0) - mono(-1, 0)), rhs, 2)
     for i in range(1, n - 1):
-        lhs = elt_add(
-            elt_add(prod((("E", i), ("E", i), ("E", i + 1))),
-                    elt_scale(prod((("E", i), ("E", i + 1), ("E", i))), -vt_mid)),
-            elt_scale(prod((("E", i + 1), ("E", i), ("E", i))), mono(0, 2)))
-        win4 = WeightWindow(window.W, max(window.margin, 2))
-        checks.append(("R4 transport i=%d" % i,
-                       interior_part(clean(lhs), win4) == {}))
-    return checks
+        suite.cmp("R4 transport i=%d" % i, _serre(E[i], E[i + 1], ONE, VT_MID, mono(0, 2)), {}, 3)
+    return suite.checks
 
 
 # -- the stabilization fit --------------------------------------------------------------
@@ -306,29 +278,22 @@ def stabilization_check(A1, A2, p_list=(3, 4, 5)):
     p1 = min(p_list)
     for z in sorted(support):
         obs = {p: clear * runs[p][z] for p in p_list}
-        cands = set()
-        for (a, b) in obs[p1].c:
-            for k in range(bound + 1):
-                for l in range(bound + 1):
-                    cands.add((a + p1 * k, b - p1 * l, k, l))
-        cands = sorted(cands)
-        # equations: for each p, predicted and observed supports must agree
-        keys = []
+        cands = sorted({(a + p1 * k, b - p1 * l, k, l) for (a, b) in obs[p1].c
+                        for k in range(bound + 1) for l in range(bound + 1)})
+        # shift p sends each candidate to one monomial, so each equation is the
+        # set of candidates landing on one (p, monomial), observed or predicted
+        rows, rhs = [], []
         for p in p_list:
-            mons = set(obs[p].c)
-            mons.update((a - p * k, b + p * l) for (a, b, k, l) in cands)
-            keys.extend((p, mon) for mon in sorted(mons))
-        rows = []
-        rhs = []
-        for p, mon in keys:
-            row = [Fraction(1) if (a - p * k, b + p * l) == mon else Fraction(0)
-                   for (a, b, k, l) in cands]
-            rows.append(row)
-            rhs.append(Fraction(obs[p].coeff(*mon)))
+            eqs = {mon: {} for mon in obs[p].c}
+            for col, (a, b, k, l) in enumerate(cands):
+                eqs.setdefault((a - p * k, b + p * l), {})[col] = 1
+            for mon in sorted(eqs):
+                rows.append(eqs[mon])
+                rhs.append(obs[p].coeff(*mon))
         sol = linalg.frac_solve(rows, rhs)
         if sol is None:
             raise FitInconsistent("no bounded pattern reproduces the runs for %r" % (z,))
-        pattern = {c: g for c, g in zip(cands, sol) if g}
+        pattern = {cands[col]: g for col, g in sol.items()}
         # v' = t' = 1 specialization must match the limit-algebra product
         spec = VTPoly({})
         for (a, b, k, l), g in pattern.items():

@@ -138,6 +138,11 @@ def test_bad_request_exit_2(args):
                "terms": [{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "poly": [[0, 0, 1, 1]]}]}),
     ("hecke", {"schema": 1, "algebra": "hecke", "d": 2,
                "terms": [{"perm": [0, 0], "poly": [[0, 0, 1, 1]]}]}),
+    # wrong shapes, not only wrong values
+    ("hecke", {"schema": 1, "algebra": "hecke", "d": 2, "terms": 5}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
+               "terms": [{"matrix": 5, "poly": [[0, 0, 1, 1]]}]}),
+    ("schur", [1, 2]),
 ])
 def test_mult_malformed_element_exit_2(tmp_path, algebra, doc):
     bad = tmp_path / "bad.json"
@@ -213,3 +218,17 @@ def test_fraction_spec_round_trips_through_json():
     spec = json.loads(out)["config"]["spec"]
     assert spec == ["1/2", 3]
     assert cli.parse_spec(",".join(str(x) for x in spec)) == (Fraction(1, 2), Fraction(3))
+
+
+@pytest.mark.parametrize("doc", [
+    {"A1": 5, "A2": [[0, 0], [1, 0]]},
+    {"A1": [[0, 1], [0]], "A2": [[0, 0], [1, 0]]},
+    {"A1": [[0, 1], [0, 0]], "A2": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]},
+    [1, 2],
+])
+def test_stab_fit_malformed_pair_exit_2(tmp_path, doc):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    code, out, err = run_cli(["stab-fit", "--pair", str(pair)])
+    assert code == 2 and not out
+    assert "schema error" in err

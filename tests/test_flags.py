@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vtschur import flags as fl
+from vtschur import flags as fl, laurent
 from vtschur.matrices import co, diag, dim_stats, mat, ro, unit
 
 
@@ -198,3 +198,14 @@ def test_convolution_report_shape():
     assert doc["n"] == 2 and doc["d"] == 1 and doc["p"] == 3
     assert doc["B"] == [[0, 1], [0, 0]]
     assert doc["counts"] == [{"C": [[0, 1], [0, 0]], "count": 1}]
+
+
+def test_counts_match():
+    # at v^2 = 3, 1 + v^2 evaluates to 4
+    two = laurent.ONE + laurent.mono(2, 0)
+    assert fl.counts_match({"C": two, "D": laurent.ONE}, {"C": 4, "D": 1}, 3)
+    assert not fl.counts_match({"C": two}, {"C": 5}, 3)  # wrong count
+    assert not fl.counts_match({"C": two}, {"C": 4, "D": 1}, 3)  # counted key missing
+    assert not fl.counts_match({"C": two, "D": laurent.ONE}, {"C": 4}, 3)  # uncounted key
+    assert not fl.counts_match({"C": laurent.mono(1, 0)}, {"C": 3}, 3)  # odd v-power
+    assert not fl.counts_match({"C": laurent.mono(2, 1)}, {"C": 3}, 3)  # a t-power

@@ -1,0 +1,69 @@
+"""Property tests of the Laurent polynomial ring and its maps."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vtschur.galois import sigma_poly
+from vtschur.laurent import (
+    ONE, ZERO, InexactDivision, RSPoly, VTPoly, bar, exact_div, from_json, mono, rs_to_vt,
+    to_json, to_rs,
+)
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True)
+
+exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+coeffs = st.integers(-5, 5) | st.fractions(-3, 3, max_denominator=4)
+polys = st.dictionaries(exps, coeffs, max_size=4).map(VTPoly)
+int_polys = st.dictionaries(exps, st.integers(-5, 5), max_size=4).map(VTPoly)
+nonzero = int_polys.filter(bool)
+
+
+@PROPS
+@given(polys, polys, polys)
+def test_ring_axioms(p, q, r):
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + ZERO == p and p * ONE == p and p * ZERO == ZERO
+    assert p - p == ZERO and -(-p) == p
+
+
+@PROPS
+@given(int_polys, nonzero)
+def test_exact_div_inverts_multiplication(p, q):
+    assert exact_div(p * q, q) == p
+
+
+@PROPS
+@given(int_polys, nonzero.filter(lambda q: len(q.c) > 1), exps, st.integers(1, 5))
+def test_exact_div_rejects_non_multiples(p, q, e, c):
+    # a polynomial with two or more terms divides no monomial, so p q + m is
+    # not a multiple of q
+    with pytest.raises(InexactDivision):
+        exact_div(p * q + mono(*e, c), q)
+
+
+@PROPS
+@given(polys, polys)
+def test_bar_and_sigma_are_ring_involutions(p, q):
+    for f in (bar, sigma_poly):
+        assert f(f(p)) == p
+        assert f(p * q) == f(p) * f(q) and f(p + q) == f(p) + f(q)
+
+
+@PROPS
+@given(st.dictionaries(exps, coeffs, max_size=4).map(RSPoly),
+       st.dictionaries(exps.filter(lambda e: sum(e) % 2 == 0), coeffs, max_size=4).map(VTPoly))
+def test_rs_round_trips(rp, p):
+    assert to_rs(rs_to_vt(rp)) == rp
+    assert rs_to_vt(to_rs(p)) == p
+
+
+@PROPS
+@given(polys)
+def test_json_round_trip(p):
+    quads = to_json(p)
+    assert from_json(quads) == p
+    assert all(isinstance(x, int) for q in quads for x in q)
+    assert all(isinstance(x, int) or x.denominator != 1 for x in from_json(quads).c.values())

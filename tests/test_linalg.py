@@ -1,5 +1,8 @@
 """Property tests of the modular linear algebra against dense and rational references."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,3 +96,52 @@ def test_span_closure_rejects_a_grading_the_words_break():
     assert linalg.mod_span_closure([ident], [swap], P0, grade, stop=2) == (2, 1)
     with pytest.raises(ValueError):
         linalg.mod_span_closure([ident], [shear], P0, grade)
+
+
+def dense_frac_solve(matrix, rhs):
+    """Reference: dense Gauss-Jordan over Q in column order, free unknowns 0."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    return [m[pivots.index(c)][ncols] if c in pivots else Fraction(0) for c in range(ncols)]
+
+
+def test_sparse_frac_solve_matches_dense_reference():
+    """Random 0/1 incidence systems, like the stabilization fit's: right-hand
+    sides from a hidden solution (unique or under-determined) or random
+    (mostly inconsistent)."""
+    rng = random.Random(20)
+    kinds = {"unique": 0, "under-determined": 0, "inconsistent": 0}
+    for _ in range(300):
+        ncols = rng.randint(1, 12)
+        nrows = rng.randint(1, 16)
+        dense = [[int(rng.random() < 0.3) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.6:
+            hidden = [rng.randint(-3, 3) for _ in range(ncols)]
+            rhs = [sum(a * x for a, x in zip(row, hidden)) for row in dense]
+        else:
+            rhs = [rng.randint(-3, 3) for _ in range(nrows)]
+        want = dense_frac_solve(dense, rhs)
+        got = linalg.frac_solve([{c: a for c, a in enumerate(row) if a} for row in dense], rhs)
+        if want is None:
+            kinds["inconsistent"] += 1
+            assert got is None
+            continue
+        kinds["unique" if linalg.frac_rank(dense) == ncols else "under-determined"] += 1
+        assert got == {c: x for c, x in enumerate(want) if x}
+        assert all(isinstance(x, Fraction) for x in got.values())
+    assert min(kinds.values()) >= 30, kinds
