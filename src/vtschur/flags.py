@@ -1,10 +1,13 @@
-"""Brute-force ground truth over small prime fields.
+"""Counting ground truth over small prime fields.
 
 Flags are enumerated literally, orbits of pairs are classified by the matrix
 of relative-position invariants, and convolution products are computed by
-counting intermediate flags.  Everything here is deliberately naive; its only
-job is to be unarguably correct so the closed-form multiplication rules can
-be checked against it.
+counting intermediate flags.  GL_d(F_p) is transitive on the flags of one
+dimension vector, so every orbit type is reached from a fixed left flag:
+the standard flag, spanned by the first basis vectors, and again from the
+opposite flag, spanned by the last ones.  Each count is taken on both and
+must agree.  Its only job is to be unarguably correct so the closed-form
+multiplication rules can be checked against it.
 
 A subspace is its reduced row-echelon basis, a tuple of row tuples over
 F_p (the zero space is the empty tuple).  An n-step flag is the tuple
@@ -16,10 +19,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from functools import lru_cache
 
 from . import laurent
-from .matrices import co, ro
+from .matrices import co, mat, ro
 
 MAX_D = 3
 MAX_P = 7
@@ -130,49 +134,36 @@ def gaussian_binomial_count(p, d, k):
     return num // den
 
 
+def _dim_vectors(kind, d, n):
+    """Dimension vectors of a flag family: n-step flags (X) or complete flags (Y)."""
+    if kind == "Y":
+        return [tuple(range(1, d + 1))]
+    return [v + (d,) for v in itertools.combinations_with_replacement(range(d + 1), n - 1)]
+
+
+def _chains(p, d, dims):
+    """All flags V_1 <= V_2 <= ... of F_p^d with dim V_i = dims[i], grown a step at a time."""
+    chains = [()]
+    for k in dims:
+        subs = enum_subspaces(p, d, k, allow_large=True)
+        chains = [c + (s,) for c in chains for s in subs if not c or contains(s, c[-1], p)]
+    return chains
+
+
+def _family(kind, p, d, n):
+    return [F for dims in _dim_vectors(kind, d, n) for F in _chains(p, d, dims)]
+
+
 def enum_flags_X(p, d, n, allow_large=False):
     """All n-step flags 0 = V_0 <= V_1 <= ... <= V_n = F_p^d."""
     _guard(p, d, n, allow_large)
-    by_dim = {k: enum_subspaces(p, d, k, allow_large=True) for k in range(d + 1)}
-    top = full_space(d)
-    flags = []
-
-    def grow(chain, step):
-        if step == n:
-            if chain[-1] == top:
-                flags.append(tuple(chain))
-            return
-        cur = chain[-1] if chain else ()
-        lo = len(cur)
-        hi = d if step < n - 1 else d
-        for k in range(lo, hi + 1):
-            for sub in by_dim[k]:
-                if step == n - 1 and sub != top:
-                    continue
-                if contains(sub, cur, p):
-                    grow(chain + [sub], step + 1)
-
-    grow([], 0)
-    return flags
+    return _family("X", p, d, n)
 
 
 def enum_flags_Y(p, d, allow_large=False):
     """All complete flags (F_1, ..., F_d) with dim F_i = i."""
     _guard(p, d, 1, allow_large)
-    by_dim = {k: enum_subspaces(p, d, k, allow_large=True) for k in range(d + 1)}
-    flags = []
-
-    def grow(chain, k):
-        if k == d:
-            flags.append(tuple(chain))
-            return
-        cur = chain[-1] if chain else ()
-        for sub in by_dim[k + 1]:
-            if contains(sub, cur, p):
-                grow(chain + [sub], k + 1)
-
-    grow([], 0)
-    return flags
+    return _family("Y", p, d, 1)
 
 
 def orbit_matrix(V, W, p):
@@ -208,75 +199,70 @@ def classify_pairs(left_flags, right_flags, p):
     return types
 
 
-def convolve_count(B, A, p, d, n, kinds=("X", "X", "X"), allow_large=False, cross_check=True):
-    """Counting convolution: for each output type C, the number of middle
-    flags W with orbit(V, W) = B and orbit(W, V') = A, on a fixed
-    representative pair (V, V') of type C.
+def _type_counts(V, mid, right, p, pick):
+    """{C: Counter of (orbit(V, U), orbit(U, W)) over the middle flags U}, for
+    each type C of the pairs (V, W); W is the representative reps[pick]."""
+    left = [orbit_matrix(V, U, p) for U in mid]
+    return {
+        C: Counter(zip(left, (orbit_matrix(U, reps[pick][1], p) for U in mid)))
+        for C, reps in classify_pairs([V], right, p).items()
+    }
 
-    kinds gives the three flag families (left, middle, right); counts are
-    checked on a second representative when one exists.
+
+def _products(p, d, n, kinds, vectors):
+    """{(B, A): {C: count}} over the output types C whose left flags have a
+    dimension vector in vectors.
+
+    Every type C is counted twice: from the standard flag (V_i spanned by the
+    first dim V_i basis vectors) with the first representative right flag,
+    and from the opposite flag (the last dim V_i basis vectors) with the
+    last; the two counts must agree.
     """
+    mid = _family(kinds[1], p, d, n)
+    right = _family(kinds[2], p, d, n)
+    full = full_space(d)
+    by_type = {}
+    for dims in vectors:
+        std = _type_counts(tuple(full[:k] for k in dims), mid, right, p, 0)
+        opp = _type_counts(tuple(full[d - k:] for k in dims), mid, right, p, -1)
+        for C in sorted(set(std) | set(opp)):
+            a, b = std.get(C, Counter()), opp.get(C, Counter())
+            if a != b:
+                key = next(k for k in a.keys() | b.keys() if a[k] != b[k])
+                raise AssertionError(
+                    "convolution count depends on the representative: type %r, (B, A) = %r: %d vs %d"
+                    % (C, key, a[key], b[key])
+                )
+        by_type.update(std)
+    out = {}
+    for C in sorted(by_type):
+        for key, cnt in by_type[C].items():
+            out.setdefault(key, {})[C] = cnt
+    return out
+
+
+def convolve_count(B, A, p, d, n, allow_large=False):
+    """Counting convolution of n-step flags: for each output type C, the
+    number of middle flags U with orbit(V, U) = B and orbit(U, W) = A, on a
+    representative pair (V, W) of type C.
+    """
+    for M in (B, A):
+        if len(M) != n or any(len(row) != n or min(row) < 0 for row in M) or sum(ro(M)) != d:
+            raise ValueError("need an n x n natural matrix summing to d=%d (n=%d), got %r" % (d, n, M))
     if co(B) != ro(A):
         raise ValueError("co(B) = %r must equal ro(A) = %r" % (co(B), ro(A)))
     _guard(p, d, n, allow_large)
-
-    def family(kind):
-        return enum_flags_X(p, d, n, allow_large) if kind == "X" else enum_flags_Y(p, d, allow_large)
-
-    left = family(kinds[0])
-    mid = family(kinds[1])
-    right = family(kinds[2])
-    types = classify_pairs(left, right, p)
-
-    def count_on(V, W):
-        c = 0
-        for U in mid:
-            if orbit_matrix(V, U, p) == B and orbit_matrix(U, W, p) == A:
-                c += 1
-        return c
-
-    out = {}
-    for C, reps in sorted(types.items()):
-        if ro(C) != ro(B) or co(C) != co(A):
-            continue
-        cnt = count_on(*reps[0])
-        if cross_check and len(reps) > 1:
-            cnt2 = count_on(*reps[1])
-            if cnt2 != cnt:
-                raise AssertionError(
-                    "convolution count depends on the representative for type %r: %d vs %d"
-                    % (C, cnt, cnt2)
-                )
-        if cnt:
-            out[C] = cnt
-    return out
+    vector = tuple(itertools.accumulate(ro(B)))
+    return _products(p, d, n, ("X", "X", "X"), [vector]).get((mat(B), mat(A)), {})
 
 
 def conv_table(p, d, n, kinds=("X", "X", "X"), allow_large=False):
-    """Full table of counting products for the given flag families.
-
-    Returns {(B, A): {C: count}} over every orbit type pair that yields a
-    nonzero product, computed from one classification pass: for each output
-    type C with representative (V, V'), every middle flag U contributes one
-    unit to the (orbit(V,U), orbit(U,V')) bucket.
+    """Full table of counting products for the given flag families (left,
+    middle, right): {(B, A): {C: count}} over every orbit type pair with a
+    nonzero product.
     """
     _guard(p, d, n, allow_large)
-
-    def family(kind):
-        return enum_flags_X(p, d, n, allow_large) if kind == "X" else enum_flags_Y(p, d, allow_large)
-
-    left = family(kinds[0])
-    mid = family(kinds[1])
-    right = family(kinds[2])
-    types = classify_pairs(left, right, p)
-    out = {}
-    for C, reps in sorted(types.items()):
-        V, W = reps[0]
-        for U in mid:
-            key = (orbit_matrix(V, U, p), orbit_matrix(U, W, p))
-            out.setdefault(key, {}).setdefault(C, 0)
-            out[key][C] += 1
-    return out
+    return _products(p, d, n, kinds, _dim_vectors(kinds[0], d, n))
 
 
 def counts_match(prod, counts, p):
@@ -295,9 +281,9 @@ def counts_match(prod, counts, p):
     return not set(counts) - set(prod)
 
 
-def convolution_report(B, A, p, d, n, kinds=("X", "X", "X")):
+def convolution_report(B, A, p, d, n):
     """JSON-ready record of one counting comparison."""
-    counts = convolve_count(B, A, p, d, n, kinds=kinds)
+    counts = convolve_count(B, A, p, d, n)
     return {
         "n": n,
         "d": d,

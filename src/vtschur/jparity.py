@@ -74,7 +74,7 @@ def j_elt_op(variant, sign, m, n, d):
     return out
 
 
-def verify_tilde_relations(n, d, m, include_printed_variants=True):
+def verify_tilde_relations(n, d, m):
     """The plain-projector catalog as operator identities: (name, ok) list.
 
     The underlying Chevalley/Cartan relations are rechecked alongside (no
@@ -116,25 +116,24 @@ def verify_tilde_relations(n, d, m, include_printed_variants=True):
     for rel in ("R1", "R2", "R3", "R4"):
         for name, ok in uvt.verify_relation(rel, n, d):
             checks.append(("base " + name, ok))
-    if include_printed_variants:
-        # the catalog's Cartan commutator is printed over vt - v^{-1}t; only
-        # the v - v^{-1} normalization holds on the model
-        for i in range(1, n):
-            Ei = tensor.op_sym(("E", i), n, d)
-            Fi = tensor.op_sym(("F", i), n, d)
-            comm = tensor.op_sub(tensor.op_compose(Ei, Fi), tensor.op_compose(Fi, Ei))
-            lhs_printed = tensor.op_scale(comm, mono(1, 1) - mono(-1, 1))
-            lhs_model = tensor.op_scale(comm, mono(1, 0) - mono(-1, 0))
-            num = tensor.op_sub(
-                tensor.op_compose(tensor.op_sym(("A", i, 1), n, d), tensor.op_sym(("B", i + 1, 1), n, d)),
-                tensor.op_compose(tensor.op_sym(("B", i, 1), n, d), tensor.op_sym(("A", i + 1, 1), n, d)))
-            checks.append(("expect-fail printed cartan denominator i=%d" % i,
-                           tensor.op_eq(lhs_printed, num)))
-            checks.append(("model cartan denominator i=%d" % i, tensor.op_eq(lhs_model, num)))
+    # the catalog's Cartan commutator is printed over vt - v^{-1}t; only
+    # the v - v^{-1} normalization holds on the model
+    for i in range(1, n):
+        Ei = tensor.op_sym(("E", i), n, d)
+        Fi = tensor.op_sym(("F", i), n, d)
+        comm = tensor.op_sub(tensor.op_compose(Ei, Fi), tensor.op_compose(Fi, Ei))
+        lhs_printed = tensor.op_scale(comm, mono(1, 1) - mono(-1, 1))
+        lhs_model = tensor.op_scale(comm, mono(1, 0) - mono(-1, 0))
+        num = tensor.op_sub(
+            tensor.op_compose(tensor.op_sym(("A", i, 1), n, d), tensor.op_sym(("B", i + 1, 1), n, d)),
+            tensor.op_compose(tensor.op_sym(("B", i, 1), n, d), tensor.op_sym(("A", i + 1, 1), n, d)))
+        checks.append(("expect-fail printed cartan denominator i=%d" % i,
+                       tensor.op_eq(lhs_printed, num)))
+        checks.append(("model cartan denominator i=%d" % i, tensor.op_eq(lhs_model, num)))
     return checks
 
 
-def verify_hat_relations(n, d, m, include_printed_variants=True):
+def verify_hat_relations(n, d, m):
     """The refined-projector catalog (r1)-(r7) as operator identities."""
     if not 1 <= m <= n - 2:
         raise ValueError("the refined catalog needs m + 2 <= n")
@@ -192,13 +191,12 @@ def verify_hat_relations(n, d, m, include_printed_variants=True):
         checks.append(("r6 J%s" % s, tensor.op_eq(lhs, tensor.op_compose(quot_m, dj))))
         lhs7 = tensor.op_sub(tensor.op_compose(J[s], Fm1Em1), tensor.op_compose(Fm1Em1, J[o]))
         checks.append(("r7 J%s" % s, tensor.op_eq(lhs7, tensor.op_compose(quot_m1, dj))))
-    if include_printed_variants:
-        # the printed two-sided delta rules each fail at the other special index
-        for s in ("+", "-"):
-            checks.append(("expect-fail printed r2 first i=m+1 J%s" % s,
-                           tensor.op_eq(tensor.op_compose(Em1, J[s]), tensor.op_compose(J[s], Em1))))
-            checks.append(("expect-fail printed r2 second i=m J%s" % s,
-                           tensor.op_eq(tensor.op_compose(J[s], Em), tensor.op_compose(Em, J[s]))))
+    # the printed two-sided delta rules each fail at the other special index
+    for s in ("+", "-"):
+        checks.append(("expect-fail printed r2 first i=m+1 J%s" % s,
+                       tensor.op_eq(tensor.op_compose(Em1, J[s]), tensor.op_compose(J[s], Em1))))
+        checks.append(("expect-fail printed r2 second i=m J%s" % s,
+                       tensor.op_eq(tensor.op_compose(J[s], Em), tensor.op_compose(Em, J[s]))))
     return checks
 
 

@@ -231,7 +231,7 @@ def cartan_elt(i, n, d):
 
 # -- relation suite -------------------------------------------------------------
 
-def verify_relations(n, d, include_printed_variants=True):
+def verify_relations(n, d):
     """Every defining relation of the convolution algebra, checked as exact
     identities of braced elements.  Returns a list of (name, ok) pairs; the
     printed-variant entries record exponent normalizations that circulate
@@ -280,8 +280,8 @@ def verify_relations(n, d, include_printed_variants=True):
             lhsBF = w(Bp(i), F(j), Bp(i, -1))
             checks.append(("R2 B F i=%d j=%d" % (i, j),
                            lhsBF == elt_scale(w(F(j)), mono(br, -br))))
-            if include_printed_variants and pairing(n, j, i) != br:
-                brt = pairing(n, j, i)
+            brt = pairing(n, j, i)
+            if brt != br:
                 ok_printed = lhsAF == elt_scale(w(F(j)), mono(-br, -brt))
                 checks.append(("expect-fail printed R2 A F i=%d j=%d" % (i, j), ok_printed))
                 ok_printed_b = lhsBF == elt_scale(w(F(j)), mono(br, -brt))

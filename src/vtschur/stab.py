@@ -70,7 +70,7 @@ class WeightWindow:
 
     def __post_init__(self):
         if self.W < 1 or self.margin < 0 or self.margin >= self.W:
-            raise ValueError("need 1 <= margin < W")
+            raise ValueError("need W >= 1 and 0 <= margin < W, got W=%d margin=%d" % (self.W, self.margin))
 
     def lambdas(self, n):
         return itertools.product(range(-self.W, self.W + 1), repeat=n)

@@ -297,7 +297,7 @@ def centralizer_dim(side, n, d, v0=2, t0=3):
     return hdim if side == "hecke" else udim
 
 
-def surjectivity_rank(n, d, v0=2, t0=3, cap=None):
+def surjectivity_rank(n, d, v0=2, t0=3):
     """Rank of the span of generator-word operator images.
 
     The word-length cap starts at 2d and doubles at most twice; a span that
@@ -306,7 +306,7 @@ def surjectivity_rank(n, d, v0=2, t0=3, cap=None):
     since the image commutes with the Hecke action).
     """
     hdim, _, rounds = _certificate(n, d, *check_point(v0, t0))
-    if rounds > 4 * (cap or 2 * d):
+    if rounds > 8 * d:
         raise ArithmeticError("word-image span did not stabilize below the cap")
     return hdim
 

@@ -199,28 +199,20 @@ def relation_instances(rel, n, star=False, fold=True):
                     continue
                 aij = symmetric_dot(n, i, j)
                 top = 1 - aij
-                lhs = []
-                for p in range(top + 1):
-                    pp = top - p
-                    texp = -p * (pp - pairing(n, i, j) + pairing(n, j, i))
-                    if star:
-                        coeff = laurent.vbinom(top, p) * (1 if p % 2 == 0 else -1)
-                        lhs.append((coeff, tuple([E(i)] * p + [E(j)] + [E(i)] * pp)))
-                    else:
-                        coeff = laurent.vtbinom(top, p) * mono(0, texp) * (1 if p % 2 == 0 else -1)
-                        lhs.append((coeff, tuple([E(i)] * pp + [E(j)] + [E(i)] * p)))
-                emit("%s4 E %d,%d" % (tag, i, j), lhs, [])
-                lhsF = []
-                for p in range(top + 1):
-                    pp = top - p
-                    texp = -p * (pp - pairing(n, i, j) + pairing(n, j, i))
-                    if star:
-                        coeff = laurent.vbinom(top, p) * (1 if p % 2 == 0 else -1)
-                        lhsF.append((coeff, tuple([F(i)] * p + [F(j)] + [F(i)] * pp)))
-                    else:
-                        coeff = laurent.vtbinom(top, p) * mono(0, texp) * (1 if p % 2 == 0 else -1)
-                        lhsF.append((coeff, tuple([F(i)] * p + [F(j)] + [F(i)] * pp)))
-                emit("%s4 F %d,%d" % (tag, i, j), lhsF, [])
+                for name, X in (("E", E), ("F", F)):
+                    lhs = []
+                    for p in range(top + 1):
+                        pp = top - p
+                        sign = 1 if p % 2 == 0 else -1
+                        if star:
+                            coeff = laurent.vbinom(top, p) * sign
+                        else:
+                            texp = -p * (pp - pairing(n, i, j) + pairing(n, j, i))
+                            coeff = laurent.vtbinom(top, p) * mono(0, texp) * sign
+                        # plain E words read E_i^pp E_j E_i^p; the others E_i^p E_j E_i^pp
+                        a, b = (pp, p) if name == "E" and not star else (p, pp)
+                        lhs.append((coeff, tuple([X(i)] * a + [X(j)] + [X(i)] * b)))
+                    emit("%s4 %s %d,%d" % (tag, name, i, j), lhs, [])
         return out
     raise ValueError("unknown relation id %r" % (rel,))
 

@@ -155,6 +155,66 @@ def test_convolve_count_incompatible():
         fl.convolve_count(diag((1, 0)), diag((0, 1)), 3, 1, 2)
 
 
+@pytest.mark.parametrize("B,A", [
+    (((1, 1, 0), (0, 0, 0), (0, 0, 0)), diag((1, 1, 0))),  # 3 x 3 in an n = 2 request
+    (((1, 1),), diag((1, 1))),  # B has one row
+    (((1, 1, 0), (0, 0)), diag((1, 1))),  # ragged B
+    (diag((1, 2)), diag((1, 2))),  # both sum to 3, not d = 2
+    (diag((1, 1)), mat([[2, -1], [1, 0]])),  # a negative entry in A
+])
+def test_convolve_count_rejects_malformed_matrices(B, A):
+    with pytest.raises(ValueError):
+        fl.convolve_count(B, A, 3, 2, 2)
+
+
+def _all_pairs_table(p, d, n, kinds):
+    """Brute-force reference: classify every left x right pair and count the
+    middle flags on the first representative of each type."""
+    family = {"X": fl.enum_flags_X(p, d, n), "Y": fl.enum_flags_Y(p, d)}
+    left, mid, right = (family[k] for k in kinds)
+    out = {}
+    for C, reps in sorted(fl.classify_pairs(left, right, p).items()):
+        V, W = reps[0]
+        for U in mid:
+            key = (fl.orbit_matrix(V, U, p), fl.orbit_matrix(U, W, p))
+            out.setdefault(key, {}).setdefault(C, 0)
+            out[key][C] += 1
+    return out
+
+
+@pytest.mark.parametrize("p,d,n,kinds", [
+    (3, 0, 2, "XXX"), (3, 1, 2, "XXX"), (3, 2, 2, "XXX"), (5, 2, 2, "XXX"), (3, 2, 3, "XXX"),
+    (3, 1, 3, "XXX"), (3, 3, 2, "XXX"), (3, 2, 2, "XXY"), (3, 3, 2, "XXY"), (3, 2, 2, "YYY"),
+    (3, 3, 3, "YYY"), (5, 2, 2, "YYY"),
+])
+def test_counting_matches_all_pairs_reference(p, d, n, kinds):
+    ref = _all_pairs_table(p, d, n, kinds)
+    table = fl.conv_table(p, d, n, kinds=tuple(kinds))
+    assert table == ref
+    for key, counts in table.items():
+        assert list(counts.items()) == list(ref[key].items())  # C in sorted order
+    if kinds == "XXX" and d <= 2:
+        for (B, A), counts in ref.items():
+            assert list(fl.convolve_count(B, A, p, d, n).items()) == list(counts.items())
+
+
+def test_opposite_representative_disagreement_raises(monkeypatch):
+    real = fl._type_counts
+
+    def corrupt_opposite(V, mid, right, p, pick):
+        counts = real(V, mid, right, p, pick)
+        if pick == -1:
+            for buckets in counts.values():
+                buckets[next(iter(buckets))] += 1
+        return counts
+
+    monkeypatch.setattr(fl, "_type_counts", corrupt_opposite)
+    with pytest.raises(AssertionError, match="depends on the representative"):
+        fl.conv_table(3, 2, 2)
+    with pytest.raises(AssertionError, match="depends on the representative"):
+        fl.convolve_count(mat([[1, 1], [0, 0]]), mat([[1, 0], [1, 0]]), 3, 2, 2)
+
+
 def test_conv_table_matches_convolve_count():
     p, d, n = 3, 2, 2
     table = fl.conv_table(p, d, n)

@@ -120,6 +120,13 @@ def test_suites_pass_at_margin_zero(n):
     assert checks and all(ok for _, ok in checks)
 
 
+
+@pytest.mark.parametrize("W,margin", [(0, 0), (3, 3), (3, -1)])
+def test_window_rejects_bad_margin(W, margin):
+    stab.WeightWindow(3, 0)  # margin 0 is a valid window
+    with pytest.raises(ValueError, match=r"0 <= margin < W, got W=%d margin=%d" % (W, margin)):
+        stab.WeightWindow(W, margin)
+
 def test_stabilization_fit_constant():
     rep = stab.stabilization_check(mat_unit(2, 1, 2), diag((0, 1)), (3, 4, 5))
     # one output, and its pattern never touches v' or t': all three shifted
