@@ -13,6 +13,11 @@ A subspace is its reduced row-echelon basis, a tuple of row tuples over
 F_p (the zero space is the empty tuple).  An n-step flag is the tuple
 (V_1, ..., V_n) with V_n the full space; V_0 = 0 stays implicit.  A complete
 flag is (F_1, ..., F_d) with dim F_i = i.
+
+Orbit matrices are read from integers: once per (p, d), every subspace of
+F_p^d gets an id (the zero space 0) and one table holds dim(a + b) for
+every pair of ids, built from bitmasks of the subspaces' vectors.  An orbit
+matrix is then a second difference of table entries.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ def rref(rows, p):
     return tuple(tuple(row) for row in m[:r])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _sum_dim(rows_a, rows_b, p):
     return len(rref(rows_a + rows_b, p))
 
@@ -166,25 +171,61 @@ def enum_flags_Y(p, d, allow_large=False):
     return _family("Y", p, d, 1)
 
 
+@lru_cache(maxsize=32)
+def _subspace_index(p, d):
+    """Ids of all subspaces of F_p^d and the table of their sum dimensions.
+
+    Returns ({subspace: id}, T) with T[a][b] = dim(a + b); the zero space
+    has id 0.  Each subspace is stored as the bitmask of its p^k vectors, so
+    p^dim(a cap b) is the popcount of mask_a & mask_b and
+    dim(a + b) = dim a + dim b - dim(a cap b).
+    """
+    subs = [s for k in range(d + 1) for s in enum_subspaces(p, d, k, allow_large=True)]
+    weights = [p ** j for j in range(d)]
+    masks = []
+    for s in subs:
+        vectors = [(0,) * d]
+        for row in s:
+            vectors = [tuple((x + c * y) % p for x, y in zip(v, row)) for v in vectors for c in range(p)]
+        masks.append(sum(1 << sum(w * x for w, x in zip(weights, v)) for v in vectors))
+    log_p = {p ** k: k for k in range(d + 1)}
+    dims = [len(s) for s in subs]
+    table = [
+        [da + db - log_p[(ma & mb).bit_count()] for db, mb in zip(dims, masks)]
+        for da, ma in zip(dims, masks)
+    ]
+    return {s: i for i, s in enumerate(subs)}, table
+
+
 def orbit_matrix(V, W, p):
     """Relative-position matrix of a flag pair (any mix of step counts).
 
     Entry (i, j) is dim (V_{i-1} + V_i cap W_j) / (V_{i-1} + V_i cap W_{j-1});
-    by the modular law it reduces to pairwise sum dimensions only.
+    by the modular law it is the second difference
+    S(i-1, j) - S(i, j) - S(i-1, j-1) + S(i, j-1) of the sum dimensions
+    S(i, j) = dim(V_i + W_j), read from the (p, d) table by subspace id.
+    A subspace given by spanning rows that are not its canonical RREF is
+    brought to it first.
     """
-    vs = ((),) + tuple(V)
-    ws = ((),) + tuple(W)
-
-    def S(i, j):
-        return _sum_dim(vs[i], ws[j], p)
-
-    return tuple(
-        tuple(
-            S(i - 1, j) - S(i, j) - S(i - 1, j - 1) + S(i, j - 1)
-            for j in range(1, len(ws))
-        )
-        for i in range(1, len(vs))
-    )
+    d = 0
+    for s in (*V, *W):
+        if s:
+            d = len(s[0])
+            break
+    ids, table = _subspace_index(p, d)
+    vs = [*map(ids.get, V)]
+    ws = [0, *map(ids.get, W)]
+    if None in vs or None in ws:
+        vs = [ids[rref(s, p)] for s in V]
+        ws = [0] + [ids[rref(s, p)] for s in W]
+    cols = list(zip(ws, ws[1:]))
+    above = table[0]
+    out = []
+    for i in vs:
+        below = table[i]
+        out.append(tuple([above[w] - below[w] - above[u] + below[u] for u, w in cols]))
+        above = below
+    return tuple(out)
 
 
 def classify_pairs(left_flags, right_flags, p):
@@ -209,31 +250,39 @@ def _type_counts(V, mid, right, p, pick):
     }
 
 
-def _products(p, d, n, kinds, vectors):
-    """{(B, A): {C: count}} over the output types C whose left flags have a
-    dimension vector in vectors.
+@lru_cache(maxsize=32)
+def _vector_counts(p, d, n, kinds, dims):
+    """{C: Counter of (B, A)} over the output types C whose left flags have
+    dimension vector dims.
 
     Every type C is counted twice: from the standard flag (V_i spanned by the
     first dim V_i basis vectors) with the first representative right flag,
     and from the opposite flag (the last dim V_i basis vectors) with the
-    last; the two counts must agree.
+    last; the two counts must agree.  The result is cached: read it, never
+    hand it out.
     """
     mid = _family(kinds[1], p, d, n)
     right = _family(kinds[2], p, d, n)
     full = full_space(d)
+    std = _type_counts(tuple(full[:k] for k in dims), mid, right, p, 0)
+    opp = _type_counts(tuple(full[d - k:] for k in dims), mid, right, p, -1)
+    for C in sorted(set(std) | set(opp)):
+        a, b = std.get(C, Counter()), opp.get(C, Counter())
+        if a != b:
+            key = next(k for k in a.keys() | b.keys() if a[k] != b[k])
+            raise AssertionError(
+                "convolution count depends on the representative: type %r, (B, A) = %r: %d vs %d"
+                % (C, key, a[key], b[key])
+            )
+    return std
+
+
+def _products(p, d, n, kinds, vectors):
+    """{(B, A): {C: count}} over the output types C whose left flags have a
+    dimension vector in vectors, in fresh dicts."""
     by_type = {}
     for dims in vectors:
-        std = _type_counts(tuple(full[:k] for k in dims), mid, right, p, 0)
-        opp = _type_counts(tuple(full[d - k:] for k in dims), mid, right, p, -1)
-        for C in sorted(set(std) | set(opp)):
-            a, b = std.get(C, Counter()), opp.get(C, Counter())
-            if a != b:
-                key = next(k for k in a.keys() | b.keys() if a[k] != b[k])
-                raise AssertionError(
-                    "convolution count depends on the representative: type %r, (B, A) = %r: %d vs %d"
-                    % (C, key, a[key], b[key])
-                )
-        by_type.update(std)
+        by_type.update(_vector_counts(p, d, n, tuple(kinds), dims))
     out = {}
     for C in sorted(by_type):
         for key, cnt in by_type[C].items():

@@ -116,6 +116,81 @@ def test_orbit_type_counts(n, d, p):
         assert set(ro(M)) == {1} and set(co(M)) == {1}
 
 
+def _reference_orbit_matrix(V, W, sum_dim):
+    """The formula orbit_matrix is defined by, read from pairwise sum
+    dimensions: entry (i, j) = S(i-1, j) - S(i, j) - S(i-1, j-1) + S(i, j-1)
+    with S(i, j) = sum_dim(V_i, W_j) = dim(V_i + W_j) and V_0 = W_0 = 0."""
+    S = [[sum_dim(a, b) for b in ((),) + tuple(W)] for a in ((),) + tuple(V)]
+    return tuple(
+        tuple(S[i - 1][j] - S[i][j] - S[i - 1][j - 1] + S[i][j - 1] for j in range(1, len(S[0])))
+        for i in range(1, len(S))
+    )
+
+
+def _rref_sum_dims(p, d):
+    """{(a, b): len(rref(a + b))} over every pair of subspaces of F_p^d."""
+    subs = [s for k in range(d + 1) for s in fl.enum_subspaces(p, d, k)]
+    return {(a, b): len(fl.rref(a + b, p)) for a in subs for b in subs}
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 2, 0), (3, 2, 2), (3, 3, 3), (5, 2, 3), (7, 2, 3)])
+def test_orbit_matrix_matches_rref_reference(p, n, d):
+    dims = _rref_sum_dims(p, d)
+
+    def sum_dim(a, b):
+        return dims[a, b]
+
+    X = fl.enum_flags_X(p, d, n)
+    Y = fl.enum_flags_Y(p, d)
+    rng = random.Random(p * 100 + n * 10 + d)
+    pairs = [(V, W) for V in X for W in Y] + [(F, G) for F in Y for G in Y]
+    pairs += [(rng.choice(X), rng.choice(X)) for _ in range(2000)]
+    for V, W in pairs:
+        assert fl.orbit_matrix(V, W, p) == _reference_orbit_matrix(V, W, sum_dim), (V, W)
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (5, 2), (7, 3), (3, 4)])
+def test_sum_dimension_table_matches_rref(p, d):
+    ids, table = fl._subspace_index(p, d)
+    subs = [s for k in range(d + 1) for s in fl.enum_subspaces(p, d, k)]
+    assert sorted(ids.values()) == list(range(len(subs))) and set(ids) == set(subs)
+    assert ids[()] == 0
+    for a in subs:
+        row = table[ids[a]]
+        for b in subs:
+            assert row[ids[b]] == len(fl.rref(a + b, p)), (a, b)
+
+
+def test_orbit_matrix_accepts_any_spanning_rows():
+    p, d = 5, 3
+    rng = random.Random(23)
+    X = fl.enum_flags_X(p, d, 3)
+    Y = fl.enum_flags_Y(p, d)
+
+    def sum_dim(a, b):
+        return len(fl.rref(a + b, p))
+
+    def scaled(s):  # first basis row times 2
+        return (tuple(2 * x % p for x in s[0]),) + s[1:] if s else s
+
+    def swapped(s):  # last row first
+        return s[-1:] + s[:-1]
+
+    def redundant(s):  # an extra row, the sum of the first and last
+        return s + (tuple((x + y) % p for x, y in zip(s[0], s[-1])),) if s else s
+
+    for spoil in (scaled, swapped, redundant):
+        for _ in range(40):
+            V, W = rng.choice(X), rng.choice(Y)
+            V2 = tuple(map(spoil, V))
+            W2 = tuple(map(spoil, W))
+            assert any(s != t for s, t in zip(V2 + W2, V + W))
+            expect = _reference_orbit_matrix(V2, W2, sum_dim)
+            assert expect == fl.orbit_matrix(V, W, p)
+            assert fl.orbit_matrix(V2, W2, p) == expect
+            assert fl.orbit_matrix(V, W2, p) == expect
+
+
 def test_yy_identity():
     p = 3
     F = fl.enum_flags_Y(p, 3)[0]
@@ -209,10 +284,30 @@ def test_opposite_representative_disagreement_raises(monkeypatch):
         return counts
 
     monkeypatch.setattr(fl, "_type_counts", corrupt_opposite)
+    fl._vector_counts.cache_clear()  # count afresh, through the corrupted routine
     with pytest.raises(AssertionError, match="depends on the representative"):
         fl.conv_table(3, 2, 2)
     with pytest.raises(AssertionError, match="depends on the representative"):
         fl.convolve_count(mat([[1, 1], [0, 0]]), mat([[1, 0], [1, 0]]), 3, 2, 2)
+
+
+def test_products_are_fresh_dicts():
+    # the per-vector counts are cached; no caller may reach the cached objects
+    p, d, n = 3, 2, 2
+    B = mat([[1, 1], [0, 0]])
+    A = mat([[1, 0], [1, 0]])
+    out = fl.convolve_count(B, A, p, d, n)
+    out[diag((2, 0))] += 100
+    out[B] = 1
+    assert fl.convolve_count(B, A, p, d, n) == {diag((2, 0)): 4}
+    table = fl.conv_table(p, d, n)
+    expect = {key: dict(counts) for key, counts in table.items()}
+    for counts in table.values():
+        for C in counts:
+            counts[C] += 1
+    table.clear()
+    assert fl.conv_table(p, d, n) == expect
+    assert fl.conv_table(p, d, n)[(B, A)] == {diag((2, 0)): 4}
 
 
 def test_conv_table_matches_convolve_count():
