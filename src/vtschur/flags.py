@@ -178,9 +178,10 @@ def _subspace_index(p, d):
     Returns ({subspace: id}, T) with T[a][b] = dim(a + b); the zero space
     has id 0.  Each subspace is stored as the bitmask of its p^k vectors, so
     p^dim(a cap b) is the popcount of mask_a & mask_b and
-    dim(a + b) = dim a + dim b - dim(a cap b).
+    dim(a + b) = dim a + dim b - dim(a cap b).  The table has one entry per
+    pair of subspaces, so d > SUBSPACE_MAX_D raises GuardExceeded.
     """
-    subs = [s for k in range(d + 1) for s in enum_subspaces(p, d, k, allow_large=True)]
+    subs = [s for k in range(d + 1) for s in enum_subspaces(p, d, k)]
     weights = [p ** j for j in range(d)]
     masks = []
     for s in subs:
@@ -205,7 +206,8 @@ def orbit_matrix(V, W, p):
     S(i-1, j) - S(i, j) - S(i-1, j-1) + S(i, j-1) of the sum dimensions
     S(i, j) = dim(V_i + W_j), read from the (p, d) table by subspace id.
     A subspace given by spanning rows that are not its canonical RREF is
-    brought to it first.
+    brought to it first.  Flags in F_p^d with d > SUBSPACE_MAX_D raise
+    GuardExceeded.
     """
     d = 0
     for s in (*V, *W):
@@ -250,39 +252,31 @@ def _type_counts(V, mid, right, p, pick):
     }
 
 
-@lru_cache(maxsize=32)
-def _vector_counts(p, d, n, kinds, dims):
-    """{C: Counter of (B, A)} over the output types C whose left flags have
-    dimension vector dims.
+def _products(p, d, n, kinds, vectors):
+    """{(B, A): {C: count}} over the output types C whose left flags have a
+    dimension vector in vectors.
 
     Every type C is counted twice: from the standard flag (V_i spanned by the
     first dim V_i basis vectors) with the first representative right flag,
     and from the opposite flag (the last dim V_i basis vectors) with the
-    last; the two counts must agree.  The result is cached: read it, never
-    hand it out.
+    last; the two counts must agree.
     """
     mid = _family(kinds[1], p, d, n)
     right = _family(kinds[2], p, d, n)
     full = full_space(d)
-    std = _type_counts(tuple(full[:k] for k in dims), mid, right, p, 0)
-    opp = _type_counts(tuple(full[d - k:] for k in dims), mid, right, p, -1)
-    for C in sorted(set(std) | set(opp)):
-        a, b = std.get(C, Counter()), opp.get(C, Counter())
-        if a != b:
-            key = next(k for k in a.keys() | b.keys() if a[k] != b[k])
-            raise AssertionError(
-                "convolution count depends on the representative: type %r, (B, A) = %r: %d vs %d"
-                % (C, key, a[key], b[key])
-            )
-    return std
-
-
-def _products(p, d, n, kinds, vectors):
-    """{(B, A): {C: count}} over the output types C whose left flags have a
-    dimension vector in vectors, in fresh dicts."""
     by_type = {}
     for dims in vectors:
-        by_type.update(_vector_counts(p, d, n, tuple(kinds), dims))
+        std = _type_counts(tuple(full[:k] for k in dims), mid, right, p, 0)
+        opp = _type_counts(tuple(full[d - k:] for k in dims), mid, right, p, -1)
+        for C in sorted(set(std) | set(opp)):
+            a, b = std.get(C, Counter()), opp.get(C, Counter())
+            if a != b:
+                key = next(k for k in a.keys() | b.keys() if a[k] != b[k])
+                raise AssertionError(
+                    "convolution count depends on the representative: type %r, (B, A) = %r: %d vs %d"
+                    % (C, key, a[key], b[key])
+                )
+        by_type.update(std)
     out = {}
     for C in sorted(by_type):
         for key, cnt in by_type[C].items():

@@ -161,6 +161,18 @@ def test_sum_dimension_table_matches_rref(p, d):
             assert row[ids[b]] == len(fl.rref(a + b, p)), (a, b)
 
 
+def test_orbit_matrix_guards_subspace_table():
+    # the (p, d) table has one entry per pair of subspaces: 7.1e6 at (3, 5)
+    # and 1.8e9 at (5, 5), so one pair beyond d = 4 raises instead
+    full = fl.full_space(5)
+    V = (full[:2], full)
+    W = (full[3:], full)
+    with pytest.raises(fl.GuardExceeded, match="subspace enumeration guard"):
+        fl.orbit_matrix(V, W, 3)
+    full4 = fl.full_space(4)
+    assert fl.orbit_matrix((full4[:2], full4), (full4[2:], full4), 3) == ((0, 2), (2, 0))
+
+
 def test_orbit_matrix_accepts_any_spanning_rows():
     p, d = 5, 3
     rng = random.Random(23)
@@ -284,30 +296,10 @@ def test_opposite_representative_disagreement_raises(monkeypatch):
         return counts
 
     monkeypatch.setattr(fl, "_type_counts", corrupt_opposite)
-    fl._vector_counts.cache_clear()  # count afresh, through the corrupted routine
     with pytest.raises(AssertionError, match="depends on the representative"):
         fl.conv_table(3, 2, 2)
     with pytest.raises(AssertionError, match="depends on the representative"):
         fl.convolve_count(mat([[1, 1], [0, 0]]), mat([[1, 0], [1, 0]]), 3, 2, 2)
-
-
-def test_products_are_fresh_dicts():
-    # the per-vector counts are cached; no caller may reach the cached objects
-    p, d, n = 3, 2, 2
-    B = mat([[1, 1], [0, 0]])
-    A = mat([[1, 0], [1, 0]])
-    out = fl.convolve_count(B, A, p, d, n)
-    out[diag((2, 0))] += 100
-    out[B] = 1
-    assert fl.convolve_count(B, A, p, d, n) == {diag((2, 0)): 4}
-    table = fl.conv_table(p, d, n)
-    expect = {key: dict(counts) for key, counts in table.items()}
-    for counts in table.values():
-        for C in counts:
-            counts[C] += 1
-    table.clear()
-    assert fl.conv_table(p, d, n) == expect
-    assert fl.conv_table(p, d, n)[(B, A)] == {diag((2, 0)): 4}
 
 
 def test_conv_table_matches_convolve_count():
