@@ -165,7 +165,7 @@ def cmd_mult(args):
             return 2
         out = hecke.to_json(hecke.hecke_mul(x, y), dx)
     else:
-        (x, n, d, _), (y, n2, d2, _) = lhs, rhs
+        (x, n, d), (y, n2, d2) = lhs, rhs
         if (n, d) != (n2, d2):
             print("size mismatch: %r vs %r" % ((n, d), (n2, d2)), file=sys.stderr)
             return 2

@@ -20,49 +20,42 @@ VARIANTS = ("tilde", "hat")
 SIGNS = ("+", "-", "0")
 
 
-def _keep(variant, sign, m, d, r):
-    low = sum(1 for x in r if x <= m)
+def _check_request(variant, sign, m, n):
+    """ValueError unless (variant, sign, m) names one of the projectors at n."""
+    if variant not in VARIANTS:
+        raise ValueError("variant must be tilde or hat")
+    if sign not in SIGNS or (sign == "0" and variant != "hat"):
+        raise ValueError("sign must be +, - or (hat only) 0")
+    if not 1 <= m <= n - 1:
+        raise ValueError("cut index m out of range")
+
+
+def _keep(variant, sign, d, low, mid):
+    """Does the projector keep a basis vector with low entries <= m and mid
+    entries equal to m + 1?"""
     if variant == "hat":
-        mid = sum(1 for x in r if x == m + 1)
         if sign == "0":
             return mid > 0
         if mid:
             return False
-    elif sign == "0":
-        raise ValueError("the plain variant has no third projector")
-    want = d % 2 if sign == "+" else (d - 1) % 2
-    return low % 2 == want
+    return low % 2 == (d if sign == "+" else d - 1) % 2
 
 
 def j_operator(variant, sign, m, n, d):
     """The diagonal projector as a tensor-space operator."""
-    if variant not in VARIANTS:
-        raise ValueError("variant must be tilde or hat")
-    if not 1 <= m <= n - 1:
-        raise ValueError("cut index m out of range")
+    _check_request(variant, sign, m, n)
     return {
         r: {r: ONE}
         for r in tensor.all_seqs(n, d)
-        if _keep(variant, sign, m, d, r)
+        if _keep(variant, sign, d, sum(x <= m for x in r), r.count(m + 1))
     }
 
 
 def j_schur_element(variant, sign, m, n, d):
     """The projector as a diagonal braced element of the flag algebra."""
-    out = {}
-    for lam in compositions(n, d):
-        low = sum(lam[:m])
-        if variant == "hat":
-            if sign == "0":
-                if lam[m] > 0:
-                    out[diag(lam)] = ONE
-                continue
-            if lam[m] != 0:
-                continue
-        want = d % 2 if sign == "+" else (d - 1) % 2
-        if low % 2 == want:
-            out[diag(lam)] = ONE
-    return out
+    _check_request(variant, sign, m, n)
+    return {diag(lam): ONE for lam in compositions(n, d)
+            if _keep(variant, sign, d, sum(lam[:m]), lam[m])}
 
 
 def j_elt_op(variant, sign, m, n, d):

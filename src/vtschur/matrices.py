@@ -1,8 +1,6 @@
 """Integer matrices indexing orbits: row/column profiles and dimension counts.
 
-Matrices are plain tuples of tuples of ints, so they can key dicts directly.
-The same helpers serve the square n-by-n case, the rectangular n-by-d case,
-and the d-by-d permutation case.
+Matrices are square tuples of tuples of ints, so they can key dicts directly.
 """
 
 from __future__ import annotations
@@ -24,18 +22,13 @@ def mat(rows):
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def zero(nrows, ncols=None):
-    ncols = nrows if ncols is None else ncols
-    return tuple((0,) * ncols for _ in range(nrows))
+def zero(n):
+    return tuple((0,) * n for _ in range(n))
 
 
-def unit(nrows, i, j, val=1, ncols=None):
-    """Matrix with a single entry val at (i, j); 1-based indices."""
-    ncols = nrows if ncols is None else ncols
-    return tuple(
-        tuple(val if (r, c) == (i - 1, j - 1) else 0 for c in range(ncols))
-        for r in range(nrows)
-    )
+def unit(n, i, j, val=1):
+    """n-by-n matrix with a single entry val at (i, j); 1-based indices."""
+    return tuple(tuple(val if (r, c) == (i - 1, j - 1) else 0 for c in range(n)) for r in range(n))
 
 
 def diag(vec):

@@ -446,7 +446,7 @@ def content_projector(lam, n, d):
     return cols
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def braced_op(A, n, d):
     """Tensor-space operator of a single braced basis element (n >= d unless
     A is diagonal: a diagonal element acts as a content projector for all n)."""
@@ -568,17 +568,19 @@ def oracle_compare(n, d, primes=(3, 5, 7), allow_large=False):
 
 # -- serialization -----------------------------------------------------------------------
 
-def to_json(x, n, d, basis="braced"):
+def to_json(x, n, d):
     terms = [
         {"matrix": [list(r) for r in A], "poly": laurent.to_json(c)}
         for A, c in sorted(x.items())
     ]
-    return {"schema": 1, "algebra": "schur", "n": n, "d": d, "basis": basis, "terms": terms}
+    return {"schema": 1, "algebra": "schur", "n": n, "d": d, "basis": "braced", "terms": terms}
 
 
 def from_json(doc):
     if doc.get("algebra") != "schur":
         raise ValueError("not a schur element")
+    if doc.get("basis", "braced") != "braced":
+        raise ValueError("basis %r is not 'braced'" % (doc["basis"],))
     n, d = doc["n"], doc["d"]
     x = {}
     for term in doc["terms"]:
@@ -586,4 +588,4 @@ def from_json(doc):
         if len(A) != n or any(len(row) != n or min(row) < 0 for row in A) or sum(map(sum, A)) != d:
             raise ValueError("matrix %r is not %d x %d natural summing to %d" % (A, n, n, d))
         x[A] = laurent.from_json(term["poly"])
-    return clean(x), n, d, doc.get("basis", "braced")
+    return clean(x), n, d

@@ -112,13 +112,6 @@ def apply_sym(sym, x, n):
     raise ValueError("unknown generator symbol %r" % (sym,))
 
 
-def apply_word(word, x, n):
-    """Apply the product word[0] word[1] ... (rightmost factor acts first)."""
-    for sym in reversed(word):
-        x = apply_sym(sym, x, n)
-    return x
-
-
 # -- operators -----------------------------------------------------------------
 
 def op_identity(n, d):
@@ -160,7 +153,7 @@ def op_compose(P, Q):
     return op_clean({r: op_apply(P, col) for r, col in Q.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def op_sym(sym, n, d):
     return op_clean({r: apply_sym(sym, {r: laurent.ONE}, n) for r in all_seqs(n, d)})
 
@@ -176,11 +169,12 @@ def op_combo(combo, n, d):
     """Operator of a linear combination [(poly, word), ...]."""
     out = {}
     for poly, word in combo:
-        out = op_add(out, op_scale(op_word(word, n, d), poly))
+        if poly:
+            out = op_add(out, op_scale(op_word(word, n, d), poly))
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def op_T(j, n, d):
     return op_clean({r: act_T(j, {r: laurent.ONE}) for r in all_seqs(n, d)})
 
@@ -188,23 +182,17 @@ def op_T(j, n, d):
 # -- duality checks --------------------------------------------------------------
 
 def commute_check(n, d, allow_large=False):
-    """The two actions commute on every basis vector: list of (label, ok)."""
+    """Each generator operator commutes with each T_j: list of (label, ok)."""
     if (n > 4 or d > 3) and not allow_large:
         from .flags import GuardExceeded
 
         raise GuardExceeded("commutation guard n<=4, d<=3; pass allow_large=True")
     out = []
     for g in gens(n):
+        G = op_sym(g, n, d)
         for j in range(1, d):
-            ok = True
-            for r in all_seqs(n, d):
-                x = {r: laurent.ONE}
-                lhs = apply_sym(g, act_T(j, x), n)
-                rhs = act_T(j, apply_sym(g, x, n))
-                if lhs != rhs:
-                    ok = False
-                    break
-            out.append(("%r with T_%d" % (g, j), ok))
+            Tj = op_T(j, n, d)
+            out.append(("%r with T_%d" % (g, j), op_eq(op_compose(G, Tj), op_compose(Tj, G))))
     return out
 
 
@@ -340,17 +328,11 @@ def coproduct_word(word):
 def tensor_word_op(words, n, degrees):
     """Operator of words[0] x words[1] x ... on V^{degrees[0]} x V^{degrees[1]}
     x ..., each leg acting on its own block of consecutive positions."""
-    cuts = list(itertools.accumulate(degrees, initial=0))
-    out = {}
-    for r in all_seqs(n, cuts[-1]):
-        col = apply_word(words[0], {r[:cuts[1]]: laurent.ONE}, n)
-        for word, a, b in zip(words[1:], cuts[1:], cuts[2:]):
-            if not col:
-                break
-            leg = apply_word(word, {r[a:b]: laurent.ONE}, n)
-            col = {s1 + s2: c1 * c2 for s1, c1 in col.items() for s2, c2 in leg.items()}
-        if col:
-            out[r] = col
+    out = {(): {(): laurent.ONE}}
+    for word, k in zip(words, degrees):
+        leg = op_word(word, n, k)
+        out = {r + s: {a + b: x * y for a, x in col.items() for b, y in lcol.items()}
+               for r, col in out.items() for s, lcol in leg.items()}
     return op_clean(out)
 
 

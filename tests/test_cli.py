@@ -71,7 +71,7 @@ def test_mult_schur_unit(tmp_path):
     rhs.write_text(json.dumps(x))
     code, out, _ = run_cli(["mult", "--lhs", str(lhs), "--rhs", str(rhs)])
     assert code == 0
-    got, n, d, _basis = schur.from_json(json.loads(out))
+    got, n, d = schur.from_json(json.loads(out))
     assert got == schur.gen_E(1, 2, 2)
 
 
@@ -143,6 +143,11 @@ def test_bad_request_exit_2(args):
     ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
                "terms": [{"matrix": 5, "poly": [[0, 0, 1, 1]]}]}),
     ("schur", [1, 2]),
+    # only braced coefficients are read; another basis is not relabelled
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2, "basis": "e",
+               "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 1, 1]]}]}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2, "basis": "nonsense",
+               "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 1, 1]]}]}),
 ])
 def test_mult_malformed_element_exit_2(tmp_path, algebra, doc):
     bad = tmp_path / "bad.json"

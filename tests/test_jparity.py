@@ -27,6 +27,21 @@ def test_no_third_projector_for_tilde():
         jp.j_operator("tilde", "0", 1, 2, 2)
 
 
+@pytest.mark.parametrize("variant,sign,m", [
+    ("tilde", "0", 1),   # the plain variant has no third projector
+    ("tilde", "*", 1),   # unknown sign
+    ("hat", "", 1),
+    ("bogus", "+", 1),   # unknown variant
+    ("tilde", "+", 0),   # m outside 1..n-1
+    ("hat", "-", 3),
+])
+def test_invalid_projector_request(variant, sign, m):
+    with pytest.raises(ValueError):
+        jp.j_operator(variant, sign, m, 3, 2)
+    with pytest.raises(ValueError):
+        jp.j_schur_element(variant, sign, m, 3, 2)
+
+
 @pytest.mark.parametrize("n,d,m", [(2, 2, 1), (3, 2, 1), (3, 3, 2)])
 def test_tilde_suite(n, d, m):
     checks = jp.verify_tilde_relations(n, d, m)

@@ -1,10 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vtschur import laurent, linalg, tensor as tn
-from vtschur.laurent import ONE, T, mono
+from vtschur import galois, laurent, linalg, tensor as tn
+from vtschur.laurent import ONE, T, V, mono
 
 
 def test_act_E_examples():
@@ -93,6 +95,58 @@ def test_coproduct_compat_suite():
     assert all(ok for _, ok in tn.coproduct_compat(2, 1, 1))
     assert all(ok for _, ok in tn.coproduct_compat(3, 1, 2))
     assert all(ok for _, ok in tn.coproduct_compat(3, 2, 1))
+
+
+def _per_vector_tensor_word_op(words, n, degrees):
+    """Reference: each leg's word applied generator by generator to its own
+    block of every basis vector, the blocks' results multiplied out."""
+    def apply_word(word, x):
+        for sym in reversed(word):
+            x = tn.apply_sym(sym, x, n)
+        return x
+
+    cuts = list(itertools.accumulate(degrees, initial=0))
+    out = {}
+    for r in tn.all_seqs(n, cuts[-1]):
+        col = apply_word(words[0], {r[:cuts[1]]: ONE})
+        for word, a, b in zip(words[1:], cuts[1:], cuts[2:]):
+            leg = apply_word(word, {r[a:b]: ONE})
+            col = {s1 + s2: c1 * c2 for s1, c1 in col.items() for s2, c2 in leg.items()}
+        if col:
+            out[r] = col
+    return tn.op_clean(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_word_op_matches_per_vector_reference(n):
+    rng = random.Random(20 + n)
+    syms = tn.gens(n)
+    cases = [(((),), (0,)), (((),), (2,)), (((("E", 1),), ()), (0, 1)),
+             (((("F", 1),), (("A", 1, 1),), ()), (1, 0, 2))]
+    while len(cases) < 80:
+        legs = rng.randint(1, 3)
+        degrees = tuple(rng.randint(0, 2) for _ in range(legs))
+        if sum(degrees) <= 4:
+            words = tuple(tuple(rng.choice(syms) for _ in range(rng.randint(0, 3)))
+                          for _ in range(legs))
+            cases.append((words, degrees))
+    assert any(() in w for w, _ in cases) and any(0 in k for _, k in cases)
+    for words, degrees in cases:
+        assert tn.tensor_word_op(words, n, degrees) == \
+            _per_vector_tensor_word_op(words, n, degrees), (words, degrees)
+
+
+def _swap_times_v(j, n, d):
+    """A wrong T_j: the bare swap of positions j and j+1, scaled by v."""
+    return {r: {r[:j - 1] + (r[j], r[j - 1]) + r[j + 1:]: V} for r in tn.all_seqs(n, d)}
+
+
+def test_checks_read_the_hecke_operators(monkeypatch):
+    monkeypatch.setattr(tn, "op_T", _swap_times_v)
+    assert not all(ok for _, ok in tn.commute_check(2, 2))
+    checks = dict(galois.equivariance_check(2, 2))
+    assert checks["equivariance T_1"] is False
+    assert all(ok for name, ok in checks.items() if name != "equivariance T_1")
 
 
 def test_op_word_order():
