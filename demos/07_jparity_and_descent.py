@@ -8,7 +8,7 @@ out the classical two-parameter form: the twisted generators are fixed and
 every descended coefficient rewrites over r = vt, s = v^{-1}t.
 """
 
-from vtschur import galois, jparity, laurent, tensor
+from vtschur import galois, jparity, laurent, schur, tensor
 from vtschur.laurent import ONE, T, V
 
 n, d, m = 3, 2, 1
@@ -24,7 +24,7 @@ genuine = [ok for name, ok in hat if not name.startswith("expect-fail")]
 print("refined projector catalog (r1)-(r7):", "all pass" if all(genuine) else "fail")
 
 print("projector as a diagonal flag element matches its operator:",
-      tensor.op_eq(jparity.j_elt_op("hat", "+", m, n, d),
+      tensor.op_eq(schur.elt_op(jparity.j_schur_element("hat", "+", m, n, d), n, d),
                    jparity.j_operator("hat", "+", m, n, d)))
 
 # descent

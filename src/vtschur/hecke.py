@@ -186,8 +186,10 @@ def from_json(doc):
         raise ValueError("not a hecke element")
     x = {}
     for term in doc["terms"]:
-        w = tuple(term["perm"])
+        w = tuple(map(laurent.json_int, term["perm"]))
         if sorted(w) != list(range(doc["d"])):
             raise ValueError("perm %r is not a permutation of range(%d)" % (w, doc["d"]))
+        if w in x:
+            raise ValueError("repeated perm %r" % (w,))
         x[w] = laurent.from_json(term["poly"])
     return clean(x), doc["d"]

@@ -58,15 +58,6 @@ def j_schur_element(variant, sign, m, n, d):
             if _keep(variant, sign, d, sum(lam[:m]), lam[m])}
 
 
-def j_elt_op(variant, sign, m, n, d):
-    """Tensor operator of the diagonal braced element (content projectors)."""
-    out = {}
-    for D in j_schur_element(variant, sign, m, n, d):
-        lam = tuple(D[i][i] for i in range(n))
-        out = tensor.op_add(out, schur.content_projector(lam, n, d))
-    return out
-
-
 def verify_tilde_relations(n, d, m):
     """The plain-projector catalog as operator identities: (name, ok) list.
 

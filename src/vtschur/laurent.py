@@ -427,11 +427,20 @@ def to_json(p):
     return out
 
 
+def json_int(x):
+    """x if it is a JSON integer (not a bool or a float); ValueError otherwise."""
+    if type(x) is not int:
+        raise ValueError("%r is not an integer" % (x,))
+    return x
+
+
 def from_json(quads):
+    """Inverse of to_json; ValueError on a non-integer, a zero denominator or repeated exponents."""
     out = {}
-    for a, b, num, den in quads:
+    for quad in quads:
+        a, b, num, den = map(json_int, quad)
+        if den == 0 or (a, b) in out:
+            raise ValueError("zero denominator or repeated exponents in %r" % (quad,))
         x = Fraction(num, den)
-        if x.denominator == 1:
-            x = int(x)
-        out[(int(a), int(b))] = x
+        out[(a, b)] = int(x) if x.denominator == 1 else x
     return VTPoly(out)

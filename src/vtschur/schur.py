@@ -18,7 +18,7 @@ from .matrices import (
     add as mat_add, co, compositions, diag, diag_of, dminusr, ro,
     theta_matrices, unit as mat_unit,
 )
-from .uvt import pairing
+from .uvt import A as Ap, B as Bp, E, F, pairing
 
 # -- element plumbing ---------------------------------------------------------
 
@@ -152,55 +152,28 @@ def chev_mul(x, y, stab=False):
 
 # -- generators ----------------------------------------------------------------
 
-def gen_E(i, n, d):
-    """The geometric generator function: t times the sum of {D + E_{i,i+1}}."""
-    out = {}
-    for lam in compositions(n, d - 1):
-        B = mat_add(diag(lam), mat_unit(n, i, i + 1))
-        out[B] = laurent.T
-    return out
-
-
-def gen_F(i, n, d):
-    out = {}
-    for lam in compositions(n, d - 1):
-        C = mat_add(diag(lam), mat_unit(n, i + 1, i))
-        out[C] = laurent.ONE
-    return out
-
-
-def gen_A(a, sign, n, d):
-    return {diag(lam): mono(sign * lam[a - 1], sign * lam[a - 1]) for lam in compositions(n, d)}
-
-
-def gen_B(a, sign, n, d):
-    return {diag(lam): mono(-sign * lam[a - 1], sign * lam[a - 1]) for lam in compositions(n, d)}
-
-
 def gen_elt(sym, n, d):
+    """The generator as a braced element: E_i is t times the sum of the
+    {D + E_{i,i+1}}, F_i the sum of the {D + E_{i+1,i}} (D diagonal of size
+    d - 1); A_a^s and B_a^s weigh each {diag(lam)} at lam_a."""
     kind = sym[0]
-    if kind == "E":
-        return gen_E(sym[1], n, d)
-    if kind == "F":
-        return gen_F(sym[1], n, d)
-    if kind == "A":
-        return gen_A(sym[1], sym[2], n, d)
-    if kind == "B":
-        return gen_B(sym[1], sym[2], n, d)
-    raise ValueError("unknown generator symbol %r" % (sym,))
+    if kind in ("A", "B"):
+        return {diag(lam): tensor.cartan_weight(sym, lam[sym[1] - 1]) for lam in compositions(n, d)}
+    if kind not in ("E", "F"):
+        raise ValueError("unknown generator symbol %r" % (sym,))
+    i = sym[1]
+    off, coef = (mat_unit(n, i, i + 1), laurent.T) if kind == "E" else (mat_unit(n, i + 1, i), laurent.ONE)
+    return {mat_add(diag(lam), off): coef for lam in compositions(n, d - 1)}
 
 
 def mul_gen(sym, x, n, d):
     """Left multiplication by a generator element, using row-profile matching."""
     kind = sym[0]
-    out = {}
     if kind in ("A", "B"):
-        a, sign = sym[1], sym[2]
-        for A, c in x.items():
-            k = ro(A)[a - 1]
-            va = sign * k if kind == "A" else -sign * k
-            out[A] = c * mono(va, sign * k)
-        return clean(out)
+        return clean({A: c * tensor.cartan_weight(sym, ro(A)[sym[1] - 1]) for A, c in x.items()})
+    if kind not in ("E", "F"):
+        raise ValueError("unknown generator symbol %r" % (sym,))
+    out = {}
     for A, c in x.items():
         B = _chev_factor(kind, sym[1], 1, ro(A))
         if B is None:
@@ -239,21 +212,17 @@ def verify_relations(n, d):
     'expect-fail' name prefix so suites can assert on them).
     """
     checks = []
+    vt_mid = mono(1, 1) + mono(-1, 1)
+    t2 = mono(0, 2)
 
     def w(*syms):
         return expand_word(syms, n, d)
 
-    def E(i):
-        return ("E", i)
-
-    def F(i):
-        return ("F", i)
-
-    def Ap(a, s=1):
-        return ("A", a, s)
-
-    def Bp(a, s=1):
-        return ("B", a, s)
+    def serre(X, Y, a, c):
+        """Is a XXY - (vt + v^{-1}t) XYX + c YXX zero?"""
+        lhs = elt_add(elt_add(elt_scale(w(X, X, Y), a), elt_scale(w(X, Y, X), -vt_mid)),
+                      elt_scale(w(Y, X, X), c))
+        return clean(lhs) == {}
 
     one = unit(n, d)
     # R1: Cartan family commutes; inverses compose to the unit
@@ -293,8 +262,6 @@ def verify_relations(n, d):
             rhs = cartan_elt(i, n, d) if i == j else {}
             checks.append(("R3 i=%d j=%d" % (i, j), clean(comm) == clean(rhs)))
     # R4 two-parameter Serre (adjacent) and commutation (distant)
-    vt_mid = mono(1, 1) + mono(-1, 1)
-    t2 = mono(0, 2)
     for i in range(1, n):
         for j in range(1, n):
             if i == j:
@@ -303,26 +270,9 @@ def verify_relations(n, d):
                 checks.append(("R4 EE i=%d j=%d" % (i, j), w(E(i), E(j)) == w(E(j), E(i))))
                 checks.append(("R4 FF i=%d j=%d" % (i, j), w(F(i), F(j)) == w(F(j), F(i))))
                 continue
-            if j == i + 1:
-                lhs = elt_add(
-                    elt_add(w(E(i), E(i), E(j)), elt_scale(w(E(i), E(j), E(i)), -vt_mid)),
-                    elt_scale(w(E(j), E(i), E(i)), t2))
-                checks.append(("R4 E i=%d j=%d" % (i, j), clean(lhs) == {}))
-                lhsF = elt_add(
-                    elt_add(w(F(j), F(i), F(i)), elt_scale(w(F(i), F(j), F(i)), -vt_mid)),
-                    elt_scale(w(F(i), F(i), F(j)), t2))
-                checks.append(("R4 F i=%d j=%d" % (i, j), clean(lhsF) == {}))
-            else:
-                lhs = elt_add(
-                    elt_add(elt_scale(w(E(i), E(i), E(j)), t2),
-                            elt_scale(w(E(i), E(j), E(i)), -vt_mid)),
-                    w(E(j), E(i), E(i)))
-                checks.append(("R4 E i=%d j=%d" % (i, j), clean(lhs) == {}))
-                lhsF = elt_add(
-                    elt_add(elt_scale(w(F(j), F(i), F(i)), t2),
-                            elt_scale(w(F(i), F(j), F(i)), -vt_mid)),
-                    w(F(i), F(i), F(j)))
-                checks.append(("R4 F i=%d j=%d" % (i, j), clean(lhsF) == {}))
+            a, c = (laurent.ONE, t2) if j == i + 1 else (t2, laurent.ONE)
+            checks.append(("R4 E i=%d j=%d" % (i, j), serre(E(i), E(j), a, c)))
+            checks.append(("R4 F i=%d j=%d" % (i, j), serre(F(i), F(j), c, a)))
     # R5: products over the whole Cartan family are global monomials
     prodA = expand_word([Ap(a) for a in range(1, n + 1)], n, d)
     checks.append(("R5 prod A", prodA == elt_scale(one, mono(d, d))))
@@ -581,11 +531,13 @@ def from_json(doc):
         raise ValueError("not a schur element")
     if doc.get("basis", "braced") != "braced":
         raise ValueError("basis %r is not 'braced'" % (doc["basis"],))
-    n, d = doc["n"], doc["d"]
+    n, d = laurent.json_int(doc["n"]), laurent.json_int(doc["d"])
     x = {}
     for term in doc["terms"]:
-        A = tuple(tuple(int(v) for v in row) for row in term["matrix"])
+        A = tuple(tuple(map(laurent.json_int, row)) for row in term["matrix"])
         if len(A) != n or any(len(row) != n or min(row) < 0 for row in A) or sum(map(sum, A)) != d:
             raise ValueError("matrix %r is not %d x %d natural summing to %d" % (A, n, n, d))
+        if A in x:
+            raise ValueError("repeated matrix %r" % (A,))
         x[A] = laurent.from_json(term["poly"])
     return clean(x), n, d

@@ -28,69 +28,7 @@ def all_seqs(n, d):
     return [tuple(s) for s in itertools.product(range(1, n + 1), repeat=d)]
 
 
-# -- the defining actions ------------------------------------------------------
-
-def act_E(i, x, n):
-    """Lower one entry i+1 to i; the weight counts matches to the right."""
-    out = {}
-    for r, c in x.items():
-        for p, rp in enumerate(r):
-            if rp != i + 1:
-                continue
-            va = sum((r[j] == i) - (r[j] == i + 1) for j in range(p + 1, len(r)))
-            ta = 1 + sum((r[j] == i) + (r[j] == i + 1) for j in range(p + 1, len(r)))
-            tgt = r[:p] + (i,) + r[p + 1:]
-            out[tgt] = out.get(tgt, laurent.ZERO) + c * mono(va, ta)
-    return clean(out)
-
-
-def act_F(i, x, n):
-    """Raise one entry i to i+1 (weights over the positions to the left)."""
-    out = {}
-    for r, c in x.items():
-        for p, rp in enumerate(r):
-            if rp != i:
-                continue
-            va = sum((r[j] == i + 1) - (r[j] == i) for j in range(p))
-            ta = sum((r[j] == i) + (r[j] == i + 1) for j in range(p))
-            tgt = r[:p] + (i + 1,) + r[p + 1:]
-            out[tgt] = out.get(tgt, laurent.ZERO) + c * mono(va, ta)
-    return clean(out)
-
-
-def act_A(a, sign, x, n):
-    out = {}
-    for r, c in x.items():
-        k = sign * sum(rj == a for rj in r)
-        out[r] = c * mono(k, k)
-    return clean(out)
-
-
-def act_B(a, sign, x, n):
-    out = {}
-    for r, c in x.items():
-        k = sum(rj == a for rj in r)
-        out[r] = c * mono(-sign * k, sign * k)
-    return clean(out)
-
-
-def act_T(j, x):
-    """Right Hecke action of T_j (1-based j in [1, d-1])."""
-    out = {}
-    for r, c in x.items():
-        a, b = r[j - 1], r[j]
-        swapped = r[:j - 1] + (b, a) + r[j + 1:]
-        if a < b:
-            out[swapped] = out.get(swapped, laurent.ZERO) + c
-        elif a == b:
-            out[r] = out.get(r, laurent.ZERO) + c * mono(1, 1)
-        else:
-            out[r] = out.get(r, laurent.ZERO) + c * (mono(1, 1) - mono(-1, 1))
-            out[swapped] = out.get(swapped, laurent.ZERO) + c * mono(0, 2)
-    return clean(out)
-
-
-# -- generator symbols ---------------------------------------------------------
+# -- the defining actions (Jimbo's, deformed in t) -------------------------------
 
 def gens(n):
     out = [("E", i) for i in range(1, n)] + [("F", i) for i in range(1, n)]
@@ -99,17 +37,43 @@ def gens(n):
     return out
 
 
-def apply_sym(sym, x, n):
+def cartan_weight(sym, k):
+    """The scalar by which A_a^s or B_a^s acts where k entries equal a:
+    v^{sk} t^{sk} for A, v^{-sk} t^{sk} for B."""
+    sk = sym[2] * k
+    return mono(sk if sym[0] == "A" else -sk, sk)
+
+
+def _column(sym, r):
+    """Column r of a generator's operator.  E_i lowers one entry i+1 to i and
+    weighs the entries i, i+1 to its right, F_i raises one entry i to i+1 and
+    weighs those to its left: v to the count of the new value minus that of
+    the old, t to their total (plus 1 for E).  Each position has its own target."""
     kind = sym[0]
-    if kind == "E":
-        return act_E(sym[1], x, n)
-    if kind == "F":
-        return act_F(sym[1], x, n)
-    if kind == "A":
-        return act_A(sym[1], sym[2], x, n)
-    if kind == "B":
-        return act_B(sym[1], sym[2], x, n)
-    raise ValueError("unknown generator symbol %r" % (sym,))
+    if kind in ("A", "B"):
+        return {r: cartan_weight(sym, r.count(sym[1]))}
+    if kind not in ("E", "F"):
+        raise ValueError("unknown generator symbol %r" % (sym,))
+    i = sym[1]
+    old, new = (i + 1, i) if kind == "E" else (i, i + 1)
+    out = {}
+    for p, x in enumerate(r):
+        if x == old:
+            seen = r[p + 1:] if kind == "E" else r[:p]
+            a, b = seen.count(new), seen.count(old)
+            out[r[:p] + (new,) + r[p + 1:]] = mono(a - b, a + b + (kind == "E"))
+    return out
+
+
+def _t_column(j, r):
+    """Column r of the right Hecke action of T_j (1-based j in [1, d-1])."""
+    a, b = r[j - 1], r[j]
+    swapped = r[:j - 1] + (b, a) + r[j + 1:]
+    if a < b:
+        return {swapped: laurent.ONE}
+    if a == b:
+        return {r: mono(1, 1)}
+    return {r: mono(1, 1) - mono(-1, 1), swapped: mono(0, 2)}
 
 
 # -- operators -----------------------------------------------------------------
@@ -155,7 +119,7 @@ def op_compose(P, Q):
 
 @lru_cache(maxsize=1024)
 def op_sym(sym, n, d):
-    return op_clean({r: apply_sym(sym, {r: laurent.ONE}, n) for r in all_seqs(n, d)})
+    return op_clean({r: _column(sym, r) for r in all_seqs(n, d)})
 
 
 def op_word(word, n, d):
@@ -176,7 +140,7 @@ def op_combo(combo, n, d):
 
 @lru_cache(maxsize=64)
 def op_T(j, n, d):
-    return op_clean({r: act_T(j, {r: laurent.ONE}) for r in all_seqs(n, d)})
+    return op_clean({r: _t_column(j, r) for r in all_seqs(n, d)})
 
 
 # -- duality checks --------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_mult_hecke(tmp_path):
 
 def test_mult_schur_unit(tmp_path):
     one = schur.to_json(schur.unit(2, 2), 2, 2)
-    x = schur.to_json(schur.gen_E(1, 2, 2), 2, 2)
+    x = schur.to_json(schur.gen_elt(("E", 1), 2, 2), 2, 2)
     lhs = tmp_path / "lhs.json"
     rhs = tmp_path / "rhs.json"
     lhs.write_text(json.dumps(one))
@@ -72,7 +72,7 @@ def test_mult_schur_unit(tmp_path):
     code, out, _ = run_cli(["mult", "--lhs", str(lhs), "--rhs", str(rhs)])
     assert code == 0
     got, n, d = schur.from_json(json.loads(out))
-    assert got == schur.gen_E(1, 2, 2)
+    assert got == schur.gen_elt(("E", 1), 2, 2)
 
 
 def test_mult_incompatible_exit_2(tmp_path):
@@ -148,6 +148,25 @@ def test_bad_request_exit_2(args):
                "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 1, 1]]}]}),
     ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2, "basis": "nonsense",
                "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 1, 1]]}]}),
+    # a zero denominator, non-integer numbers, repeated keys
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
+               "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 1, 0]]}]}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
+               "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0.5, 0, 1, 1]]}]}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
+               "terms": [{"matrix": [[1.4, 0], [0, 1]], "poly": [[0, 0, 1, 1]]}]}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2.0, "d": 2,
+               "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 1, 1]]}]}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
+               "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 1, 1], [0, 0, 3, 1]]}]}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
+               "terms": [{"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 1, 1]]},
+                         {"matrix": [[1, 1], [0, 0]], "poly": [[0, 0, 3, 1]]}]}),
+    ("hecke", {"schema": 1, "algebra": "hecke", "d": 2,
+               "terms": [{"perm": [1, 0], "poly": [[0, 0, 1, 1]]},
+                         {"perm": [1, 0], "poly": [[0, 0, 3, 1]]}]}),
+    ("hecke", {"schema": 1, "algebra": "hecke", "d": 2,
+               "terms": [{"perm": [1.0, 0], "poly": [[0, 0, 1, 1]]}]}),
 ])
 def test_mult_malformed_element_exit_2(tmp_path, algebra, doc):
     bad = tmp_path / "bad.json"

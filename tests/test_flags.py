@@ -36,7 +36,8 @@ def test_guards():
         fl.enum_flags_Y(11, 2)
     with pytest.raises(ValueError):
         fl.enum_flags_Y(4, 2)
-    assert len(fl.enum_flags_Y(11, 2, allow_large=True)) == 12
+    with pytest.warns(UserWarning, match="desk-scale guards"):
+        assert len(fl.enum_flags_Y(11, 2, allow_large=True)) == 12
 
 
 def test_orbit_matrix_diagonal():

@@ -1,7 +1,7 @@
 import pytest
 
 from vtschur import galois as ga, laurent, tensor
-from vtschur.laurent import ONE, T, V, mono
+from vtschur.laurent import T, V, mono
 
 
 def test_sigma_poly():
@@ -19,7 +19,7 @@ def test_sigma_involutive_on_elements():
 
 def test_equivariance_hand_case():
     # sigma(E_1 . v_2) = -t v_1 = (-E_1) . v_2
-    lhs = ga.sigma_elt(tensor.act_E(1, {(2,): ONE}, 2))
+    lhs = ga.sigma_elt(tensor.op_sym(("E", 1), 2, 1)[(2,)])
     assert lhs == {(1,): -T}
 
 

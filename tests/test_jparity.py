@@ -1,6 +1,6 @@
 import pytest
 
-from vtschur import jparity as jp, tensor
+from vtschur import jparity as jp, schur, tensor
 from vtschur.laurent import ONE
 
 
@@ -74,7 +74,7 @@ def test_j_schur_element_matches_operator():
     ]:
         for s in signs:
             assert tensor.op_eq(
-                jp.j_elt_op(variant, s, m, n, d),
+                schur.elt_op(jp.j_schur_element(variant, s, m, n, d), n, d),
                 jp.j_operator(variant, s, m, n, d),
             )
 

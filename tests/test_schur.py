@@ -11,12 +11,12 @@ from vtschur.matrices import (
 
 def test_gen_elements_small():
     # n=2, d=1: A_1 = vt {diag(1,0)} + {diag(0,1)}
-    out = sc.gen_A(1, 1, 2, 1)
+    out = sc.gen_elt(("A", 1, 1), 2, 1)
     assert out == {diag((1, 0)): mono(1, 1), diag((0, 1)): ONE}
     # E_1 has the single braced term t {E_12}
-    assert sc.gen_E(1, 2, 1) == {mat_unit(2, 1, 2): laurent.T}
+    assert sc.gen_elt(("E", 1), 2, 1) == {mat_unit(2, 1, 2): laurent.T}
     # inverse diagonals multiply to the unit
-    prod = sc.chev_mul(sc.gen_A(1, 1, 2, 1), sc.gen_A(1, -1, 2, 1))
+    prod = sc.chev_mul(sc.gen_elt(("A", 1, 1), 2, 1), sc.gen_elt(("A", 1, -1), 2, 1))
     assert prod == sc.unit(2, 1)
 
 
@@ -191,9 +191,30 @@ def test_product_via_operators():
 
 def test_generator_ops_match_tensor_action():
     # the braced-element operators reproduce the tensor-space action exactly
-    for n, d in [(2, 2), (3, 2)]:
+    for n, d in [(2, 1), (2, 2), (3, 2), (3, 3)]:
         for sym in tensor.gens(n):
             assert tensor.op_eq(sc.elt_op(sc.gen_elt(sym, n, d), n, d), tensor.op_sym(sym, n, d))
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
+def test_mul_gen_matches_chev_mul_of_gen_elt(n, d):
+    # the row-profile path of mul_gen against the Chevalley product with the
+    # whole generator element, on seeded random elements
+    rng = random.Random(100 * n + d)
+    thetas = theta_matrices(n, d)
+    for _ in range(10):
+        x = {A: mono(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((-2, 1, 3)))
+             for A in rng.sample(thetas, min(4, len(thetas)))}
+        for sym in tensor.gens(n):
+            assert sc.mul_gen(sym, x, n, d) == sc.chev_mul(sc.gen_elt(sym, n, d), x), (sym, x)
+
+
+def test_unknown_generator_symbol_raises():
+    x = sc.unit(2, 2)
+    for call in (lambda: sc.mul_gen(("X", 1), x, 2, 2), lambda: sc.gen_elt(("X", 1), 2, 2),
+                 lambda: sc.expand_word([("X", 1)], 2, 2), lambda: tensor.op_sym(("X", 1), 2, 2)):
+        with pytest.raises(ValueError, match="unknown generator symbol"):
+            call()
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 1)])
@@ -211,7 +232,7 @@ def test_oracle_equivalence_d4():
 
 
 def test_json_roundtrip():
-    x = sc.gen_E(1, 2, 2)
+    x = sc.gen_elt(("E", 1), 2, 2)
     doc = sc.to_json(x, 2, 2)
     y, n, d = sc.from_json(doc)
     assert y == x and (n, d, doc["basis"]) == (2, 2, "braced")

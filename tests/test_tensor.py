@@ -9,34 +9,128 @@ from vtschur import galois, laurent, linalg, tensor as tn
 from vtschur.laurent import ONE, T, V, mono
 
 
+def _col(sym, r, n=2):
+    """Column r of the cached operator of sym on V^{len(r)}."""
+    return tn.op_sym(sym, n, len(r)).get(r, {})
+
+
 def test_act_E_examples():
-    assert tn.act_E(1, {(2,): ONE}, 2) == {(1,): T}
-    assert tn.act_E(1, {(1,): ONE}, 2) == {}
-    out = tn.act_E(1, {(2, 2): ONE}, 2)
+    assert _col(("E", 1), (2,)) == {(1,): T}
+    assert _col(("E", 1), (1,)) == {}
+    out = _col(("E", 1), (2, 2))
     # p=1 sees the second entry 2 (delta_{2, r_2} = 1): v^{-1} t^2; p=2 sees nothing: t
     assert out == {(1, 2): mono(-1, 2), (2, 1): mono(0, 1)}
 
 
 def test_act_F_examples():
-    out = tn.act_F(1, {(1, 1): ONE}, 2)
+    out = _col(("F", 1), (1, 1))
     assert out == {(2, 1): ONE, (1, 2): mono(-1, 1)}
-    assert tn.act_F(1, {(2,): ONE}, 2) == {}
+    assert _col(("F", 1), (2,)) == {}
 
 
 def test_act_diag():
-    assert tn.act_A(1, 1, {(1, 1): ONE}, 2) == {(1, 1): mono(2, 2)}
-    assert tn.act_B(2, 1, {(1, 1): ONE}, 2) == {(1, 1): ONE}
-    assert tn.act_B(1, 1, {(1,): ONE}, 2) == {(1,): mono(-1, 1)}
-    assert tn.act_A(1, -1, {(1,): ONE}, 2) == {(1,): mono(-1, -1)}
+    assert _col(("A", 1, 1), (1, 1)) == {(1, 1): mono(2, 2)}
+    assert _col(("B", 2, 1), (1, 1)) == {(1, 1): ONE}
+    assert _col(("B", 1, 1), (1,)) == {(1,): mono(-1, 1)}
+    assert _col(("A", 1, -1), (1,)) == {(1,): mono(-1, -1)}
 
 
 def test_act_T_cases():
-    assert tn.act_T(1, {(1, 2): ONE}) == {(2, 1): ONE}
-    assert tn.act_T(1, {(1, 1): ONE}) == {(1, 1): mono(1, 1)}
-    assert tn.act_T(1, {(2, 1): ONE}) == {
+    assert tn.op_T(1, 2, 2)[(1, 2)] == {(2, 1): ONE}
+    assert tn.op_T(1, 2, 2)[(1, 1)] == {(1, 1): mono(1, 1)}
+    assert tn.op_T(1, 2, 2)[(2, 1)] == {
         (2, 1): mono(1, 1) - mono(-1, 1),
         (1, 2): mono(0, 2),
     }
+
+
+# -- reference: the defining actions applied to a vector, written out per generator --
+
+def _act_E(i, x):
+    out = {}
+    for r, c in x.items():
+        for p, rp in enumerate(r):
+            if rp != i + 1:
+                continue
+            va = sum((r[j] == i) - (r[j] == i + 1) for j in range(p + 1, len(r)))
+            ta = 1 + sum((r[j] == i) + (r[j] == i + 1) for j in range(p + 1, len(r)))
+            tgt = r[:p] + (i,) + r[p + 1:]
+            out[tgt] = out.get(tgt, laurent.ZERO) + c * mono(va, ta)
+    return laurent.clean(out)
+
+
+def _act_F(i, x):
+    out = {}
+    for r, c in x.items():
+        for p, rp in enumerate(r):
+            if rp != i:
+                continue
+            va = sum((r[j] == i + 1) - (r[j] == i) for j in range(p))
+            ta = sum((r[j] == i) + (r[j] == i + 1) for j in range(p))
+            tgt = r[:p] + (i + 1,) + r[p + 1:]
+            out[tgt] = out.get(tgt, laurent.ZERO) + c * mono(va, ta)
+    return laurent.clean(out)
+
+
+def _act_A(a, sign, x):
+    out = {}
+    for r, c in x.items():
+        k = sign * sum(rj == a for rj in r)
+        out[r] = c * mono(k, k)
+    return laurent.clean(out)
+
+
+def _act_B(a, sign, x):
+    out = {}
+    for r, c in x.items():
+        k = sum(rj == a for rj in r)
+        out[r] = c * mono(-sign * k, sign * k)
+    return laurent.clean(out)
+
+
+def _act_T(j, x):
+    out = {}
+    for r, c in x.items():
+        a, b = r[j - 1], r[j]
+        swapped = r[:j - 1] + (b, a) + r[j + 1:]
+        if a < b:
+            out[swapped] = out.get(swapped, laurent.ZERO) + c
+        elif a == b:
+            out[r] = out.get(r, laurent.ZERO) + c * mono(1, 1)
+        else:
+            out[r] = out.get(r, laurent.ZERO) + c * (mono(1, 1) - mono(-1, 1))
+            out[swapped] = out.get(swapped, laurent.ZERO) + c * mono(0, 2)
+    return laurent.clean(out)
+
+
+def _act_sym(sym, x):
+    act = {"E": _act_E, "F": _act_F, "A": _act_A, "B": _act_B}[sym[0]]
+    return act(*sym[1:], x)
+
+
+def _ref_op(act, n, d):
+    return tn.op_clean({r: act({r: ONE}) for r in tn.all_seqs(n, d)})
+
+
+def test_generator_operators_match_per_vector_actions():
+    for n in range(1, 5):
+        for d in range(4):
+            for sym in tn.gens(n):
+                want = _ref_op(lambda x: _act_sym(sym, x), n, d)
+                assert repr(tn.op_sym(sym, n, d)) == repr(want), (sym, n, d)
+            for j in range(1, d):
+                want = _ref_op(lambda x: _act_T(j, x), n, d)
+                assert repr(tn.op_T(j, n, d)) == repr(want), (j, n, d)
+    with pytest.raises(ValueError):
+        tn.op_sym(("X", 1), 2, 0)
+
+
+def test_cartan_weight():
+    assert tn.cartan_weight(("A", 1, 1), 2) == mono(2, 2)
+    assert tn.cartan_weight(("A", 3, -1), 1) == mono(-1, -1)
+    assert tn.cartan_weight(("B", 1, 1), 1) == mono(-1, 1)
+    assert tn.cartan_weight(("B", 2, -1), 3) == mono(3, -3)
+    assert tn.cartan_weight(("B", 2, 1), 0) == ONE
 
 
 def test_hecke_relations_as_operators():
@@ -100,17 +194,18 @@ def test_coproduct_compat_suite():
 def _per_vector_tensor_word_op(words, n, degrees):
     """Reference: each leg's word applied generator by generator to its own
     block of every basis vector, the blocks' results multiplied out."""
-    def apply_word(word, x):
+    def apply_word(word, block):
+        x = {block: ONE}
         for sym in reversed(word):
-            x = tn.apply_sym(sym, x, n)
+            x = tn.op_apply(tn.op_sym(sym, n, len(block)), x)
         return x
 
     cuts = list(itertools.accumulate(degrees, initial=0))
     out = {}
     for r in tn.all_seqs(n, cuts[-1]):
-        col = apply_word(words[0], {r[:cuts[1]]: ONE})
+        col = apply_word(words[0], r[:cuts[1]])
         for word, a, b in zip(words[1:], cuts[1:], cuts[2:]):
-            leg = apply_word(word, {r[a:b]: ONE})
+            leg = apply_word(word, r[a:b])
             col = {s1 + s2: c1 * c2 for s1, c1 in col.items() for s2, c2 in leg.items()}
         if col:
             out[r] = col
