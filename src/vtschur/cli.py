@@ -84,11 +84,11 @@ def run_suite(suite, cfg):
         rep.add("twist exponent identity n=%d" % n, uvt.exponent_identity_holds(n))
         rep.add("star associativity sample", uvt.star_associativity_sample(n))
     elif suite == "stab":
-        window = stab.WeightWindow(cfg["window"], 2)
-        checks, skipped = stab.limit_relation_suite(n, window)
-        rep.extend(checks)
+        window, witnesses = stab.WeightWindow(cfg["window"], 2), {}
+        checks, skipped = stab.limit_relation_suite(n, window, witnesses)
+        rep.extend(checks, witnesses)
         rep.add("boundary terms skipped: %d" % skipped, True)
-        rep.extend(stab.generator_transport_suite(n, window))
+        rep.extend(stab.generator_transport_suite(n, window, witnesses), witnesses)
     elif suite == "jparity-tilde":
         rep.extend(jparity.verify_tilde_relations(n, d, m))
     elif suite == "jparity-hat":

@@ -53,11 +53,14 @@ class VTPoly:
         return bool(self.c)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             other = VTPoly.const(other)
         return isinstance(other, VTPoly) and self.c == other.c
 
     def __hash__(self):
+        # a constant equals its value, so it hashes like it
+        if not self.c.keys() - {(0, 0)}:
+            return hash(self.c.get((0, 0), 0))
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other):

@@ -23,9 +23,10 @@ class Report:
     def add(self, name, ok, witness=None):
         self.checks.append((str(name), bool(ok), witness))
 
-    def extend(self, pairs):
+    def extend(self, pairs, witnesses=None):
+        """Add (name, ok) pairs, each with its witness in `witnesses`, if any."""
         for name, ok in pairs:
-            self.add(name, ok)
+            self.add(name, ok, (witnesses or {}).get(name))
 
     @property
     def passed(self):

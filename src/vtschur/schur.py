@@ -73,60 +73,50 @@ def _chev_factor(kind, h, r, cols):
     return mat_add(diag(dvec), mat_unit(len(dvec), tgt + 1, src + 1, r))
 
 
-def lmul_braced(B, x, stab=False):
-    """Left multiplication of a braced element by {B}, B of Chevalley shape.
-
-    For B - r E_{h,h+1} diagonal this is the closed-form sum over t in N^n
-    with sum r: the new matrix A_t = A + sum_u t_u (E_{hu} - E_{h+1,u}),
-    weight v^beta t^alpha and the product of overlined Gaussian binomials
-    (a_{hu} + t_u choose t_u).  The F shape (B - r E_{h+1,h} diagonal) is the
-    mirror: t moves from row h to row h + 1, and the exponent sums read the
-    columns in reverse order.  With stab=True diagonal entries may go
-    negative (off-diagonals never do).
+@lru_cache(maxsize=4096)
+def _row_moves(kind, r, n, src, a_src, a_tgt, stab):
+    """The closed-form rule on the two rows of A that {B} moves, as
+    ((new target row, new source row, coefficient), ...) over t in N^n with
+    sum r, zero coefficients dropped.  For B - r E_{h,h+1} diagonal, t moves
+    from row h + 1 to row h with weight v^beta t^alpha and the product of
+    overlined Gaussian binomials (a_{hu} + t_u choose t_u); the F shape
+    (B - r E_{h+1,h} diagonal) is the mirror, reading the columns in reverse
+    order.  With stab=True the source row's diagonal entry may go negative.
     """
-    shape = chev_shape(B)
-    if shape is None:
-        raise ValueError("left factor %r is not Chevalley-shaped" % (B,))
+    # sums of the target row's entries at or after column u and of the
+    # source row's strictly after it, "after" in the shape's column order
+    tgt_after = [sum(a_tgt[u:] if kind == "E" else a_tgt[:u + 1]) for u in range(n)]
+    src_after = [sum(a_src[u + 1:] if kind == "E" else a_src[:u]) for u in range(n)]
+    moves = []
+    for tv in compositions(n, r):
+        if any(t > a for u, (t, a) in enumerate(zip(tv, a_src)) if u != src or not stab):
+            continue
+        s_tgt = sum(t * s for t, s in zip(tv, tgt_after))
+        s_src = sum(t * s for t, s in zip(tv, src_after))
+        s_tt = (r * r - sum(t * t for t in tv)) // 2
+        coef = mono(s_tgt - s_src + s_tt, s_tgt + s_src - s_tt)
+        for u in range(n):
+            if tv[u]:
+                coef = coef * laurent.qbinom_bar(a_tgt[u] + tv[u], tv[u])
+        if coef:
+            moves.append((tuple(m + t for m, t in zip(a_tgt, tv)),
+                          tuple(m - t for m, t in zip(a_src, tv)), coef))
+    return tuple(moves)
+
+
+def _lmul_into(out, shape, terms, stab):
+    """Add {B} times each c {A} of terms into out in place, B of Chevalley
+    shape `shape` and ro(A) == co(B) for every A; returns out."""
     kind, h, r = shape
-    cb = co(B)
-    if kind == "diag":
-        return clean({A: c for A, c in x.items() if ro(A) == cb})
-    n = len(B)
-    src, tgt = _chev_rows(kind, h)
-    order = range(n) if kind == "E" else range(n - 1, -1, -1)
-    comps = compositions(n, r)
-    out = {}
-    for A, cA in x.items():
-        if ro(A) != cb:
-            raise ValueError("row/column sums mismatch: co(B)=%r ro(A)=%r" % (cb, ro(A)))
-        a_src, a_tgt = A[src], A[tgt]
-        # sums of the target row's entries at or after column u and of the
-        # source row's strictly after it, "after" in the shape's column order
-        tgt_after, src_after = [0] * n, [0] * n
-        acc_tgt = acc_src = 0
-        for u in reversed(order):
-            acc_tgt += a_tgt[u]
-            tgt_after[u] = acc_tgt
-            src_after[u] = acc_src
-            acc_src += a_src[u]
-        for tv in comps:
-            if any(tv[u] > a_src[u] for u in range(n) if u != src):
-                continue
-            if not stab and tv[src] > a_src[src]:
-                continue
-            At = list(A)
-            At[tgt] = tuple(m + t for m, t in zip(a_tgt, tv))
-            At[src] = tuple(m - t for m, t in zip(a_src, tv))
-            At = tuple(At)
-            s_tgt = sum(t * s for t, s in zip(tv, tgt_after))
-            s_src = sum(t * s for t, s in zip(tv, src_after))
-            s_tt = (r * r - sum(t * t for t in tv)) // 2
-            coef = mono(s_tgt - s_src + s_tt, s_tgt + s_src - s_tt)
-            for u in range(n):
-                if tv[u]:
-                    coef = coef * laurent.qbinom_bar(a_tgt[u] + tv[u], tv[u])
-            if not coef:
-                continue
+    src, tgt = (0, 0) if kind == "diag" else _chev_rows(kind, h)
+    for A, cA in terms:
+        # a diagonal {B} keeps {A} as it is
+        moves = (((A[0], A[0], laurent.ONE),) if kind == "diag"
+                 else _row_moves(kind, r, len(A), src, A[src], A[tgt], stab))
+        rows = list(A)
+        for new_tgt, new_src, coef in moves:
+            rows[tgt], rows[src] = new_tgt, new_src
+            At = tuple(rows)
             prev = out.get(At, laurent.ZERO) + cA * coef
             if prev:
                 out[At] = prev
@@ -135,18 +125,36 @@ def lmul_braced(B, x, stab=False):
     return out
 
 
+def lmul_braced(B, x, stab=False):
+    """Left multiplication of a braced element by {B}, B of Chevalley shape
+    (_row_moves); a diagonal B keeps the terms whose row sums are its column
+    sums.  With stab=True diagonal entries may go negative.
+    """
+    shape = chev_shape(B)
+    if shape is None:
+        raise ValueError("left factor %r is not Chevalley-shaped" % (B,))
+    cb = co(B)
+    terms = [(A, c) for A, c in x.items() if ro(A) == cb]
+    if len(terms) < len(x) and shape[0] != "diag":
+        bad = next(ro(A) for A in x if ro(A) != cb)
+        raise ValueError("row/column sums mismatch: co(B)=%r ro(A)=%r" % (cb, bad))
+    return _lmul_into({}, shape, terms, stab)
+
+
 def chev_mul(x, y, stab=False):
     """Product when every matrix in x is Chevalley-shaped."""
     by_ro = {}
     for A, cy in y.items():
-        by_ro.setdefault(ro(A), {})[A] = cy
+        by_ro.setdefault(ro(A), []).append((A, cy))
     out = {}
     for B, c in x.items():
         sub = by_ro.get(co(B))
         if not sub:
             continue
-        piece = lmul_braced(B, sub, stab=stab)
-        out = elt_add(out, elt_scale(piece, c))
+        shape = chev_shape(B)
+        if shape is None:
+            raise ValueError("left factor %r is not Chevalley-shaped" % (B,))
+        _lmul_into(out, shape, ((A, c * cA) for A, cA in sub), stab)
     return out
 
 
@@ -173,13 +181,11 @@ def mul_gen(sym, x, n, d):
         return clean({A: c * tensor.cartan_weight(sym, ro(A)[sym[1] - 1]) for A, c in x.items()})
     if kind not in ("E", "F"):
         raise ValueError("unknown generator symbol %r" % (sym,))
+    shape, scale = (kind, sym[1], 1), laurent.T if kind == "E" else laurent.ONE
     out = {}
     for A, c in x.items():
-        B = _chev_factor(kind, sym[1], 1, ro(A))
-        if B is None:
-            continue
-        piece = lmul_braced(B, {A: c})
-        out = elt_add(out, elt_scale(piece, laurent.T) if kind == "E" else piece)
+        if _chev_factor(*shape, ro(A)) is not None:
+            _lmul_into(out, shape, ((A, c * scale),), False)
     return out
 
 

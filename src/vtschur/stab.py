@@ -123,10 +123,13 @@ def interior_part(x, window):
 
 class _WindowChecks:
     """Named window comparisons under the margin rule: a relation with f
-    factors is compared only on matrices that keep a margin of f - 1."""
+    factors is compared only on matrices that keep a margin of f - 1.  A
+    failed comparison files its witness under its name in `witnesses`, when
+    given: the first differing interior matrix and both coefficients."""
 
-    def __init__(self, window):
+    def __init__(self, window, witnesses=None):
         self.window = window
+        self.witnesses = witnesses
         self.checks = []
         self.skipped = 0  # boundary matrices excluded from the comparisons
 
@@ -134,7 +137,13 @@ class _WindowChecks:
         win = WeightWindow(self.window.W, max(self.window.margin, nfactors - 1))
         lhs, rhs = clean(lhs), clean(rhs)
         self.skipped += sum(1 for M in set(lhs) | set(rhs) if not win.interior(M))
-        self.checks.append((name, interior_part(lhs, win) == interior_part(rhs, win)))
+        lhs, rhs = interior_part(lhs, win), interior_part(rhs, win)
+        ok = lhs == rhs
+        self.checks.append((name, ok))
+        if not ok and self.witnesses is not None:
+            M = min(M for M in set(lhs) | set(rhs) if lhs.get(M) != rhs.get(M))
+            a, b = (laurent.to_text(x.get(M, laurent.ZERO)) for x in (lhs, rhs))
+            self.witnesses[name] = {"matrix": [list(row) for row in M], "lhs": a, "rhs": b}
 
 
 def _serre(X, Y, a, b, c):
@@ -147,13 +156,14 @@ def _serre(X, Y, a, b, c):
 VT_MID = mono(1, 1) + mono(-1, 1)
 
 
-def limit_relation_suite(n, window):
+def limit_relation_suite(n, window, witnesses=None):
     """The limit-algebra relation suite, compared on window interiors.
 
     Returns (checks, skipped): checks is a list of (name, ok); skipped counts
-    boundary matrices excluded from each comparison.
+    boundary matrices excluded from each comparison.  Failed checks file
+    witnesses in the dict `witnesses`, when given.
     """
-    suite = _WindowChecks(window)
+    suite = _WindowChecks(window, witnesses)
     jvecs = [_ev(n, 1), _ev(n, 2, -1), tuple(range(1, n + 1)), (-1,) * n]
     Z = {jv: diagonal_weight(jv, window, n) for jv in jvecs}
     E = {h: e_limit(h, window, n) for h in range(1, n)}
@@ -189,14 +199,15 @@ def limit_relation_suite(n, window):
     return suite.checks, suite.skipped
 
 
-def generator_transport_suite(n, window):
+def generator_transport_suite(n, window, witnesses=None):
     """The generator substitution E -> tE, F -> F, A_a -> 0(e_a), B_a -> 0(-e_a)
     carries the presented relations into window identities.
 
     The inverse relations are excluded: 0(e_a) 0(-e_a) is a genuine t-series,
     not the unit, because the completion weights carry |j| exponents.
+    Failed checks file witnesses as in limit_relation_suite.
     """
-    suite = _WindowChecks(window)
+    suite = _WindowChecks(window, witnesses)
     E = {j: elt_scale(e_limit(j, window, n), laurent.T) for j in range(1, n)}
     F = {j: f_limit(j, window, n) for j in range(1, n)}
     A = {i: diagonal_weight(_ev(n, i), window, n) for i in range(1, n + 1)}

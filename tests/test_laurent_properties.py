@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractions import Fraction
+
 from vtschur.galois import sigma_poly
 from vtschur.laurent import (
     ONE, ZERO, InexactDivision, RSPoly, VTPoly, bar, exact_div, from_json, mono, rs_to_vt,
@@ -67,3 +69,21 @@ def test_json_round_trip(p):
     assert from_json(quads) == p
     assert all(isinstance(x, int) for q in quads for x in q)
     assert all(isinstance(x, int) or x.denominator != 1 for x in from_json(quads).c.values())
+
+
+@PROPS
+@given(polys, coeffs)
+def test_constants_equal_and_hash_like_their_value(p, x):
+    # a number equals the constant polynomial of its value and nothing else,
+    # from either side, and equal objects hash alike
+    c = VTPoly.const(x)
+    assert c == x and x == c and hash(c) == hash(x) and len({c, x}) == 1
+    assert (p == x) == (x == p) == (p == c)
+    if p == x:
+        assert hash(p) == hash(x)
+
+
+def test_constant_examples():
+    assert len({ONE, 1, Fraction(1)}) == 1 and len({ZERO, 0}) == 1
+    assert VTPoly.const(Fraction(1, 2)) == Fraction(1, 2) != ONE
+    assert mono(1, 0) != 1 and hash(mono(0, 0, 3)) == hash(3)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -78,6 +79,144 @@ def test_chev_mul_matches_operator_model(n, d):
             assert got == sc.clean(sc.product_via_operators(x, y, n, d)), (B, x, y)
             nonzero += bool(got)
     assert nonzero == 2 * len(by_shape)
+
+
+def reference_lmul(B, x, stab=False):
+    """The closed-form Chevalley rule written out term by term, unmemoized:
+    {B} {A} = sum over t in N^n with sum r of v^beta t^alpha prod_u
+    bar[a_{hu} + t_u choose t_u] {A_t}, for B - r E_{h,h+1} diagonal (E) or
+    B - r E_{h+1,h} diagonal (F, the columns read in reverse order)."""
+    kind, h, r = sc.chev_shape(B)
+    n = len(B)
+    out = {}
+    for A, cA in x.items():
+        if kind == "diag":
+            if ro(A) == co(B):
+                out[A] = out.get(A, laurent.ZERO) + cA
+            continue
+        assert ro(A) == co(B)
+        src, tgt = (h, h - 1) if kind == "E" else (h - 1, h)
+        later = (lambda j, u: j > u) if kind == "E" else (lambda j, u: j < u)
+        for tv in itertools.product(range(r + 1), repeat=n):
+            if sum(tv) != r:
+                continue
+            At = [list(row) for row in A]
+            for u in range(n):
+                At[tgt][u] += tv[u]
+                At[src][u] -= tv[u]
+            if any(At[src][u] < 0 for u in range(n) if u != src or not stab):
+                continue
+            s_tgt = sum(tv[u] * A[tgt][j] for u in range(n) for j in range(n) if j == u or later(j, u))
+            s_src = sum(tv[u] * A[src][j] for u in range(n) for j in range(n) if later(j, u))
+            s_tt = sum(tv[u] * tv[w] for u in range(n) for w in range(u + 1, n))
+            coef = mono(s_tgt - s_src + s_tt, s_tgt + s_src - s_tt)
+            for u in range(n):
+                coef = coef * laurent.qbinom_bar(A[tgt][u] + tv[u], tv[u])
+            At = tuple(map(tuple, At))
+            out[At] = out.get(At, laurent.ZERO) + cA * coef
+    return sc.clean(out)
+
+
+def reference_chev_mul(x, y, stab=False):
+    out = {}
+    for B, c in x.items():
+        sub = {A: cA for A, cA in y.items() if ro(A) == co(B)}
+        if sub:
+            out = laurent.elt_add(out, laurent.elt_scale(reference_lmul(B, sub, stab), c))
+    return sc.clean(out)
+
+
+def _chev_with_diagonals(n, d, lams):
+    """Every Chevalley shape of E or F type with r <= d, on each diagonal of lams."""
+    out = []
+    for kind, h, r in itertools.product("EF", range(1, n), range(1, d + 1)):
+        off = mat_unit(n, h, h + 1, r) if kind == "E" else mat_unit(n, h + 1, h, r)
+        out += [mat_add(off, diag(lam)) for lam in lams]
+    return out
+
+
+def _cancelling_pair(rng, B, A1, stab):
+    """A second right term A2 and coefficients such that {B} {A1} and
+    {B} {A2} collide at a matrix M and the M coefficient cancels, or None.
+
+    A1 moved by t1 equals A2 moved by t2 when A2 is A1 moved by t1 - t2."""
+    kind, h, r = sc.chev_shape(B)
+    n = len(B)
+    src, tgt = (h, h - 1) if kind == "E" else (h - 1, h)
+    comps = [tv for tv in itertools.product(range(r + 1), repeat=n) if sum(tv) == r]
+    p1 = reference_lmul(B, {A1: ONE}, stab)
+    moves = list(itertools.permutations(comps, 2))
+    rng.shuffle(moves)
+    for t1, t2 in moves:
+        A2 = [list(row) for row in A1]
+        for u in range(n):
+            A2[tgt][u] += t1[u] - t2[u]
+            A2[src][u] -= t1[u] - t2[u]
+        if any(A2[i][j] < 0 for i in range(n) for j in range(n) if i != j or not stab):
+            continue
+        A2 = tuple(map(tuple, A2))
+        M = list(A1)
+        M[tgt] = tuple(a + t for a, t in zip(A1[tgt], t1))
+        M[src] = tuple(a - t for a, t in zip(A1[src], t1))
+        p2 = reference_lmul(B, {A2: ONE}, stab)
+        M = tuple(M)
+        if M in p1 and M in p2:
+            return {A1: p2[M], A2: -p1[M]}, M
+    return None
+
+
+@pytest.mark.parametrize("stab", [False, True])
+def test_chevalley_rule_matches_reference(stab):
+    # seeded elements whose terms collide and cancel, finite (n, d) = (3, 3)
+    # and limit matrices with negative diagonals; cold and warm memo
+    rng = random.Random(7 + stab)
+    n = 3
+    if stab:
+        lams = list(itertools.product(range(-2, 2), repeat=n))
+        lefts = _chev_with_diagonals(n, 2, rng.sample(lams, 6))
+        rights = [mat_add(M, diag(lam)) for M in theta_matrices(n, 2)
+                  if all(M[i][i] == 0 for i in range(n)) for lam in lams]
+    else:
+        thetas = theta_matrices(n, 3)
+        lefts = [B for B in thetas if sc.chev_shape(B) is not None]
+        rights = thetas
+
+    def poly():
+        return mono(rng.randint(-2, 2), rng.randint(-1, 1), rng.choice((-2, -1, 1, 3))) + \
+            mono(rng.randint(-2, 2), rng.randint(-1, 1))
+
+    cancelled = 0
+    for trial in range(24):
+        if trial % 3 == 0:
+            sc._row_moves.cache_clear()
+        B = rng.choice(lefts)
+        matching = [A for A in rights if ro(A) == co(B)]
+        y = {A: poly() for A in rng.sample(matching, min(3, len(matching)))}
+        pair = None if sc.chev_shape(B)[0] == "diag" else _cancelling_pair(rng, B, rng.choice(matching), stab)
+        if pair is not None:
+            y, M = pair
+            assert M not in sc.lmul_braced(B, y, stab)
+            cancelled += 1
+        x = {B: poly(), rng.choice(lefts): poly()}
+        y.update((A, poly()) for A in rng.sample(rights, 2) if A not in y)
+        sub = {A: c for A, c in y.items() if ro(A) == co(B)}
+        for _ in range(2):  # the second pass reads every row rule from the memo
+            got = sc.lmul_braced(B, sub, stab)
+            assert got == reference_lmul(B, sub, stab)
+            prod = sc.chev_mul(x, y, stab)
+            assert prod == reference_chev_mul(x, y, stab), (x, y)
+            assert all(c for c in got.values()) and all(c for c in prod.values())
+    assert cancelled >= 6, cancelled
+    assert sc._row_moves.cache_info().hits > 0
+
+
+def test_lmul_braced_errors():
+    with pytest.raises(ValueError, match="not Chevalley-shaped"):
+        sc.lmul_braced(mat([[0, 1, 1], [0, 0, 0], [0, 0, 0]]), {})
+    with pytest.raises(ValueError, match="row/column sums mismatch"):
+        sc.lmul_braced(mat_unit(2, 1, 2), {diag((1, 0)): ONE})
+    # a diagonal left factor filters instead
+    assert sc.lmul_braced(diag((1, 0)), {diag((0, 1)): ONE}) == {}
 
 
 def test_row_column_support():

@@ -184,6 +184,68 @@ def test_stabilization_catalog_patterns_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == FIT_SHA256
 
 
+def test_window_comparison_witness():
+    # two elements that differ at one interior matrix and at a boundary one
+    # (sorted first, but outside the margin): the witness is the interior one
+    win = stab.WeightWindow(4, 2)
+    x = stab.e_limit(1, win, 2)
+    y = dict(x)
+    inner, edge = mat_add(mat_unit(2, 1, 2), diag((0, 1))), mat_add(mat_unit(2, 1, 2), diag((-4, -4)))
+    y[inner], y[edge] = mono(1, 0), mono(0, 1)
+    witnesses = {}
+    suite = stab._WindowChecks(win, witnesses)
+    suite.cmp("same", x, dict(x), 2)
+    suite.cmp("differ", x, y, 2)
+    suite.cmp("boundary only", x, {**x, edge: mono(0, 1)}, 2)
+    assert suite.checks == [("same", True), ("differ", False), ("boundary only", True)]
+    assert witnesses == {"differ": {"matrix": [[0, 1], [0, 1]], "lhs": "1*v^0*t^0", "rhs": "1*v^1*t^0"}}
+
+
+def test_stab_suite_reports_witnesses(monkeypatch):
+    # the finite rule drops the negative-diagonal terms, so the windowed
+    # relations fail, and each failure carries its witness into the report
+    from vtschur import cli
+
+    monkeypatch.setattr(stab, "stab_mul", lambda x, y: schur.chev_mul(x, y))
+    cfg = {"n": 2, "d": 2, "m": 1, "primes": (3,), "window": 4, "spec": (2, 3)}
+    doc = cli.run_suite("stab", cfg).to_json_dict()
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert failed and all(set(c["witness"]) == {"matrix", "lhs", "rhs"} for c in failed)
+    assert all("witness" not in c for c in doc["checks"] if c["status"] == "pass")
+    first = next(c for c in failed if c["name"] == "weight past E_1 (1, 0)")
+    assert first["witness"] == {"matrix": [[-2, 1], [0, -2]], "lhs": "1*v^-1*t^-1", "rhs": "0"}
+
+
+def _canon(x):
+    return "\n".join("%r %s" % (M, laurent.to_text(c)) for M, c in sorted(x.items()))
+
+
+STAB_PRODUCT_SHA256 = {
+    "E1 F1": "a34feded33f967fd16dd71056c393b8175384632f5dcf1bc5ebb1ef5da35ac12",
+    "serre E1 E2": "ff8120c4d15c99cd15bbdb76e02f5e4f23f0590dd4e30b4cc22afd8517a68808",
+    "chevalley x theta (3,3)": "c04a2b2b30def5f90e4c9397b62ec94999c23506ab0a3fd9afc6c3d84ed37e30",
+}
+
+
+def test_stab_products_pinned():
+    # sha256 of the canonical text of products recorded before the Chevalley
+    # rule was memoized: a limit product, the three nested products of a
+    # Serre relation at n=3, W=4, and every finite Chevalley x theta product
+    win = stab.WeightWindow(4, 2)
+    X, Y = stab.e_limit(1, win, 3), stab.e_limit(2, win, 3)
+    serre = [stab.stab_mul(X, stab.stab_mul(X, Y)), stab.stab_mul(X, stab.stab_mul(Y, X)),
+             stab.stab_mul(Y, stab.stab_mul(X, X))]
+    thetas = theta_matrices(3, 3)
+    finite = [schur.chev_mul({B: ONE}, {A: ONE}) for B in thetas if schur.chev_shape(B)
+              for A in thetas if ro(A) == co(B)]
+    texts = {
+        "E1 F1": _canon(stab.stab_mul(X, stab.f_limit(1, win, 3))),
+        "serre E1 E2": "\n\n".join(map(_canon, serre)),
+        "chevalley x theta (3,3)": "\n\n".join(map(_canon, finite)),
+    }
+    assert {k: hashlib.sha256(t.encode()).hexdigest() for k, t in texts.items()} == STAB_PRODUCT_SHA256
+
+
 def test_fit_rejects_low_p():
     with pytest.raises(ValueError):
         stab.stabilization_check(mat_unit(2, 1, 2), diag((0, 5)), (1, 2, 3))
