@@ -131,14 +131,6 @@ def enum_subspaces(p, d, k, allow_large=False):
     return sorted(out)
 
 
-def gaussian_binomial_count(p, d, k):
-    num = den = 1
-    for i in range(k):
-        num *= p ** (d - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
 def _dim_vectors(kind, d, n):
     """Dimension vectors of a flag family: n-step flags (X) or complete flags (Y)."""
     if kind == "Y":
@@ -322,18 +314,3 @@ def counts_match(prod, counts, p):
         if set(vals) - {0} or vals.get(0, 0) != counts.get(C, 0):
             return False
     return not set(counts) - set(prod)
-
-
-def convolution_report(B, A, p, d, n):
-    """JSON-ready record of one counting comparison."""
-    counts = convolve_count(B, A, p, d, n)
-    return {
-        "n": n,
-        "d": d,
-        "p": p,
-        "B": [list(r) for r in B],
-        "A": [list(r) for r in A],
-        "counts": [
-            {"C": [list(r) for r in C], "count": c} for C, c in sorted(counts.items())
-        ],
-    }

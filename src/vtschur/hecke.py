@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from . import laurent
-from .laurent import clean, elt_add, elt_scale, mono
+from .laurent import clean, elt_add, elt_add_into, elt_scale, mono
 
 QUAD_LIN = mono(1, 1) + mono(-1, 1, -1)   # vt - v^{-1}t
 QUAD_CONST = mono(0, 2)                   # t^2
@@ -95,7 +95,7 @@ def hecke_mul(x, y):
     out = {}
     for w, c in y.items():
         if c:
-            out = elt_add(out, mul_Tw(elt_scale(x, c), w))
+            elt_add_into(out, mul_Tw(x, w), c)
     return out
 
 

@@ -182,26 +182,3 @@ def verify_hat_relations(n, d, m):
         checks.append(("expect-fail printed r2 second i=m J%s" % s,
                        tensor.op_eq(tensor.op_compose(J[s], Em), tensor.op_compose(Em, J[s]))))
     return checks
-
-
-def tilde_parity_preserved_by_double_shift(n, d, m, p):
-    """The K'-style 2pI shift never changes the projector membership."""
-    from . import stab
-
-    for lam in compositions(n, d):
-        M = stab.shift(diag(lam), p, "2I")
-        lam2 = tuple(M[i][i] for i in range(n))
-        if (sum(lam[:m]) - sum(lam2[:m])) % 2:
-            return False
-    return True
-
-
-def hat_diagonals_stay_primed(n, d, m, p):
-    """2pI' shifts keep J-compatible diagonals inside the primed matrix set."""
-    from . import stab
-
-    for D in j_schur_element("hat", "+", m, n, d):
-        M = stab.shift(D, p, "2I'", m=m)
-        if M[m][m] < 0:
-            return False
-    return True

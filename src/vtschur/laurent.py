@@ -170,15 +170,25 @@ def clean(x):
     return {k: c for k, c in x.items() if c}
 
 
-def elt_add(x, y):
-    out = dict(x)
-    for k, c in y.items():
-        s = out.get(k, ZERO) + c
-        if s:
-            out[k] = s
+def elt_add_into(out, x, c=None):
+    """Add c * x (x itself when c is None) into out, in place, dropping the
+    keys whose sum cancels; returns out.  out must be the caller's own dict:
+    the values it gains may be x's (shared) polynomials."""
+    for k, y in x.items():
+        if c is not None:
+            y = y * c
+        prev = out.get(k)
+        if prev is not None:
+            y = prev + y
+        if y:
+            out[k] = y
         else:
             out.pop(k, None)
     return out
+
+
+def elt_add(x, y):
+    return elt_add_into(dict(x), y)
 
 
 def elt_scale(x, poly):

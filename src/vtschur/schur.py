@@ -26,15 +26,6 @@ def unit(n, d):
     return {diag(lam): laurent.ONE for lam in compositions(n, d)}
 
 
-def braced_to_e(x):
-    """{A} = v^{-m} t^m e_A, so the e-coefficient picks up v^{-m} t^m."""
-    return {A: c * mono(-dminusr(A), dminusr(A)) for A, c in x.items()}
-
-
-def e_to_braced(x):
-    return {A: c * mono(dminusr(A), -dminusr(A)) for A, c in x.items()}
-
-
 # -- Chevalley shapes ----------------------------------------------------------
 
 def chev_shape(B):
@@ -428,16 +419,15 @@ def braced_op(A, n, d):
     for B in factors:
         P = tensor.op_compose(P, braced_op(B, n, d))
     for M, c in clean(expansion).items():
-        if M == A:
-            continue
-        P = tensor.op_sub(P, tensor.op_scale(braced_op(M, n, d), c))
-    return tensor.op_clean(P)
+        if M != A:
+            tensor.op_add_into(P, braced_op(M, n, d), -c)
+    return P
 
 
 def elt_op(x, n, d):
     out = {}
     for A, c in x.items():
-        out = tensor.op_add(out, tensor.op_scale(braced_op(A, n, d), c))
+        tensor.op_add_into(out, braced_op(A, n, d), c)
     return out
 
 
@@ -472,7 +462,7 @@ def op_to_elt(P, n, d):
         if entry:
             op = braced_op(A, n, d)
             out[A] = c = laurent.exact_div(entry, op[s_col][s_row])
-            rest = tensor.op_sub(rest, tensor.op_scale(op, c))
+            tensor.op_add_into(rest, op, -c)
     if rest:
         raise laurent.InexactDivision("operator is not in the image of the algebra")
     return out

@@ -5,6 +5,13 @@ elements are dicts {seq: VTPoly}.  Operators (LinOp) are column-sparse dicts
 {basis seq: element}, the common arena where every relation of the presented
 algebras is verified exactly.
 
+Operators are clean by construction: no op_* result holds a zero entry or
+an empty column.  Sums, products and scalings are accumulated in place,
+column by column, into a result their caller owns (op_add_into, on
+laurent.elt_add_into).  Any other operator is read-only by convention: the
+cached generator operators (op_sym, op_T) are shared, and so is the
+operator of a one-symbol word (op_word returns op_sym's own).
+
 The double-centralizer checks share one certificate per (n, d, v0, t0)
 (_certificate): modular nullities ranked by connected component meet the
 ranks of word span closures, at the first certification prime at which v0
@@ -20,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import laurent, linalg
-from .laurent import clean, elt_add, elt_scale, mono
+from .laurent import clean, elt_add_into, mono
 
 # -- elements ----------------------------------------------------------------
 
@@ -87,34 +94,50 @@ def op_clean(P):
 
 
 def op_eq(P, Q):
-    return op_clean(P) == op_clean(Q)
+    """Equal up to zero entries and empty columns; clean operators compare directly."""
+    return P == Q or op_clean(P) == op_clean(Q)
+
+
+def op_add_into(out, Q, c=None):
+    """Add c Q (Q itself when c is None) into the operator out, in place,
+    column by column, dropping entries and columns that cancel; returns out.
+    out must be the caller's own: it never receives Q's column dicts."""
+    for r, col in Q.items():
+        acc = elt_add_into(out.get(r, {}), col, c)
+        if acc:
+            out[r] = acc
+        else:
+            out.pop(r, None)
+    return out
 
 
 def op_add(P, Q):
-    out = {r: dict(col) for r, col in P.items()}
-    for r, col in Q.items():
-        out[r] = elt_add(out.get(r, {}), col)
-    return op_clean(out)
+    return op_add_into(op_clean(P), Q)
 
 
 def op_scale(P, poly):
-    return op_clean({r: elt_scale(col, poly) for r, col in P.items()})
+    return op_add_into({}, P, poly)
 
 
 def op_sub(P, Q):
-    return op_add(P, op_scale(Q, -laurent.ONE))
+    return op_add_into(op_clean(P), Q, -1)
 
 
 def op_apply(P, x):
     out = {}
     for r, c in x.items():
-        out = elt_add(out, elt_scale(P.get(r, {}), c))
+        elt_add_into(out, P.get(r, {}), c)
     return out
 
 
 def op_compose(P, Q):
     """P after Q (the operator of the product P Q)."""
-    return op_clean({r: op_apply(P, col) for r, col in Q.items()})
+    out = {}
+    for r, col in Q.items():
+        acc = op_apply(P, col)
+        if acc:
+            out[r] = acc
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -123,8 +146,12 @@ def op_sym(sym, n, d):
 
 
 def op_word(word, n, d):
-    P = op_identity(n, d)
-    for sym in reversed(word):
+    """Operator of a word, its last symbol applied first; a one-symbol word
+    is the cached op_sym itself, the empty word the identity."""
+    if not word:
+        return op_identity(n, d)
+    P = op_sym(word[-1], n, d)
+    for sym in reversed(word[:-1]):
         P = op_compose(op_sym(sym, n, d), P)
     return P
 
@@ -134,7 +161,7 @@ def op_combo(combo, n, d):
     out = {}
     for poly, word in combo:
         if poly:
-            out = op_add(out, op_scale(op_word(word, n, d), poly))
+            op_add_into(out, op_word(word, n, d), poly)
     return out
 
 
@@ -297,7 +324,7 @@ def tensor_word_op(words, n, degrees):
         leg = op_word(word, n, k)
         out = {r + s: {a + b: x * y for a, x in col.items() for b, y in lcol.items()}
                for r, col in out.items() for s, lcol in leg.items()}
-    return op_clean(out)
+    return out
 
 
 def coproduct_compat(n, d1, d2):
@@ -308,6 +335,6 @@ def coproduct_compat(n, d1, d2):
         full = op_sym(g, n, d)
         split = {}
         for lw, rw in coproduct_legs(g):
-            split = op_add(split, tensor_word_op((lw, rw), n, (d1, d2)))
+            op_add_into(split, tensor_word_op((lw, rw), n, (d1, d2)))
         out.append(("%r on %d+%d" % (g, d1, d2), op_eq(full, split)))
     return out

@@ -319,9 +319,9 @@ def hopf_checks(n, d, printed_antipode=False):
                 right = {}
                 for l, r in legs:
                     for l1, l2 in tensor.coproduct_word(l):
-                        left = tensor.op_add(left, tensor.tensor_word_op((l1, l2, r), n, split))
+                        tensor.op_add_into(left, tensor.tensor_word_op((l1, l2, r), n, split))
                     for r1, r2 in tensor.coproduct_word(r):
-                        right = tensor.op_add(right, tensor.tensor_word_op((l, r1, r2), n, split))
+                        tensor.op_add_into(right, tensor.tensor_word_op((l, r1, r2), n, split))
                 results.append(("coassoc %r %d+%d+%d" % ((g,) + split), tensor.op_eq(left, right)))
         # (eps x id) Delta(g) = g = (id x eps) Delta(g), and
         # m(S x id) Delta(g) = eps(g) 1 = m(id x S) Delta(g)

@@ -7,6 +7,15 @@ from vtschur import flags as fl, laurent
 from vtschur.matrices import co, diag, dim_stats, mat, ro, unit
 
 
+def gaussian_binomial_count(p, d, k):
+    """The number of k-dimensional subspaces of F_p^d."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
 def test_subspace_counts():
     assert len(fl.enum_subspaces(3, 2, 1)) == 4
     assert fl.enum_subspaces(3, 2, 0) == [()]
@@ -14,7 +23,7 @@ def test_subspace_counts():
     for p in (3, 5):
         for d in range(4):
             for k in range(d + 1):
-                assert len(fl.enum_subspaces(p, d, k)) == fl.gaussian_binomial_count(p, d, k)
+                assert len(fl.enum_subspaces(p, d, k)) == gaussian_binomial_count(p, d, k)
 
 
 def test_subspaces_canonical():
@@ -339,10 +348,25 @@ def test_oracle_associativity():
         assert tried == 20
 
 
+def convolution_report(B, A, p, d, n):
+    """JSON-ready record of one counting comparison."""
+    counts = fl.convolve_count(B, A, p, d, n)
+    return {
+        "n": n,
+        "d": d,
+        "p": p,
+        "B": [list(r) for r in B],
+        "A": [list(r) for r in A],
+        "counts": [
+            {"C": [list(r) for r in C], "count": c} for C, c in sorted(counts.items())
+        ],
+    }
+
+
 def test_convolution_report_shape():
     B = unit(2, 1, 2)
     A = diag((0, 1))
-    doc = fl.convolution_report(B, A, 3, 1, 2)
+    doc = convolution_report(B, A, 3, 1, 2)
     assert doc["n"] == 2 and doc["d"] == 1 and doc["p"] == 3
     assert doc["B"] == [[0, 1], [0, 0]]
     assert doc["counts"] == [{"C": [[0, 1], [0, 0]], "count": 1}]

@@ -1,7 +1,8 @@
 import pytest
 
-from vtschur import jparity as jp, schur, tensor
+from vtschur import jparity as jp, schur, stab, tensor
 from vtschur.laurent import ONE
+from vtschur.matrices import compositions, diag
 
 
 def test_tilde_projector_small():
@@ -95,8 +96,27 @@ def test_tilde_sum_is_unit():
     assert total == schur.unit(3, 2)
 
 
+def tilde_parity_preserved_by_double_shift(n, d, m, p):
+    """The K'-style 2pI shift never changes the projector membership."""
+    for lam in compositions(n, d):
+        M = stab.shift(diag(lam), p, "2I")
+        lam2 = tuple(M[i][i] for i in range(n))
+        if (sum(lam[:m]) - sum(lam2[:m])) % 2:
+            return False
+    return True
+
+
+def hat_diagonals_stay_primed(n, d, m, p):
+    """2pI' shifts keep J-compatible diagonals inside the primed matrix set."""
+    for D in jp.j_schur_element("hat", "+", m, n, d):
+        M = stab.shift(D, p, "2I'", m=m)
+        if M[m][m] < 0:
+            return False
+    return True
+
+
 def test_shift_compatibility():
-    assert jp.tilde_parity_preserved_by_double_shift(3, 2, 1, 2)
-    assert jp.tilde_parity_preserved_by_double_shift(2, 3, 1, 3)
-    assert jp.hat_diagonals_stay_primed(3, 2, 1, 2)
-    assert jp.hat_diagonals_stay_primed(4, 2, 2, 1)
+    assert tilde_parity_preserved_by_double_shift(3, 2, 1, 2)
+    assert tilde_parity_preserved_by_double_shift(2, 3, 1, 3)
+    assert hat_diagonals_stay_primed(3, 2, 1, 2)
+    assert hat_diagonals_stay_primed(4, 2, 2, 1)

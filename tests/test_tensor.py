@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vtschur import galois, laurent, linalg, tensor as tn
-from vtschur.laurent import ONE, T, V, mono
+from vtschur import galois, laurent, linalg, schur as sc, tensor as tn
+from vtschur.laurent import ONE, T, V, VTPoly, mono
+from vtschur.matrices import theta_matrices
 
 
 def _col(sym, r, n=2):
@@ -250,6 +252,170 @@ def test_op_word_order():
     P = tn.op_word([("E", 1), ("F", 1)], n, d)
     assert tn.op_apply(P, {(1,): ONE}) == {(1,): T}
     assert tn.op_apply(P, {(2,): ONE}) == {}
+
+
+# -- the add-into kernel against the copy-per-term operations it replaced ----------
+# reference_* are those operations as written before the kernel: every sum
+# copied its left operand, every result went through op_clean.
+
+def reference_elt_add(x, y):
+    out = dict(x)
+    for k, c in y.items():
+        s = out.get(k, laurent.ZERO) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def reference_op_apply(P, x):
+    out = {}
+    for r, c in x.items():
+        out = reference_elt_add(out, laurent.elt_scale(P.get(r, {}), c))
+    return out
+
+
+def reference_op_compose(P, Q):
+    return tn.op_clean({r: reference_op_apply(P, col) for r, col in Q.items()})
+
+
+def reference_op_add(P, Q):
+    out = {r: dict(col) for r, col in P.items()}
+    for r, col in Q.items():
+        out[r] = reference_elt_add(out.get(r, {}), col)
+    return tn.op_clean(out)
+
+
+def reference_op_scale(P, poly):
+    return tn.op_clean({r: laurent.elt_scale(col, poly) for r, col in P.items()})
+
+
+def reference_op_word(word, n, d):
+    P = tn.op_identity(n, d)
+    for sym in reversed(word):
+        P = reference_op_compose(tn.op_sym(sym, n, d), P)
+    return P
+
+
+def reference_op_combo(combo, n, d):
+    out = {}
+    for poly, word in combo:
+        if poly:
+            out = reference_op_add(out, reference_op_scale(reference_op_word(word, n, d), poly))
+    return out
+
+
+KERNEL = settings(max_examples=80, deadline=None, derandomize=True)
+# few exponents and unit coefficients, so that sums cancel often; zero
+# polynomials and empty columns are drawn on purpose
+small_polys = st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1), (-1, 1)]),
+                              st.integers(-1, 1), max_size=2).map(VTPoly)
+SEQS = tn.all_seqs(2, 2)
+columns = st.dictionaries(st.sampled_from(SEQS), small_polys, max_size=4)
+operators = st.dictionaries(st.sampled_from(SEQS), columns, max_size=4)
+words = st.lists(st.sampled_from(tn.gens(2)), max_size=4).map(tuple)
+
+
+def _layout(P):
+    """Keys in order, columns and their entries, and every coefficient."""
+    return repr(P)
+
+
+def _is_clean(P):
+    return all(col and all(col.values()) for col in P.values())
+
+
+def _shared_columns(R, *ops):
+    """Columns of R that are column dicts of ops: adding into R would change them."""
+    theirs = {id(col) for P in ops for col in P.values()}
+    return [r for r, col in R.items() if id(col) in theirs]
+
+
+def _negated_part(P, keep):
+    """Some columns of P negated entry by entry, to cancel against P."""
+    return {r: {s: -c for s, c in col.items()} for i, (r, col) in enumerate(P.items()) if keep >> i & 1}
+
+
+@KERNEL
+@given(operators, operators, st.integers(0, 15))
+def test_op_compose_and_apply_match_reference(P, Q, keep):
+    Q = reference_op_add(Q, _negated_part(Q, keep)) if keep % 3 else Q
+    before = _layout(P), _layout(Q)
+    got = tn.op_compose(P, Q)
+    assert _layout(got) == _layout(reference_op_compose(P, Q))
+    assert _is_clean(got) and not _shared_columns(got, P, Q)
+    for col in Q.values():
+        assert _layout(tn.op_apply(P, col)) == _layout(reference_op_apply(P, col))
+    assert (_layout(P), _layout(Q)) == before
+
+
+@KERNEL
+@given(operators, operators, small_polys, st.integers(0, 15))
+def test_op_add_sub_scale_match_reference(P, Q, poly, keep):
+    Q = {**Q, **_negated_part(P, keep)}
+    before = _layout(P), _layout(Q)
+    results = [
+        (tn.op_add(P, Q), reference_op_add(P, Q)),
+        (tn.op_sub(P, Q), reference_op_add(P, reference_op_scale(Q, -ONE))),
+        (tn.op_scale(P, poly), reference_op_scale(P, poly)),
+        (tn.op_scale(Q, poly), reference_op_scale(Q, poly)),
+    ]
+    for got, want in results:
+        assert got == want and _is_clean(got)
+        assert not _shared_columns(got, P, Q)
+        if _is_clean(P):
+            # the key order too, wherever the first operand is clean
+            assert _layout(got) == _layout(want)
+    assert tn.op_sub(P, P) == {}
+    assert (_layout(P), _layout(Q)) == before
+
+
+def _cached_operators(n, d):
+    ops = [tn.op_sym(g, n, d) for g in tn.gens(n)] + [tn.op_T(j, n, d) for j in range(1, d)]
+    if n >= d:
+        ops += [sc.braced_op(A, n, d) for A in theta_matrices(n, d)]
+    return ops
+
+
+@KERNEL
+@given(st.lists(st.tuples(st.just(ONE) | small_polys, words), max_size=4), st.integers(1, 2))
+def test_op_word_and_combo_match_reference(combo, d):
+    n = 2
+    cached = _cached_operators(n, d)
+    before = [_layout(P) for P in cached]
+    for _poly, word in combo:
+        assert _layout(tn.op_word(word, n, d)) == _layout(reference_op_word(word, n, d))
+    got = tn.op_combo(combo, n, d)
+    assert _layout(got) == _layout(reference_op_combo(combo, n, d))
+    assert _is_clean(got) and not _shared_columns(got, *cached)
+    assert [_layout(P) for P in cached] == before
+
+
+def test_one_symbol_word_is_the_cached_operator():
+    for g in tn.gens(2):
+        assert tn.op_word([g], 2, 2) is tn.op_sym(g, 2, 2)
+    assert tn.op_word((), 2, 2) == tn.op_identity(2, 2)
+    assert tn.op_word((), 2, 2) is not tn.op_word((), 2, 2)
+
+
+thetas22 = st.sampled_from(theta_matrices(2, 2))
+elements22 = st.dictionaries(thetas22, small_polys, max_size=4)
+
+
+@KERNEL
+@given(elements22)
+def test_element_operators_match_reference(x):
+    n = d = 2
+    cached = _cached_operators(n, d)
+    before = [_layout(P) for P in cached]
+    want = {}
+    for A, c in x.items():
+        want = reference_op_add(want, reference_op_scale(sc.braced_op(A, n, d), c))
+    got = sc.elt_op(x, n, d)
+    assert _layout(got) == _layout(want) and not _shared_columns(got, *cached)
+    assert sc.op_to_elt(got, n, d) == laurent.clean(x)
+    assert [_layout(P) for P in cached] == before
 
 
 # -- the certified duality path against an exact Fraction reference ---------------
