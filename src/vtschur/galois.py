@@ -12,6 +12,8 @@ tensor basis is fixed pointwise, and the Hecke algebra lands on the familiar
 
 from __future__ import annotations
 
+import functools
+
 from . import hecke, laurent, tensor
 from .laurent import ONE, VTPoly, mono
 
@@ -100,13 +102,8 @@ def descent_suite(n, d):
         checks.append(("fixed %r" % (name,), fixed_check(P)))
     # (ii) the presented relations, rewritten for the twisted generators,
     # hold as operators and their coefficients rewrite over (r, s)
-    ident = tensor.op_identity(n, d)
-
     def comp(*Ps):
-        out = ident
-        for P in Ps:
-            out = tensor.op_compose(out, P)
-        return out
+        return functools.reduce(tensor.op_compose, Ps)
 
     for i in range(1, n + 1):
         for j in range(1, n):

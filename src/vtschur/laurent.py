@@ -53,7 +53,8 @@ class VTPoly:
         return bool(self.c)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the exact type test first: isinstance against Fraction (an ABC) is slow
+        if type(other) is not VTPoly and isinstance(other, (int, Fraction)):
             other = VTPoly.const(other)
         return isinstance(other, VTPoly) and self.c == other.c
 
@@ -93,7 +94,7 @@ class VTPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not VTPoly and isinstance(other, (int, Fraction)):
             if other == 0:
                 return VTPoly()
             p = VTPoly.__new__(VTPoly)
@@ -167,6 +168,9 @@ def mono(a, b, coeff=1):
 # Elements of every algebra and module downstream are dicts {basis key: VTPoly}.
 
 def clean(x):
+    """x without its zero values.  Zeros are dropped only where terms are
+    summed (elt_add_into; hecke.mul_Ti cleans its own sums here) and from
+    elements read from outside (from_json): every other element is clean."""
     return {k: c for k, c in x.items() if c}
 
 
@@ -291,12 +295,11 @@ def specialize(p, v0, t0):
     return out
 
 
-def eval_q(p, q, rational=False):
-    """Substitute v^2 = q, returning {t-power: coeff}.
+def eval_q(p, q):
+    """Substitute v^2 = q, returning {t-power: integer coeff}.
 
-    Every v-power must be even (OddVPower otherwise).  In integer mode the
-    result must have integer coefficients; pass rational=True to allow
-    fractions (negative v-powers at a non-unit q).
+    Every v-power must be even (OddVPower otherwise), and the result must
+    have integer coefficients (InexactDivision otherwise).
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -310,12 +313,10 @@ def eval_q(p, q, rational=False):
             out[b] = s
         else:
             out.pop(b, None)
-    if not rational:
-        bad = {b: x for b, x in out.items() if x.denominator != 1}
-        if bad:
-            raise InexactDivision("non-integer values in integer mode: %r" % (bad,))
-        return {b: int(x) for b, x in out.items()}
-    return out
+    bad = {b: x for b, x in out.items() if x.denominator != 1}
+    if bad:
+        raise InexactDivision("non-integer values: %r" % (bad,))
+    return {b: int(x) for b, x in out.items()}
 
 
 class RSPoly:
@@ -352,19 +353,6 @@ def to_rs(p):
             raise NotDescendable("monomial v^%d t^%d has odd total degree" % (a, b))
         out[((a + b) // 2, (b - a) // 2)] = x
     return RSPoly(out)
-
-
-def rs_to_vt(rp):
-    """Substitute r = vt, s = v^{-1}t back."""
-    out = {}
-    for (x, y), co in rp.c.items():
-        k = (x - y, x + y)
-        s = out.get(k, 0) + co
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return VTPoly(out)
 
 
 def exact_div(p, q):

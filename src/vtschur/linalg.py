@@ -1,10 +1,10 @@
 """Exact rational and modular linear algebra at desk scale.
 
-Fraction ranks (`frac_rank`, `IncrementalRank`) are dense, exact and viable
-only for a few hundred unknowns; they stay as the reference the modular path
-is tested against.  `frac_solve` solves sparse systems over Q (the
-stabilization fit) by Gauss-Jordan elimination on {column: coefficient}
-rows.
+`frac_solve` solves sparse systems over Q (the stabilization fit) by
+Gauss-Jordan elimination on {column: coefficient} rows.  `IncrementalRank`
+is a dense row-echelon accumulator over Q, viable only for a few hundred
+unknowns; the tests use it (and a Fraction rank built the same way) as the
+exact reference the modular path is compared against.
 
 Commutant dimensions are certified mod p by a sandwich: ranks can only
 drop under reduction mod p, so the modular rank of a family known to lie in
@@ -36,16 +36,6 @@ CERT_PRIMES = (2000003, 2000029)
 PRODUCT_BLOCK = 1 << 22
 
 
-def frac_rank(rows):
-    """Rank of a list of rows (any iterables of Fractions/ints)."""
-    basis = []
-    for row in rows:
-        row = _reduce_against(list(row), basis)
-        if any(row):
-            basis.append(_normalize(row))
-    return len(basis)
-
-
 class IncrementalRank:
     """Row-echelon accumulator over Q; add rows one by one."""
 
@@ -54,29 +44,21 @@ class IncrementalRank:
 
     def add(self, row):
         """Returns True if the row enlarged the span."""
-        row = _reduce_against(list(row), self.basis)
-        if any(row):
-            self.basis.append(_normalize(row))
-            return True
-        return False
+        row = list(row)
+        for piv, brow in self.basis:
+            f = row[piv]
+            if f:
+                row = [x - f * y for x, y in zip(row, brow)]
+        piv = next((i for i, x in enumerate(row) if x), None)
+        if piv is None:
+            return False
+        inv = Fraction(1) / row[piv]
+        self.basis.append((piv, [x * inv for x in row]))
+        return True
 
     @property
     def rank(self):
         return len(self.basis)
-
-
-def _normalize(row):
-    piv = next(i for i, x in enumerate(row) if x)
-    inv = Fraction(1, 1) / row[piv]
-    return (piv, [x * inv for x in row])
-
-
-def _reduce_against(row, basis):
-    for piv, brow in basis:
-        if row[piv]:
-            f = row[piv]
-            row = [x - f * y for x, y in zip(row, brow)]
-    return row
 
 
 def frac_solve(rows, rhs):

@@ -38,12 +38,17 @@ class Report:
             return not ok
         return ok
 
+    @classmethod
+    def status(cls, name, ok):
+        """'pass', 'fail', or 'xfail' for an expect-fail check that failed."""
+        if not cls.effective_status(name, ok):
+            return "fail"
+        return "xfail" if name.startswith("expect-fail") else "pass"
+
     def to_json_dict(self):
         checks = []
         for name, ok, witness in self.checks:
-            status = "pass" if self.effective_status(name, ok) else "fail"
-            if name.startswith("expect-fail") and not ok:
-                status = "xfail"
+            status = self.status(name, ok)
             entry = {"name": name, "status": status}
             if witness is not None and status == "fail":
                 entry["witness"] = witness
@@ -63,13 +68,14 @@ class Report:
     def to_text(self):
         lines = ["suite %s: %s (%.2fs)" % (self.suite, "PASS" if self.passed else "FAIL", self.elapsed)]
         for name, ok, witness in self.checks:
-            status = "ok" if self.effective_status(name, ok) else "FAIL"
-            if name.startswith("expect-fail") and not ok:
-                status = "xfail"
-            lines.append("  [%s] %s" % (status, name))
-            if witness is not None and status == "FAIL":
+            status = self.status(name, ok)
+            lines.append("  [%s] %s" % (_TEXT_STATUS[status], name))
+            if witness is not None and status == "fail":
                 lines.append("        witness: %s" % (witness,))
         return "\n".join(lines) + "\n"
+
+
+_TEXT_STATUS = {"pass": "ok", "fail": "FAIL", "xfail": "xfail"}
 
 
 def _json_fraction(x):

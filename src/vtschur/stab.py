@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import laurent, linalg, schur
-from .laurent import ONE, VTPoly, clean, elt_add, elt_scale, mono
+from .laurent import ONE, VTPoly, elt_add, elt_scale, mono
 from .matrices import add as mat_add, co, diag, diag_of, is_stab, ro, unit as mat_unit, zero
 from .uvt import _ev, pairing
 
@@ -35,20 +35,9 @@ class FitInconsistent(ArithmeticError):
 
 # -- shifts ---------------------------------------------------------------------
 
-def shift(A, p, mode="I", m=None):
-    """A + p I, A + 2p I, or A + 2p I' with I' missing the (m+1) slot."""
-    n = len(A)
-    if mode == "I":
-        D = diag((p,) * n)
-    elif mode == "2I":
-        D = diag((2 * p,) * n)
-    elif mode == "2I'":
-        if m is None:
-            raise ValueError("mode 2I' needs the cut index m")
-        D = diag(tuple(0 if a == m + 1 else 2 * p for a in range(1, n + 1)))
-    else:
-        raise ValueError("unknown shift mode %r" % (mode,))
-    out = mat_add(A, D)
+def shift(A, p):
+    """A + p I; ValueError if a row or column sum goes negative."""
+    out = mat_add(A, diag((p,) * len(A)))
     if any(x < 0 for x in ro(out)) or any(x < 0 for x in co(out)):
         raise ValueError("shift leaves negative row/column sums: %r" % (out,))
     return out
@@ -80,14 +69,13 @@ class WeightWindow:
         return all(lo <= M[i][i] <= hi for i in range(len(M)))
 
 
-def completion_element(A0, jvec, window, n=None, restrict=None):
+def completion_element(A0, jvec, window):
     """Truncated completion element: the weighted sum of {A0 + D_lambda}.
 
     A0 must have zero diagonal; the weight of lambda is
-    v^{sum lambda_k j_k} t^{sum lambda_k |j_k|}.  restrict, when given,
-    filters admissible matrices (the primed variant of the limit algebra).
+    v^{sum lambda_k j_k} t^{sum lambda_k |j_k|}.
     """
-    n = n or len(A0)
+    n = len(A0)
     if any(A0[i][i] for i in range(n)):
         raise ValueError("the off-diagonal part must have zero diagonal")
     if not is_stab(A0):
@@ -95,24 +83,22 @@ def completion_element(A0, jvec, window, n=None, restrict=None):
     out = {}
     for lam in window.lambdas(n):
         M = mat_add(A0, diag(lam))
-        if restrict is not None and not restrict(M):
-            continue
         va = sum(l * j for l, j in zip(lam, jvec))
         ta = sum(l * abs(j) for l, j in zip(lam, jvec))
         out[M] = mono(va, ta)
     return out
 
 
-def diagonal_weight(jvec, window, n, restrict=None):
-    return completion_element(zero(n), jvec, window, n=n, restrict=restrict)
+def diagonal_weight(jvec, window, n):
+    return completion_element(zero(n), jvec, window)
 
 
-def e_limit(i, window, n, restrict=None):
-    return completion_element(mat_unit(n, i, i + 1), (0,) * n, window, n=n, restrict=restrict)
+def e_limit(i, window, n):
+    return completion_element(mat_unit(n, i, i + 1), (0,) * n, window)
 
 
-def f_limit(i, window, n, restrict=None):
-    return completion_element(mat_unit(n, i + 1, i), (0,) * n, window, n=n, restrict=restrict)
+def f_limit(i, window, n):
+    return completion_element(mat_unit(n, i + 1, i), (0,) * n, window)
 
 
 def interior_part(x, window):
@@ -135,7 +121,6 @@ class _WindowChecks:
 
     def cmp(self, name, lhs, rhs, nfactors):
         win = WeightWindow(self.window.W, max(self.window.margin, nfactors - 1))
-        lhs, rhs = clean(lhs), clean(rhs)
         self.skipped += sum(1 for M in set(lhs) | set(rhs) if not win.interior(M))
         lhs, rhs = interior_part(lhs, win), interior_part(rhs, win)
         ok = lhs == rhs

@@ -8,7 +8,8 @@ algebras is verified exactly.
 Operators are clean by construction: no op_* result holds a zero entry or
 an empty column.  Sums, products and scalings are accumulated in place,
 column by column, into a result their caller owns (op_add_into, on
-laurent.elt_add_into).  Any other operator is read-only by convention: the
+laurent.elt_add_into), and that is the only place zeros are dropped; so two
+operators are equal exactly when they are equal as dicts (op_eq).  Any other operator is read-only by convention: the
 cached generator operators (op_sym, op_T) are shared, and so is the
 operator of a one-symbol word (op_word returns op_sym's own).
 
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import laurent, linalg
-from .laurent import clean, elt_add_into, mono
+from .laurent import elt_add_into, mono
 
 # -- elements ----------------------------------------------------------------
 
@@ -89,13 +90,9 @@ def op_identity(n, d):
     return {r: {r: laurent.ONE} for r in all_seqs(n, d)}
 
 
-def op_clean(P):
-    return {r: col for r, col in ((r, clean(col)) for r, col in P.items()) if col}
-
-
 def op_eq(P, Q):
-    """Equal up to zero entries and empty columns; clean operators compare directly."""
-    return P == Q or op_clean(P) == op_clean(Q)
+    """Equality of operators; dict equality, since operators are clean."""
+    return P == Q
 
 
 def op_add_into(out, Q, c=None):
@@ -112,7 +109,7 @@ def op_add_into(out, Q, c=None):
 
 
 def op_add(P, Q):
-    return op_add_into(op_clean(P), Q)
+    return op_add_into(op_add_into({}, P), Q)
 
 
 def op_scale(P, poly):
@@ -120,7 +117,7 @@ def op_scale(P, poly):
 
 
 def op_sub(P, Q):
-    return op_add_into(op_clean(P), Q, -1)
+    return op_add_into(op_add_into({}, P), Q, -1)
 
 
 def op_apply(P, x):
@@ -142,7 +139,7 @@ def op_compose(P, Q):
 
 @lru_cache(maxsize=1024)
 def op_sym(sym, n, d):
-    return op_clean({r: _column(sym, r) for r in all_seqs(n, d)})
+    return {r: col for r in all_seqs(n, d) if (col := _column(sym, r))}
 
 
 def op_word(word, n, d):
@@ -167,7 +164,7 @@ def op_combo(combo, n, d):
 
 @lru_cache(maxsize=64)
 def op_T(j, n, d):
-    return op_clean({r: _t_column(j, r) for r in all_seqs(n, d)})
+    return {r: _t_column(j, r) for r in all_seqs(n, d)}
 
 
 # -- duality checks --------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from vtschur import jparity as jp, schur, stab, tensor
 from vtschur.laurent import ONE
-from vtschur.matrices import compositions, diag
+from vtschur.matrices import add as mat_add, compositions, diag
 
 
 def test_tilde_projector_small():
@@ -99,7 +99,7 @@ def test_tilde_sum_is_unit():
 def tilde_parity_preserved_by_double_shift(n, d, m, p):
     """The K'-style 2pI shift never changes the projector membership."""
     for lam in compositions(n, d):
-        M = stab.shift(diag(lam), p, "2I")
+        M = stab.shift(diag(lam), 2 * p)
         lam2 = tuple(M[i][i] for i in range(n))
         if (sum(lam[:m]) - sum(lam2[:m])) % 2:
             return False
@@ -107,9 +107,10 @@ def tilde_parity_preserved_by_double_shift(n, d, m, p):
 
 
 def hat_diagonals_stay_primed(n, d, m, p):
-    """2pI' shifts keep J-compatible diagonals inside the primed matrix set."""
+    """2pI' shifts (I' missing the (m+1) slot) keep J-compatible diagonals
+    inside the primed matrix set."""
     for D in jp.j_schur_element("hat", "+", m, n, d):
-        M = stab.shift(D, p, "2I'", m=m)
+        M = mat_add(D, diag(tuple(0 if a == m + 1 else 2 * p for a in range(1, n + 1))))
         if M[m][m] < 0:
             return False
     return True

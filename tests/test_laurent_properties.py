@@ -7,9 +7,11 @@ from fractions import Fraction
 
 from vtschur.galois import sigma_poly
 from vtschur.laurent import (
-    ONE, ZERO, InexactDivision, RSPoly, VTPoly, bar, exact_div, from_json, mono, rs_to_vt,
-    to_json, to_rs,
+    ONE, ZERO, InexactDivision, RSPoly, VTPoly, bar, exact_div, from_json, mono, to_json,
+    to_rs,
 )
+
+from references import rs_to_vt
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True)
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from vtschur import linalg
 
+from references import frac_rank
+
 P0 = linalg.CERT_PRIMES[0]
 PROPS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -77,7 +79,7 @@ def test_modular_ranks_equal_rational_rank(seed, nrows, ncols):
     elimination and in blocks of random size."""
     rng = np.random.default_rng(seed)
     m = rng.integers(-9, 10, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.5)
-    want = linalg.frac_rank(m.tolist())
+    want = frac_rank(m.tolist())
     assert linalg.modular_rank(m, ncols, P0) == want
     acc = linalg.ModIncrementalRank(ncols, P0)
     cuts = np.sort(rng.integers(0, nrows + 1, size=3))
@@ -141,7 +143,7 @@ def test_sparse_frac_solve_matches_dense_reference():
             kinds["inconsistent"] += 1
             assert got is None
             continue
-        kinds["unique" if linalg.frac_rank(dense) == ncols else "under-determined"] += 1
+        kinds["unique" if frac_rank(dense) == ncols else "under-determined"] += 1
         assert got == {c: x for c, x in enumerate(want) if x}
         assert all(isinstance(x, Fraction) for x in got.values())
     assert min(kinds.values()) >= 30, kinds

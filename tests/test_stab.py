@@ -13,7 +13,7 @@ def test_shift_modes():
     A = mat_add(mat_unit(2, 1, 2), diag((-1, 0)))
     assert stab.shift(A, 2) == mat([[1, 1], [0, 2]])
     assert stab.shift(diag((1, 1)), 0) == diag((1, 1))
-    assert stab.shift(diag((0, 0, 0)), 3, "2I'", m=1) == diag((6, 0, 6))
+    assert stab.shift(diag((0, 0, 0)), 3) == diag((3, 3, 3))
     with pytest.raises(ValueError):
         stab.shift(diag((-3, 0)), 1)
     with pytest.raises(ValueError):
@@ -69,13 +69,6 @@ def test_completion_element_examples():
     assert set(e) == {mat_add(mat_unit(n, 1, 2), diag(l)) for l in win.lambdas(n)}
     with pytest.raises(ValueError):
         stab.completion_element(diag((1, 0)), (0, 0), win)
-
-
-def test_completion_element_restricted_variant():
-    win = stab.WeightWindow(2, 1)
-    keep = lambda M: M[1][1] >= 0
-    x = stab.diagonal_weight((1, 1), win, 3, restrict=keep)
-    assert x and all(M[1][1] >= 0 for M in x)
 
 
 @pytest.mark.parametrize("n", [2, 3])

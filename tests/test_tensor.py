@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vtschur import galois, laurent, linalg, schur as sc, tensor as tn
+from vtschur import cli, galois, laurent, linalg, schur as sc, stab, tensor as tn
 from vtschur.laurent import ONE, T, V, VTPoly, mono
 from vtschur.matrices import theta_matrices
+
+from references import frac_rank
 
 
 def _col(sym, r, n=2):
@@ -110,8 +113,13 @@ def _act_sym(sym, x):
     return act(*sym[1:], x)
 
 
+def op_clean(P):
+    """P without its zero entries and empty columns."""
+    return {r: col for r, col in ((r, laurent.clean(col)) for r, col in P.items()) if col}
+
+
 def _ref_op(act, n, d):
-    return tn.op_clean({r: act({r: ONE}) for r in tn.all_seqs(n, d)})
+    return op_clean({r: act({r: ONE}) for r in tn.all_seqs(n, d)})
 
 
 def test_generator_operators_match_per_vector_actions():
@@ -211,7 +219,7 @@ def _per_vector_tensor_word_op(words, n, degrees):
             col = {s1 + s2: c1 * c2 for s1, c1 in col.items() for s2, c2 in leg.items()}
         if col:
             out[r] = col
-    return tn.op_clean(out)
+    return op_clean(out)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -277,18 +285,18 @@ def reference_op_apply(P, x):
 
 
 def reference_op_compose(P, Q):
-    return tn.op_clean({r: reference_op_apply(P, col) for r, col in Q.items()})
+    return op_clean({r: reference_op_apply(P, col) for r, col in Q.items()})
 
 
 def reference_op_add(P, Q):
     out = {r: dict(col) for r, col in P.items()}
     for r, col in Q.items():
         out[r] = reference_elt_add(out.get(r, {}), col)
-    return tn.op_clean(out)
+    return op_clean(out)
 
 
 def reference_op_scale(P, poly):
-    return tn.op_clean({r: laurent.elt_scale(col, poly) for r, col in P.items()})
+    return op_clean({r: laurent.elt_scale(col, poly) for r, col in P.items()})
 
 
 def reference_op_word(word, n, d):
@@ -418,6 +426,60 @@ def test_element_operators_match_reference(x):
     assert [_layout(P) for P in cached] == before
 
 
+# -- the clean contract: no operator or element holds a zero, so op_eq is P == Q ----
+
+def _run_suite(suite, *flags):
+    args = cli.build_parser().parse_args(["verify", suite, *flags])
+    return cli.run_suite(suite, vars(args))
+
+
+def test_op_eq_operands_are_clean(monkeypatch):
+    compared, unclean = [0], []
+
+    def op_eq(P, Q):
+        compared[0] += 1
+        unclean.extend(X for X in (P, Q) if not _is_clean(X))
+        return P == Q
+
+    monkeypatch.setattr(tn, "op_eq", op_eq)
+    for suite, flags in [("uvt", ("--n", "3", "--d", "3")), ("star", ("--n", "3")),
+                         ("descend", ("--n", "3", "--d", "3")),
+                         ("jparity-tilde", ("--n", "3", "--d", "3", "--m", "2")),
+                         ("jparity-hat", ("--n", "4", "--d", "3"))]:
+        assert _run_suite(suite, *flags).passed, suite
+    assert all(ok for _, ok in tn.coproduct_compat(3, 1, 2))
+    assert compared[0] and not unclean
+
+
+def test_products_hold_no_zero_coefficient(monkeypatch):
+    calls, zeros = collections.Counter(), []
+
+    def watch(mod, name, element=lambda out: out):
+        fn = getattr(mod, name)
+
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name] += 1
+            zeros.extend((name, k) for k, c in element(out).items() if not c)
+            return out
+
+        monkeypatch.setattr(mod, name, wrapped)
+
+    for name in ("chev_mul", "expand_word"):
+        watch(sc, name)
+    watch(sc, "triangular_product", lambda out: out[0])
+    watch(stab, "stab_mul")
+    assert _run_suite("schur", "--n", "3", "--d", "3").passed
+    assert _run_suite("stab", "--n", "3", "--window", "3").passed
+    for A in theta_matrices(3, 3):
+        sc.triangular_product(A)
+    # (E + F)(F - E): terms of E F and of F E cancel inside one product
+    E, F = sc.gen_elt(("E", 1), 3, 3), sc.gen_elt(("F", 1), 3, 3)
+    sc.chev_mul(sc.elt_add(E, F), sc.elt_add(F, sc.elt_scale(E, -ONE)))
+    assert set(calls) == {"chev_mul", "expand_word", "triangular_product", "stab_mul"}
+    assert not zeros
+
+
 # -- the certified duality path against an exact Fraction reference ---------------
 
 def _frac_matrix(P, n, d, v0, t0):
@@ -441,7 +503,7 @@ def _frac_commutant_dim(mats, N):
                     row[i * N + k] += M[k][j]
                     row[k * N + j] -= M[i][k]
                 rows.append(row)
-    return N * N - linalg.frac_rank(rows)
+    return N * N - frac_rank(rows)
 
 
 def _frac_word_rank(mats, N):
