@@ -1,8 +1,9 @@
 """Command-line front end: verification suites, products, oracle runs.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-schema errors (argparse errors already exit with 2).  Set
-VTSCHUR_ALLOW_LARGE=1 to lift every guard of every suite, at your own expense.
+schema errors or an --out path that cannot be written (argparse errors
+already exit with 2).  Set VTSCHUR_ALLOW_LARGE=1 to lift every guard of
+every suite, at your own expense.
 """
 
 from __future__ import annotations
@@ -134,12 +135,24 @@ def cmd_verify(args):
         print("bad request: %s" % exc, file=sys.stderr)
         return 2
     text = rep.to_json() if args.format == "json" else rep.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not _emit(text, args.out):
+        return 2
     return 0 if rep.passed else 1
+
+
+def _emit(text, path):
+    """Write text to path, or to stdout without one; False, with the reason
+    on stderr, when path cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print("cannot write %s: %s" % (path, exc.strerror or exc), file=sys.stderr)
+        return False
+    return True
 
 
 def _load_json(path):
@@ -178,12 +191,7 @@ def cmd_mult(args):
             prod = schur.product_via_operators(x, y, n, d)
         out = schur.to_json(prod, n, d)
     text = json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0 if _emit(text, args.out) else 2
 
 
 def cmd_stab_fit(args):

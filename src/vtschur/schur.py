@@ -444,6 +444,18 @@ def _height(A):
                for i, row in enumerate(A) for j, m in enumerate(row))
 
 
+@lru_cache(maxsize=64)
+def _peel_order(n, d):
+    """((A, s_col, s_row), ...) over theta_matrices(n, d) by decreasing
+    _height, ties in enumeration order; (s_row, s_col) is one pair of
+    sequences of position matrix A."""
+    return tuple(
+        (A,
+         tuple(j + 1 for row in A for j, m in enumerate(row) for _ in range(m)),
+         tuple(i + 1 for i, row in enumerate(A) for m in row for _ in range(m)))
+        for A in sorted(theta_matrices(n, d), key=_height, reverse=True))
+
+
 def op_to_elt(P, n, d):
     """Re-express an operator in the braced basis (n >= d, faithfulness).
 
@@ -451,13 +463,12 @@ def op_to_elt(P, n, d):
     whose position matrix B has preceq(B, A), and it holds a unit monomial at
     the pairs of position A.  Walking the matrices by decreasing _height, the
     residual at one position-A pair is therefore c_A times that unit; the
-    term is peeled off, and what is left at the end must be zero.
+    term is peeled off, and what is left at the end must be zero.  The walk
+    order and its position-A pairs are built once per (n, d) (_peel_order).
     """
     out = {}
     rest = tensor.op_add_into({}, P)
-    for A in sorted(theta_matrices(n, d), key=_height, reverse=True):
-        s_row = tuple(i + 1 for i, row in enumerate(A) for m in row for _ in range(m))
-        s_col = tuple(j + 1 for row in A for j, m in enumerate(row) for _ in range(m))
+    for A, s_col, s_row in _peel_order(n, d):
         entry = rest.get(s_col, {}).get(s_row)
         if entry:
             op = braced_op(A, n, d)

@@ -75,6 +75,19 @@ def test_mult_schur_unit(tmp_path):
     assert got == schur.gen_elt(("E", 1), 2, 2)
 
 
+@pytest.mark.parametrize("command", ["verify", "mult"])
+def test_unwritable_out_exit_2(tmp_path, command):
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(schur.to_json(schur.gen_elt(("E", 1), 2, 2), 2, 2)))
+    bad = tmp_path / "missing" / "out"
+    args = (["verify", "schur"] if command == "verify"
+            else ["mult", "--lhs", str(x), "--rhs", str(x)])
+    code, out, err = run_cli(args + ["--out", str(bad)])
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("cannot write %s: " % bad)
+
+
 def test_mult_incompatible_exit_2(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -75,8 +76,8 @@ def test_chev_mul_matches_operator_model(n, d):
             matching = [A for A in thetas if ro(A) == co(B)]
             y = {A: poly() for A in rng.sample(matching, min(3, len(matching)))}
             y.update((A, poly()) for A in rng.sample(thetas, 2))
-            got = sc.clean(sc.chev_mul(x, y))
-            assert got == sc.clean(sc.product_via_operators(x, y, n, d)), (B, x, y)
+            got = sc.chev_mul(x, y)
+            assert got == sc.product_via_operators(x, y, n, d), (B, x, y)
             nonzero += bool(got)
     assert nonzero == 2 * len(by_shape)
 
@@ -318,9 +319,9 @@ def test_product_via_operators():
     n, d = 2, 2
     E1 = sc.gen_elt(("E", 1), n, d)
     F1 = sc.gen_elt(("F", 1), n, d)
-    assert sc.clean(sc.product_via_operators(E1, F1, n, d)) == sc.clean(sc.mul_gen(("E", 1), F1, n, d))
+    assert sc.product_via_operators(E1, F1, n, d) == sc.mul_gen(("E", 1), F1, n, d)
     one = sc.unit(n, d)
-    assert sc.clean(sc.product_via_operators(one, E1, n, d)) == sc.clean(E1)
+    assert sc.product_via_operators(one, E1, n, d) == E1
     with pytest.raises(ValueError):
         sc.product_via_operators(one, one, 2, 3)
     rng = random.Random(42)
@@ -482,6 +483,39 @@ def test_op_to_elt_inverts_elt_op(n, d):
              for A in rng.sample(thetas, min(4, len(thetas)))}
         x[rng.choice(thetas)] = laurent.ZERO
         assert sc.op_to_elt(sc.elt_op(x, n, d), n, d) == sc.clean(x)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
+def test_peel_order_contract(n, d):
+    thetas = theta_matrices(n, d)
+    order = sc._peel_order(n, d)
+    assert sorted(A for A, _, _ in order) == sorted(thetas)
+    heights = [sc._height(A) for A, _, _ in order]
+    assert heights == sorted(heights, reverse=True)
+    for A, s_col, s_row in order:
+        assert _position(s_row, s_col, n) == A
+    # the walk op_to_elt built inline on every call, before it was memoized
+    inline = [(A,
+               tuple(j + 1 for row in A for j, m in enumerate(row) for _ in range(m)),
+               tuple(i + 1 for i, row in enumerate(A) for m in row for _ in range(m)))
+              for A in sorted(thetas, key=sc._height, reverse=True)]
+    assert list(order) == inline
+
+
+def test_peel_order_built_once_per_size(monkeypatch):
+    sc._peel_order.cache_clear()
+    calls = collections.Counter()
+    enumerate_thetas = sc.theta_matrices
+
+    def counted(n, d):
+        calls[n, d] += 1
+        return enumerate_thetas(n, d)
+
+    monkeypatch.setattr(sc, "theta_matrices", counted)
+    for n, d in [(3, 2), (3, 2), (3, 3)]:
+        x, y = sc.gen_elt(("E", 1), n, d), sc.gen_elt(("F", 2), n, d)
+        assert sc.product_via_operators(x, y, n, d)
+    assert calls == {(3, 2): 1, (3, 3): 1}
 
 
 @pytest.mark.parametrize("P", [{(1, 2): {(2, 1): ONE}}, {(1, 2): {(1, 2): ONE}}])

@@ -465,7 +465,7 @@ def test_products_hold_no_zero_coefficient(monkeypatch):
 
         monkeypatch.setattr(mod, name, wrapped)
 
-    for name in ("chev_mul", "expand_word"):
+    for name in ("chev_mul", "expand_word", "product_via_operators"):
         watch(sc, name)
     watch(sc, "triangular_product", lambda out: out[0])
     watch(stab, "stab_mul")
@@ -473,10 +473,21 @@ def test_products_hold_no_zero_coefficient(monkeypatch):
     assert _run_suite("stab", "--n", "3", "--window", "3").passed
     for A in theta_matrices(3, 3):
         sc.triangular_product(A)
-    # (E + F)(F - E): terms of E F and of F E cancel inside one product
+    # (E + F)(F - E): terms of E F and of F E cancel inside one product,
+    # by the Chevalley rule and through the operator model
     E, F = sc.gen_elt(("E", 1), 3, 3), sc.gen_elt(("F", 1), 3, 3)
-    sc.chev_mul(sc.elt_add(E, F), sc.elt_add(F, sc.elt_scale(E, -ONE)))
-    assert set(calls) == {"chev_mul", "expand_word", "triangular_product", "stab_mul"}
+    x, y = sc.elt_add(E, F), sc.elt_add(F, sc.elt_scale(E, -ONE))
+    sc.chev_mul(x, y)
+    sc.product_via_operators(x, y, 3, 3)
+    # seeded general products
+    rng = random.Random(33)
+    thetas = theta_matrices(3, 3)
+    for _ in range(3):
+        x, y = ({A: mono(rng.randint(-1, 1), rng.randint(-1, 1), rng.choice((-1, 2)))
+                 for A in rng.sample(thetas, 2)} for _ in range(2))
+        sc.product_via_operators(x, y, 3, 3)
+    assert set(calls) == {"chev_mul", "expand_word", "triangular_product", "stab_mul",
+                          "product_via_operators"}
     assert not zeros
 
 
