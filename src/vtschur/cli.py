@@ -105,10 +105,8 @@ def run_suite(suite, cfg):
         for B, A, ok in schur.oracle_compare(n, d, tuple(cfg["primes"]), large):
             rep.add("pair B=%r A=%r" % (B, A), ok)
         for p in cfg["primes"][:2]:
-            X = flags.enum_flags_X(p, d, n, allow_large=large)
-            Y = flags.enum_flags_Y(p, d, allow_large=large)
-            xy = {flags.orbit_matrix(V, FF, p) for V in X for FF in Y}
-            yy = {flags.orbit_matrix(FF, GG, p) for FF in Y for GG in Y}
+            xy = flags.orbit_types(p, d, n, ("X", "Y"), large)
+            yy = flags.orbit_types(p, d, n, ("Y", "Y"), large)
             rep.add("orbit count X*Y = n^d at p=%d" % p, len(xy) == n ** d)
             rep.add("orbit count Y*Y = d! at p=%d" % p, len(yy) == math.factorial(d))
     else:

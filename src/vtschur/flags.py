@@ -17,7 +17,10 @@ flag is (F_1, ..., F_d) with dim F_i = i.
 Orbit matrices are read from integers: once per (p, d), every subspace of
 F_p^d gets an id (the zero space 0) and one table holds dim(a + b) for
 every pair of ids, built from bitmasks of the subspaces' vectors.  An orbit
-matrix is then a second difference of table entries.
+matrix is then a second difference of table entries.  The counting routine
+encodes every flag of its families once as the tuple of its subspace ids,
+and builds the column of orbit matrices against each representative right
+flag once per table, shared by every left flag whose type picks it.
 """
 
 from __future__ import annotations
@@ -190,6 +193,20 @@ def _subspace_index(p, d):
     return {s: i for i, s in enumerate(subs)}, table
 
 
+def _orbit(vs, ws, table):
+    """Orbit matrix of an encoded pair: vs holds the subspace ids of V, ws
+    those of W after a leading 0 (the zero space W_0), table is the (p, d)
+    sum-dimension table."""
+    cols = list(zip(ws, ws[1:]))
+    above = table[0]
+    out = []
+    for i in vs:
+        below = table[i]
+        out.append(tuple([above[w] - below[w] - above[u] + below[u] for u, w in cols]))
+        above = below
+    return tuple(out)
+
+
 def orbit_matrix(V, W, p):
     """Relative-position matrix of a flag pair (any mix of step counts).
 
@@ -212,36 +229,41 @@ def orbit_matrix(V, W, p):
     if None in vs or None in ws:
         vs = [ids[rref(s, p)] for s in V]
         ws = [0] + [ids[rref(s, p)] for s in W]
-    cols = list(zip(ws, ws[1:]))
-    above = table[0]
-    out = []
-    for i in vs:
-        below = table[i]
-        out.append(tuple([above[w] - below[w] - above[u] + below[u] for u, w in cols]))
-        above = below
-    return tuple(out)
+    return _orbit(vs, ws, table)
 
 
-def classify_pairs(left_flags, right_flags, p):
-    """Group all pairs by orbit matrix; keeps up to two representatives each."""
-    types = {}
-    for V in left_flags:
-        for W in right_flags:
-            M = orbit_matrix(V, W, p)
-            reps = types.setdefault(M, [])
-            if len(reps) < 2:
-                reps.append((V, W))
-    return types
+def _encoded(ids, family):
+    """Each flag as the tuple of its subspace ids; every subspace must be
+    canonical RREF already."""
+    return [tuple([ids[s] for s in F]) for F in family]
 
 
-def _type_counts(V, mid, right, p, pick):
+def _type_counts(vs, mid, wmid, right, table, columns, pick):
     """{C: Counter of (orbit(V, U), orbit(U, W)) over the middle flags U}, for
-    each type C of the pairs (V, W); W is the representative reps[pick]."""
-    left = [orbit_matrix(V, U, p) for U in mid]
-    return {
-        C: Counter(zip(left, (orbit_matrix(U, reps[pick][1], p) for U in mid)))
-        for C, reps in classify_pairs([V], right, p).items()
-    }
+    each type C of the pairs (V, W); W is the representative reps[pick].
+
+    vs encodes V; mid holds the middle flags as ids, wmid the same flags in
+    the (0, *ids) form, right the right flags in that form (it is wmid when
+    the two families agree, and the types are then read from the row
+    orbit(V, U) itself).  Each type keeps its first two right flags in
+    enumeration order as reps.  columns maps the index of a representative
+    W in right to its column [orbit(U, W) for U in mid], built on first use.
+    """
+    left = [_orbit(vs, w, table) for w in wmid]
+    row = left if right is wmid else [_orbit(vs, w, table) for w in right]
+    types = {}
+    for j, C in enumerate(row):
+        reps = types.setdefault(C, [])
+        if len(reps) < 2:
+            reps.append(j)
+    out = {}
+    for C, reps in types.items():
+        j = reps[pick]
+        col = columns.get(j)
+        if col is None:
+            col = columns[j] = [_orbit(u, right[j], table) for u in mid]
+        out[C] = Counter(zip(left, col))
+    return out
 
 
 def _products(p, d, n, kinds, vectors):
@@ -251,15 +273,24 @@ def _products(p, d, n, kinds, vectors):
     Every type C is counted twice: from the standard flag (V_i spanned by the
     first dim V_i basis vectors) with the first representative right flag,
     and from the opposite flag (the last dim V_i basis vectors) with the
-    last; the two counts must agree.
+    last; the two counts must agree.  Flags are encoded once as tuples of
+    subspace ids, and the column of orbit matrices against each
+    representative right flag is built once per call and shared by every
+    left flag that picks it.
     """
-    mid = _family(kinds[1], p, d, n)
-    right = _family(kinds[2], p, d, n)
+    ids, table = _subspace_index(p, d)
+    mid = _encoded(ids, _family(kinds[1], p, d, n))
+    wmid = [(0, *u) for u in mid]
+    right = wmid
+    if kinds[2] != kinds[1]:
+        right = [(0, *w) for w in _encoded(ids, _family(kinds[2], p, d, n))]
     full = full_space(d)
+    columns = {}
     by_type = {}
     for dims in vectors:
-        std = _type_counts(tuple(full[:k] for k in dims), mid, right, p, 0)
-        opp = _type_counts(tuple(full[d - k:] for k in dims), mid, right, p, -1)
+        std_v, opp_v = _encoded(ids, [tuple(full[:k] for k in dims), tuple(full[d - k:] for k in dims)])
+        std = _type_counts(std_v, mid, wmid, right, table, columns, 0)
+        opp = _type_counts(opp_v, mid, wmid, right, table, columns, -1)
         for C in sorted(set(std) | set(opp)):
             a, b = std.get(C, Counter()), opp.get(C, Counter())
             if a != b:
@@ -274,6 +305,21 @@ def _products(p, d, n, kinds, vectors):
         for key, cnt in by_type[C].items():
             out.setdefault(key, {})[C] = cnt
     return out
+
+
+def orbit_types(p, d, n, kinds, allow_large=False):
+    """The orbit matrices of all pairs (V, W) with V in the kinds[0] family
+    and W in the kinds[1] family, as a set.
+
+    By transitivity the standard flag of each left dimension vector meets
+    every type, so only those are paired with every right flag.
+    """
+    _guard(p, d, n, allow_large)
+    ids, table = _subspace_index(p, d)
+    full = full_space(d)
+    left = _encoded(ids, [tuple(full[:k] for k in dims) for dims in _dim_vectors(kinds[0], d, n)])
+    right = [(0, *w) for w in _encoded(ids, _family(kinds[1], p, d, n))]
+    return {_orbit(vs, ws, table) for vs in left for ws in right}
 
 
 def convolve_count(B, A, p, d, n, allow_large=False):

@@ -1,6 +1,6 @@
 """Exact references that only the tests use."""
 
-from vtschur import laurent, linalg
+from vtschur import flags, laurent, linalg
 
 
 def frac_rank(rows):
@@ -14,3 +14,15 @@ def frac_rank(rows):
 def rs_to_vt(rp):
     """Substitute r = vt, s = v^{-1}t back into an RSPoly (inverse of laurent.to_rs)."""
     return laurent.VTPoly({(x - y, x + y): c for (x, y), c in rp.c.items()})
+
+
+def classify_pairs(left_flags, right_flags, p):
+    """Group all pairs by orbit matrix; keeps up to two representatives each."""
+    types = {}
+    for V in left_flags:
+        for W in right_flags:
+            M = flags.orbit_matrix(V, W, p)
+            reps = types.setdefault(M, [])
+            if len(reps) < 2:
+                reps.append((V, W))
+    return types

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,8 @@ import pytest
 
 from vtschur import flags as fl, laurent
 from vtschur.matrices import co, diag, dim_stats, mat, ro, unit
+
+from references import classify_pairs
 
 
 def gaussian_binomial_count(p, d, k):
@@ -124,6 +127,14 @@ def test_orbit_type_counts(n, d, p):
     assert len(yy_types) == math.factorial(d)
     for M in yy_types:
         assert set(ro(M)) == {1} and set(co(M)) == {1}
+
+
+@pytest.mark.parametrize("n,d,p", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (3, 3, 3), (2, 2, 5), (3, 2, 5), (2, 3, 5), (3, 3, 5)])
+def test_orbit_types_from_one_flag_match_all_pairs(n, d, p):
+    X = fl.enum_flags_X(p, d, n)
+    Y = fl.enum_flags_Y(p, d)
+    assert fl.orbit_types(p, d, n, ("X", "Y")) == {fl.orbit_matrix(V, F, p) for V in X for F in Y}
+    assert fl.orbit_types(p, d, n, ("Y", "Y")) == {fl.orbit_matrix(F, G, p) for F in Y for G in Y}
 
 
 def _reference_orbit_matrix(V, W, sum_dim):
@@ -270,7 +281,7 @@ def _all_pairs_table(p, d, n, kinds):
     family = {"X": fl.enum_flags_X(p, d, n), "Y": fl.enum_flags_Y(p, d)}
     left, mid, right = (family[k] for k in kinds)
     out = {}
-    for C, reps in sorted(fl.classify_pairs(left, right, p).items()):
+    for C, reps in sorted(classify_pairs(left, right, p).items()):
         V, W = reps[0]
         for U in mid:
             key = (fl.orbit_matrix(V, U, p), fl.orbit_matrix(U, W, p))
@@ -298,9 +309,9 @@ def test_counting_matches_all_pairs_reference(p, d, n, kinds):
 def test_opposite_representative_disagreement_raises(monkeypatch):
     real = fl._type_counts
 
-    def corrupt_opposite(V, mid, right, p, pick):
-        counts = real(V, mid, right, p, pick)
-        if pick == -1:
+    def corrupt_opposite(*args):
+        counts = real(*args)
+        if args[-1] == -1:  # pick: the opposite flag's representative
             for buckets in counts.values():
                 buckets[next(iter(buckets))] += 1
         return counts
@@ -310,6 +321,31 @@ def test_opposite_representative_disagreement_raises(monkeypatch):
         fl.conv_table(3, 2, 2)
     with pytest.raises(AssertionError, match="depends on the representative"):
         fl.convolve_count(mat([[1, 1], [0, 0]]), mat([[1, 0], [1, 0]]), 3, 2, 2)
+
+
+def test_conv_table_builds_each_orbit_column_once(monkeypatch):
+    # one column per representative right flag: 8,512 orbit matrices at
+    # (3, 3, 3); walking the middle flags again for every type makes 49,210
+    real = fl._orbit
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(fl, "_orbit", counted)
+    fl.conv_table(3, 3, 3)
+    assert 0 < calls[0] <= 10_000
+
+
+def test_conv_table_pinned():
+    # (p, d, n, kinds); the digest covers every key, count and their order
+    digest = hashlib.sha256()
+    for p, d, n, kinds in [(3, 3, 3, "XXX"), (5, 3, 3, "XXX"), (3, 3, 2, "XXY"), (5, 3, 3, "YYY"),
+                           (7, 2, 3, "XXX"), (3, 0, 2, "XXX"), (3, 1, 3, "XXX")]:
+        table = fl.conv_table(p, d, n, kinds=tuple(kinds))
+        digest.update(repr(list((k, list(v.items())) for k, v in table.items())).encode())
+    assert digest.hexdigest() == "865868956e18f96b4949dbd50b0b61ad7390da19bcc3f33d70a4f1765c60fb01"
 
 
 def test_conv_table_matches_convolve_count():
