@@ -10,12 +10,12 @@ import itertools
 
 def ro(M):
     """Row-sum vector."""
-    return tuple(sum(row) for row in M)
+    return tuple(map(sum, M))
 
 
 def co(M):
     """Column-sum vector."""
-    return tuple(sum(col) for col in zip(*M))
+    return tuple(map(sum, zip(*M)))
 
 
 def mat(rows):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import laurent, tensor
-from .laurent import clean, elt_add, elt_scale, mono
+from .laurent import clean, elt_add, elt_add_into, elt_scale, mono
 from .matrices import (
     add as mat_add, co, compositions, diag, diag_of, dminusr, ro,
     theta_matrices, unit as mat_unit,
@@ -29,22 +29,19 @@ def unit(n, d):
 # -- Chevalley shapes ----------------------------------------------------------
 
 def chev_shape(B):
-    """Classify B as ('diag', 0) / ('E', h, r) / ('F', h, r) / None.
+    """Classify B as ('diag', 0, 0) / ('E', h, r) / ('F', h, r) / None.
 
     ('E', h, r): B minus r E_{h,h+1} is diagonal (r > 0); mirror for 'F'.
+    One scan; any other off-diagonal entry, negative ones too, gives None.
     """
-    n = len(B)
-    off = [(i, j) for i in range(n) for j in range(n) if i != j and B[i][j]]
-    if not off:
-        return ("diag", 0, 0)
-    if len(off) != 1:
-        return None
-    i, j = off[0]
-    if j == i + 1:
-        return ("E", i + 1, B[i][j])
-    if i == j + 1:
-        return ("F", j + 1, B[i][j])
-    return None
+    shape = ("diag", 0, 0)
+    for i, row in enumerate(B):
+        for j, x in enumerate(row):
+            if x and i != j:
+                if x < 0 or shape[0] != "diag" or abs(i - j) != 1:
+                    return None
+                shape = ("E", i + 1, x) if j > i else ("F", j + 1, x)
+    return shape
 
 
 def _chev_rows(kind, h):
@@ -95,22 +92,32 @@ def _row_moves(kind, r, n, src, a_src, a_tgt, stab):
     return tuple(moves)
 
 
-def _lmul_into(out, shape, terms, stab):
-    """Add {B} times each c {A} of terms into out in place, B of Chevalley
-    shape `shape` and ro(A) == co(B) for every A; returns out."""
+def _lmul_into(out, shape, c, terms, stab):
+    """Add c {B} times each cA {A} of terms into out in place, {B} of
+    Chevalley shape `shape` and ro(A) == co(B) for every A; returns out.
+
+    This is the one Chevalley kernel.  A diagonal {B} keeps each {A} and
+    never reaches _row_moves; a unit c passes the cA through unmultiplied;
+    sums start from the first term, as in elt_add_into.
+    """
+    unit = c == laurent.ONE
     kind, h, r = shape
-    src, tgt = (0, 0) if kind == "diag" else _chev_rows(kind, h)
+    if kind == "diag":
+        return elt_add_into(out, dict(terms), None if unit else c)
+    src, tgt = _chev_rows(kind, h)
     for A, cA in terms:
-        # a diagonal {B} keeps {A} as it is
-        moves = (((A[0], A[0], laurent.ONE),) if kind == "diag"
-                 else _row_moves(kind, r, len(A), src, A[src], A[tgt], stab))
+        if not unit:
+            cA = c * cA
         rows = list(A)
-        for new_tgt, new_src, coef in moves:
+        for new_tgt, new_src, coef in _row_moves(kind, r, len(A), src, A[src], A[tgt], stab):
             rows[tgt], rows[src] = new_tgt, new_src
             At = tuple(rows)
-            prev = out.get(At, laurent.ZERO) + cA * coef
-            if prev:
-                out[At] = prev
+            y = cA * coef
+            prev = out.get(At)
+            if prev is not None:
+                y = prev + y
+            if y:
+                out[At] = y
             else:
                 out.pop(At, None)
     return out
@@ -129,11 +136,12 @@ def lmul_braced(B, x, stab=False):
     if len(terms) < len(x) and shape[0] != "diag":
         bad = next(ro(A) for A in x if ro(A) != cb)
         raise ValueError("row/column sums mismatch: co(B)=%r ro(A)=%r" % (cb, bad))
-    return _lmul_into({}, shape, terms, stab)
+    return _lmul_into({}, shape, laurent.ONE, terms, stab)
 
 
 def chev_mul(x, y, stab=False):
-    """Product when every matrix in x is Chevalley-shaped."""
+    """Product when every matrix in x is Chevalley-shaped: each left term
+    c {B} meets the right terms of row sums co(B) in one _lmul_into call."""
     by_ro = {}
     for A, cy in y.items():
         by_ro.setdefault(ro(A), []).append((A, cy))
@@ -145,7 +153,7 @@ def chev_mul(x, y, stab=False):
         shape = chev_shape(B)
         if shape is None:
             raise ValueError("left factor %r is not Chevalley-shaped" % (B,))
-        _lmul_into(out, shape, ((A, c * cA) for A, cA in sub), stab)
+        _lmul_into(out, shape, c, sub, stab)
     return out
 
 
@@ -173,11 +181,8 @@ def mul_gen(sym, x, n, d):
     if kind not in ("E", "F"):
         raise ValueError("unknown generator symbol %r" % (sym,))
     shape, scale = (kind, sym[1], 1), laurent.T if kind == "E" else laurent.ONE
-    out = {}
-    for A, c in x.items():
-        if _chev_factor(*shape, ro(A)) is not None:
-            _lmul_into(out, shape, ((A, c * scale),), False)
-    return out
+    src = _chev_rows(kind, sym[1])[0]
+    return _lmul_into({}, shape, scale, [(A, c) for A, c in x.items() if sum(A[src]) >= 1], False)
 
 
 def expand_word(word, n, d):

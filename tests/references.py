@@ -26,3 +26,8 @@ def classify_pairs(left_flags, right_flags, p):
             if len(reps) < 2:
                 reps.append((V, W))
     return types
+
+
+def interior_part(x, window):
+    """The terms of x on matrices inside the window's margin."""
+    return {M: c for M, c in x.items() if window.interior(M)}

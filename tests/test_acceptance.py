@@ -14,6 +14,7 @@ import time
 from vtschur import galois, hecke, jparity, laurent, schur, stab, tensor, uvt
 from vtschur.laurent import ONE
 from vtschur.matrices import co, diag, mat, ro, unit as mat_unit, add as mat_add
+from references import interior_part
 
 
 def crit_1_oracle_equivalence():
@@ -135,8 +136,8 @@ def crit_8_stabilization():
             lambda w, n=n: stab.stab_mul(stab.e_limit(1, w, n), stab.f_limit(1, w, n)),
             lambda w, n=n: stab.stab_mul(stab.diagonal_weight((1,) * n, w, n), stab.e_limit(1, w, n)),
         ):
-            xs = stab.interior_part(schur.clean(build(small)), small)
-            xb = stab.interior_part(schur.clean(build(bigger)), small)
+            xs = interior_part(schur.clean(build(small)), small)
+            xb = interior_part(schur.clean(build(bigger)), small)
             assert xs == xb, n
     return "10 pair fits, window suite at W=4, interiors stable at W+1"
 

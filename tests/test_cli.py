@@ -207,6 +207,8 @@ PINNED_REPORTS = [
      "c8823e1f2187da067fa8e2b1057d2f452d0fa084b70a015c79c2c6d81d1a7ed3"),
     ("stab", {"window": 3},
      "287e0c1e4701dc972781311813e38369e8d50fe290458ecb1157d5353884af24"),
+    ("stab", {"n": 3, "window": 4},
+     "555628a6d4fe1584d3bddbbec3d9a11a51bfb170c8c78ceabfb50a0e02a574f8"),
     ("jparity-tilde", {"n": 3, "d": 3, "m": 2},
      "feec49a26ac30566d4a958c7a7b5f01ff544ec92b822dc3ac8edc523ad7c9a73"),
     ("jparity-hat", {"n": 3},
@@ -269,3 +271,14 @@ def test_stab_fit_malformed_pair_exit_2(tmp_path, doc):
     code, out, err = run_cli(["stab-fit", "--pair", str(pair)])
     assert code == 2 and not out
     assert "schema error" in err
+
+
+@pytest.mark.parametrize("key", ["A1", "A2"])
+def test_stab_fit_negative_off_diagonal_exit_2(tmp_path, key):
+    doc = {"A1": [[0, 1], [0, 0]], "A2": [[0, 0], [0, 1]]}
+    doc[key] = [[0, -1], [0, 0]] if key == "A1" else [[0, 0], [-1, 1]]
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    code, out, err = run_cli(["stab-fit", "--pair", str(pair)])
+    assert code == 2 and not out
+    assert "bad request: %s = " % key in err and "negative off-diagonal entry" in err

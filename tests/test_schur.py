@@ -220,6 +220,17 @@ def test_lmul_braced_errors():
     assert sc.lmul_braced(diag((1, 0)), {diag((0, 1)): ONE}) == {}
 
 
+def test_chev_shape_classes():
+    assert sc.chev_shape(diag((-2, 3))) == ("diag", 0, 0)
+    assert sc.chev_shape(mat([[-1, 2, 0], [0, 0, 0], [0, 0, 5]])) == ("E", 1, 2)
+    assert sc.chev_shape(mat([[0, 0, 0], [0, 0, 0], [0, 3, -4]])) == ("F", 2, 3)
+    # two off-diagonal entries, a non-adjacent one, or a negative one
+    assert sc.chev_shape(mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])) is None
+    assert sc.chev_shape(mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])) is None
+    assert sc.chev_shape(((0, -1), (0, 0))) is None
+    assert sc.chev_shape(((0, 0), (-2, 3))) is None
+
+
 def test_row_column_support():
     # products only contain matrices with the forced row/column profiles
     rng = random.Random(1)

@@ -8,6 +8,8 @@ from vtschur.matrices import (
     add as mat_add, co, diag, mat, ro, theta_matrices, unit as mat_unit, zero,
 )
 
+from references import interior_part
+
 
 def test_shift_modes():
     A = mat_add(mat_unit(2, 1, 2), diag((-1, 0)))
@@ -51,7 +53,7 @@ def test_diagonal_left_factor_is_identity_like():
     x = stab.e_limit(1, win, 2)
     unitish = stab.diagonal_weight((0, 0), win, 2)
     lhs = schur.clean(stab.stab_mul(unitish, x))
-    assert stab.interior_part(lhs, win) == stab.interior_part(x, win)
+    assert interior_part(lhs, win) == interior_part(x, win)
 
 
 def test_completion_element_examples():
@@ -89,8 +91,8 @@ def test_window_widening_stability():
             lambda w: stab.stab_mul(stab.e_limit(1, w, n), stab.f_limit(1, w, n)),
             lambda w: stab.stab_mul(stab.diagonal_weight((1, -2), w, n), stab.e_limit(1, w, n)),
         ):
-            xs = stab.interior_part(schur.clean(build(small)), small)
-            xb = stab.interior_part(schur.clean(build(big)), small)
+            xs = interior_part(schur.clean(build(small)), small)
+            xb = interior_part(schur.clean(build(big)), small)
             assert xs == xb
 
 
@@ -217,15 +219,21 @@ STAB_PRODUCT_SHA256 = {
     "E1 F1": "a34feded33f967fd16dd71056c393b8175384632f5dcf1bc5ebb1ef5da35ac12",
     "serre E1 E2": "ff8120c4d15c99cd15bbdb76e02f5e4f23f0590dd4e30b4cc22afd8517a68808",
     "chevalley x theta (3,3)": "c04a2b2b30def5f90e4c9397b62ec94999c23506ab0a3fd9afc6c3d84ed37e30",
+    "Z x E": "cecd9aeffd3be1a88b3f99b22ca791f17016ab23e2668f7aea1cb7952e6521ac",
+    "E x Z": "6d09afe78c4ff0b8ff341a2618011715ba9d22d6a57dd61aaebd8b27961630a2",
+    "Z x Z": "2b3adcd8adbbfc68f8be5aaa85cec071f5d991af7a34d458f078922c379974c2",
 }
 
 
 def test_stab_products_pinned():
     # sha256 of the canonical text of products recorded before the Chevalley
     # rule was memoized: a limit product, the three nested products of a
-    # Serre relation at n=3, W=4, and every finite Chevalley x theta product
+    # Serre relation at n=3, W=4, and every finite Chevalley x theta product;
+    # the Z products (recorded before a diagonal left factor skipped the
+    # per-term move) have weighted diagonal factors on the left
     win = stab.WeightWindow(4, 2)
     X, Y = stab.e_limit(1, win, 3), stab.e_limit(2, win, 3)
+    Z1, Z2 = stab.diagonal_weight((1, -2, 0), win, 3), stab.diagonal_weight((1, 2, 3), win, 3)
     serre = [stab.stab_mul(X, stab.stab_mul(X, Y)), stab.stab_mul(X, stab.stab_mul(Y, X)),
              stab.stab_mul(Y, stab.stab_mul(X, X))]
     thetas = theta_matrices(3, 3)
@@ -235,6 +243,9 @@ def test_stab_products_pinned():
         "E1 F1": _canon(stab.stab_mul(X, stab.f_limit(1, win, 3))),
         "serre E1 E2": "\n\n".join(map(_canon, serre)),
         "chevalley x theta (3,3)": "\n\n".join(map(_canon, finite)),
+        "Z x E": _canon(stab.stab_mul(Z1, X)),
+        "E x Z": _canon(stab.stab_mul(X, Z1)),
+        "Z x Z": _canon(stab.stab_mul(Z1, Z2)),
     }
     assert {k: hashlib.sha256(t.encode()).hexdigest() for k, t in texts.items()} == STAB_PRODUCT_SHA256
 
@@ -242,3 +253,37 @@ def test_stab_products_pinned():
 def test_fit_rejects_low_p():
     with pytest.raises(ValueError):
         stab.stabilization_check(mat_unit(2, 1, 2), diag((0, 5)), (1, 2, 3))
+
+
+def test_window_products_pay_per_term_costs_once(monkeypatch):
+    # VTPoly products in one n=3, W=4 stab suite: 210,311 when each term paid
+    # for its own left coefficient and a diagonal factor multiplied by ONE,
+    # 148,648 now (cold caches); and no diagonal factor reaches _row_moves
+    from vtschur import cli
+
+    real_mul, real_moves = laurent.VTPoly.__mul__, schur._row_moves
+    calls, kinds = [0], set()
+
+    def counted(a, b):
+        calls[0] += 1
+        return real_mul(a, b)
+
+    def moves(kind, *args):
+        kinds.add(kind)
+        return real_moves(kind, *args)
+
+    monkeypatch.setattr(laurent.VTPoly, "__mul__", counted)
+    monkeypatch.setattr(laurent.VTPoly, "__rmul__", counted)
+    monkeypatch.setattr(schur, "_row_moves", moves)
+    cfg = {"n": 3, "d": 2, "m": 1, "primes": (3,), "window": 4, "spec": (2, 3)}
+    cli.run_suite("stab", cfg)
+    assert 0 < calls[0] <= 180_000
+    assert kinds == {"E", "F"}
+    # a unit diagonal factor passes the right coefficients through: it keeps
+    # the terms whose row sums lie in the window, with no product at all
+    win = stab.WeightWindow(4, 2)
+    x, one = stab.e_limit(1, win, 3), stab.diagonal_weight((0, 0, 0), win, 3)
+    calls[0] = 0
+    kept = stab.stab_mul(one, x)
+    assert calls[0] == 0
+    assert kept == {A: c for A, c in x.items() if max(map(abs, ro(A))) <= 4}
