@@ -85,6 +85,10 @@ def run_suite(suite, cfg):
         rep.add("twist exponent identity n=%d" % n, uvt.exponent_identity_holds(n))
         rep.add("star associativity sample", uvt.star_associativity_sample(n))
     elif suite == "stab":
+        size = (2 * cfg["window"] + 1) ** n
+        if size > stab.MAX_DIAGONALS and not large:
+            raise flags.GuardExceeded("stab guard: (2 window + 1)^n = %d diagonals, over %d; "
+                                      "set VTSCHUR_ALLOW_LARGE=1 to lift it" % (size, stab.MAX_DIAGONALS))
         window, witnesses = stab.WeightWindow(cfg["window"], 2), {}
         checks, skipped = stab.limit_relation_suite(n, window, witnesses)
         rep.extend(checks, witnesses)

@@ -65,7 +65,7 @@ class VTPoly:
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is not VTPoly and isinstance(other, (int, Fraction)):
             other = VTPoly.const(other)
         out = dict(self.c)
         for k, x in other.c.items():
@@ -86,8 +86,6 @@ class VTPoly:
         return p
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = VTPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):

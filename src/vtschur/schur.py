@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import laurent, tensor
-from .laurent import clean, elt_add, elt_add_into, elt_scale, mono
+from .laurent import clean, elt_add, elt_scale, mono
 from .matrices import (
     add as mat_add, co, compositions, diag, diag_of, dminusr, ro,
     theta_matrices, unit as mat_unit,
@@ -92,35 +92,54 @@ def _row_moves(kind, r, n, src, a_src, a_tgt, stab):
     return tuple(moves)
 
 
-def _lmul_into(out, shape, c, terms, stab):
-    """Add c {B} times each cA {A} of terms into out in place, {B} of
-    Chevalley shape `shape` and ro(A) == co(B) for every A; returns out.
+def _lmul_into(out, shape, groups, stab):
+    """Add c {B} times each cA {A} of terms into out in place, for each
+    (c, terms) of groups: {B} of Chevalley shape `shape`, ro(A) == co(B).
 
-    This is the one Chevalley kernel.  A diagonal {B} keeps each {A} and
-    never reaches _row_moves; a unit c passes the cA through unmultiplied;
-    sums start from the first term, as in elt_add_into.
+    This is the one Chevalley kernel, called once per shape.  A diagonal {B}
+    keeps each {A} and never reaches _row_moves; a unit c (read off its
+    terms, not through VTPoly.__eq__) passes the cA through unmultiplied;
+    sums start from the first term, as in elt_add_into.  Returns out.
     """
-    unit = c == laurent.ONE
     kind, h, r = shape
-    if kind == "diag":
-        return elt_add_into(out, dict(terms), None if unit else c)
     src, tgt = _chev_rows(kind, h)
-    for A, cA in terms:
-        if not unit:
-            cA = c * cA
-        rows = list(A)
-        for new_tgt, new_src, coef in _row_moves(kind, r, len(A), src, A[src], A[tgt], stab):
-            rows[tgt], rows[src] = new_tgt, new_src
-            At = tuple(rows)
-            y = cA * coef
-            prev = out.get(At)
-            if prev is not None:
-                y = prev + y
-            if y:
-                out[At] = y
-            else:
-                out.pop(At, None)
+    for c, terms in groups:
+        unit = c.c == laurent.ONE.c
+        for A, cA in terms:
+            if kind == "diag":
+                y = cA if unit else cA * c
+                prev = out.get(A)
+                if prev is not None:
+                    y = prev + y
+                if y:
+                    out[A] = y
+                else:
+                    out.pop(A, None)
+                continue
+            if not unit:
+                cA = c * cA
+            rows = list(A)
+            for new_tgt, new_src, coef in _row_moves(kind, r, len(A), src, A[src], A[tgt], stab):
+                rows[tgt], rows[src] = new_tgt, new_src
+                At = tuple(rows)
+                y = cA * coef
+                prev = out.get(At)
+                if prev is not None:
+                    y = prev + y
+                if y:
+                    out[At] = y
+                else:
+                    out.pop(At, None)
     return out
+
+
+@lru_cache(maxsize=1 << 15)
+def _classify(B):
+    """(co(B), chev_shape(B)) for a left term of chev_mul.  A window factor
+    meets many right factors, its terms always in the same order, so maxsize
+    holds the working set of each stab suite within the `verify stab` guard
+    (16,807 matrices at n = 4, W = 3); right terms are not memoized."""
+    return co(B), chev_shape(B)
 
 
 def lmul_braced(B, x, stab=False):
@@ -136,24 +155,28 @@ def lmul_braced(B, x, stab=False):
     if len(terms) < len(x) and shape[0] != "diag":
         bad = next(ro(A) for A in x if ro(A) != cb)
         raise ValueError("row/column sums mismatch: co(B)=%r ro(A)=%r" % (cb, bad))
-    return _lmul_into({}, shape, laurent.ONE, terms, stab)
+    return _lmul_into({}, shape, [(laurent.ONE, terms)], stab)
 
 
 def chev_mul(x, y, stab=False):
     """Product when every matrix in x is Chevalley-shaped: each left term
-    c {B} meets the right terms of row sums co(B) in one _lmul_into call."""
+    c {B} is classified once (_classify) and its right terms of row sums
+    co(B) join its shape's group; each group is one _lmul_into call."""
     by_ro = {}
     for A, cy in y.items():
         by_ro.setdefault(ro(A), []).append((A, cy))
-    out = {}
+    groups = {}
     for B, c in x.items():
-        sub = by_ro.get(co(B))
+        cb, shape = _classify(B)
+        sub = by_ro.get(cb)
         if not sub:
             continue
-        shape = chev_shape(B)
         if shape is None:
             raise ValueError("left factor %r is not Chevalley-shaped" % (B,))
-        _lmul_into(out, shape, c, sub, stab)
+        groups.setdefault(shape, []).append((c, sub))
+    out = {}
+    for shape, group in groups.items():
+        _lmul_into(out, shape, group, stab)
     return out
 
 
@@ -182,7 +205,7 @@ def mul_gen(sym, x, n, d):
         raise ValueError("unknown generator symbol %r" % (sym,))
     shape, scale = (kind, sym[1], 1), laurent.T if kind == "E" else laurent.ONE
     src = _chev_rows(kind, sym[1])[0]
-    return _lmul_into({}, shape, scale, [(A, c) for A, c in x.items() if sum(A[src]) >= 1], False)
+    return _lmul_into({}, shape, [(scale, [(A, c) for A, c in x.items() if sum(A[src]) >= 1])], False)
 
 
 def expand_word(word, n, d):

@@ -53,6 +53,9 @@ def stab_mul(x, y):
 
 # -- the weight window -------------------------------------------------------------
 
+MAX_DIAGONALS = 2401  # `verify stab` guard on (2W + 1)^n, the diagonals of a window element
+
+
 @dataclass(frozen=True)
 class WeightWindow:
     W: int
@@ -81,6 +84,8 @@ def completion_element(A0, jvec, window):
         raise ValueError("the off-diagonal part must have zero diagonal")
     if not is_stab(A0):
         raise ValueError("off-diagonal entries must be nonnegative")
+    if len(jvec) != n:
+        raise ValueError("jvec has %d entries, the matrix has %d rows" % (len(jvec), n))
     absj = [abs(j) for j in jvec]
     return {tuple(row[:i] + (l,) + row[i + 1:] for i, (row, l) in enumerate(zip(A0, lam))):
             mono(sum(map(mul, lam, jvec)), sum(map(mul, lam, absj)))

@@ -1,6 +1,7 @@
 """Exact references that only the tests use."""
 
-from vtschur import flags, laurent, linalg
+from vtschur import flags, laurent, linalg, schur
+from vtschur.matrices import co, ro
 
 
 def frac_rank(rows):
@@ -31,3 +32,14 @@ def classify_pairs(left_flags, right_flags, p):
 def interior_part(x, window):
     """The terms of x on matrices inside the window's margin."""
     return {M: c for M, c in x.items() if window.interior(M)}
+
+
+def chev_mul_per_term(x, y, stab=False):
+    """schur.chev_mul one left term at a time: the sum over the terms c {B}
+    of x of c times lmul_braced(B, the terms of y with row sums co(B))."""
+    out = {}
+    for B, c in x.items():
+        sub = {A: cA for A, cA in y.items() if ro(A) == co(B)}
+        if sub:
+            laurent.elt_add_into(out, schur.lmul_braced(B, sub, stab), c)
+    return out

@@ -122,6 +122,13 @@ def test_guard_exceeded_exit_2():
     assert "guard" in err.lower()
 
 
+def test_stab_window_guard_exit_2():
+    # (2W + 1)^n = 9^5 = 59,049 diagonals per window element, over 2,401
+    code, out, err = run_cli(["verify", "stab", "--n", "5", "--window", "4"])
+    assert code == 2 and not out
+    assert "guard exceeded" in err and "59049" in err and "VTSCHUR_ALLOW_LARGE" in err
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "duality", "--spec", "1,1"],
     ["verify", "hecke", "--d", "2", "--primes", "4"],
@@ -239,6 +246,7 @@ def test_default_report_json_bytes_pinned():
     ("duality", {"n": 5, "d": 1}),
     ("oracle", {"n": 2, "d": 1, "primes": (11,)}),
     ("hecke", {"d": 2, "primes": (11,)}),
+    ("stab", {"n": 1, "window": 1201}),  # 2,403 diagonals
 ])
 def test_allow_large_lifts_the_guards(monkeypatch, suite, over):
     cfg = dict(default_config(suite), **over)

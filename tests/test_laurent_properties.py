@@ -85,6 +85,16 @@ def test_constants_equal_and_hash_like_their_value(p, x):
         assert hash(p) == hash(x)
 
 
+@PROPS
+@given(polys, st.fractions(-3, 3, max_denominator=4))
+def test_fraction_scalars_add_like_constants(p, q):
+    # a Fraction scalar adds and subtracts from either side as its constant
+    # polynomial, as an int does
+    c = VTPoly.const(q)
+    assert p + q == p + c and q + p == c + p
+    assert p - q == p - c and q - p == c - p
+
+
 def test_constant_examples():
     assert len({ONE, 1, Fraction(1)}) == 1 and len({ZERO, 0}) == 1
     assert VTPoly.const(Fraction(1, 2)) == Fraction(1, 2) != ONE

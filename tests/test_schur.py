@@ -10,6 +10,8 @@ from vtschur.matrices import (
     add as mat_add, co, diag, dminusr, mat, ro, theta_matrices, unit as mat_unit,
 )
 
+from references import chev_mul_per_term
+
 
 def test_gen_elements_small():
     # n=2, d=1: A_1 = vt {diag(1,0)} + {diag(0,1)}
@@ -209,6 +211,66 @@ def test_chevalley_rule_matches_reference(stab):
             assert all(c for c in got.values()) and all(c for c in prod.values())
     assert cancelled >= 6, cancelled
     assert sc._row_moves.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("stab", [False, True])
+def test_chev_mul_matches_per_term_reference(stab):
+    # one left factor mixes E, F and diagonal terms with unit and non-unit
+    # coefficients, so chev_mul groups several shapes; with stab=True the
+    # diagonals go negative; some products cancel inside a shape's group
+    # (_cancelling_pair) and some across groups (a diagonal term takes back
+    # what an E or F term put in)
+    rng = random.Random(23 + stab)
+    n = 3
+    lams = list(itertools.product(range(-2, 2) if stab else range(3), repeat=n))
+    lefts = _chev_with_diagonals(n, 2, rng.sample(lams, 8))
+    by_kind = {k: [L for L in lefts if sc.chev_shape(L)[0] == k] for k in "EF"}
+    rights = [mat_add(M, diag(lam)) for M in theta_matrices(n, 2)
+              if all(M[i][i] == 0 for i in range(n)) for lam in lams]
+
+    def poly():
+        return rng.choice((ONE, mono(rng.randint(-2, 2), rng.randint(-1, 1), rng.choice((-2, 1, 3)))
+                           + mono(rng.randint(-2, 2), rng.randint(-1, 1))))
+
+    cancelled = 0
+    for trial in range(12):
+        B = rng.choice(lefts)
+        matching = [A for A in rights if ro(A) == co(B)]
+        pair = _cancelling_pair(rng, B, rng.choice(matching), stab)
+        y = dict(pair[0]) if pair else {}
+        y.update((A, poly()) for A in rng.sample(matching, 2) + rng.sample(rights, 4) if A not in y)
+        x = {B: poly()}
+        for L in [rng.choice(by_kind[k]) for k in "EFEF"] + [diag(ro(A)) for A in rng.sample(rights, 3)]:
+            x[L] = poly()
+            met = [A for A in rights if ro(A) == co(L)]
+            if met:
+                y.setdefault(rng.choice(met), poly())
+        assert {sc.chev_shape(L)[0] for L in x if any(ro(A) == co(L) for A in y)} == {"diag", "E", "F"}
+        prod = sc.chev_mul(x, y, stab)
+        assert prod and prod == chev_mul_per_term(x, y, stab)
+        assert all(c for c in prod.values())
+        # across groups: {diag(ro(B))} with the opposite coefficient removes
+        # one term M of c {B} {A}
+        A = rng.choice(matching)
+        part = sc.lmul_braced(B, {A: ONE}, stab)
+        M = rng.choice(sorted(part))
+        x2, y2 = {B: x[B], diag(ro(B)): -x[B]}, {A: ONE, M: part[M]}
+        prod = sc.chev_mul(x2, y2, stab)
+        assert M not in prod and prod == chev_mul_per_term(x2, y2, stab)
+        cancelled += pair is not None and pair[1] not in sc.lmul_braced(B, pair[0], stab)
+    assert cancelled >= 4, cancelled
+
+
+def test_chev_mul_rejects_a_left_term_off_the_chevalley_shapes():
+    # the classification is memoized; the second call reads None from the
+    # memo and must still raise
+    B = mat([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    x, y = {B: ONE, diag((0, 1, 1)): ONE}, {diag(co(B)): ONE}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not Chevalley-shaped"):
+            sc.chev_mul(x, y)
+    # a left term that meets no right term is skipped unclassified, as before
+    assert sc.chev_mul(x, {diag((1, 1, 0)): ONE}) == {}
 
 
 def test_lmul_braced_errors():

@@ -73,6 +73,13 @@ def test_completion_element_examples():
         stab.completion_element(diag((1, 0)), (0, 0), win)
 
 
+def test_completion_element_rejects_a_wrong_length_jvec():
+    win = stab.WeightWindow(4)
+    for jvec in [(1,), (1, 0, 0, 2)]:
+        with pytest.raises(ValueError, match="jvec has %d entries, the matrix has 3 rows" % len(jvec)):
+            stab.completion_element(mat_unit(3, 1, 2), jvec, win)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_limit_relation_suite(n):
     win = stab.WeightWindow(4, 2)
@@ -209,6 +216,27 @@ def test_stab_suite_reports_witnesses(monkeypatch):
     assert all("witness" not in c for c in doc["checks"] if c["status"] == "pass")
     first = next(c for c in failed if c["name"] == "weight past E_1 (1, 0)")
     assert first["witness"] == {"matrix": [[-2, 1], [0, -2]], "lhs": "1*v^-1*t^-1", "rhs": "0"}
+
+
+def test_window_left_terms_are_classified_once(monkeypatch):
+    # chev_mul classifies each left matrix once per suite, not once per
+    # product: 3,645 chev_shape calls in one n=3, W=4 stab suite from cold
+    # (70,577 when every left term of every product was classified)
+    from vtschur import cli
+
+    real, calls = schur.chev_shape, [0]
+
+    def counted(B):
+        calls[0] += 1
+        return real(B)
+
+    monkeypatch.setattr(schur, "chev_shape", counted)
+    schur._classify.cache_clear()
+    cfg = {"n": 3, "d": 2, "m": 1, "primes": (3,), "window": 4, "spec": (2, 3)}
+    assert cli.run_suite("stab", cfg).passed
+    assert 0 < calls[0] <= 3_645
+    info = schur._classify.cache_info()
+    assert info.currsize == info.misses  # the working set fits: nothing evicted
 
 
 def _canon(x):
