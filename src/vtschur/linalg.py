@@ -304,7 +304,7 @@ def mod_span_closure(seeds, multipliers, p, grade, stop=None):
             lab = grade[(P != 0).argmax(axis=1)]
             if ((P != 0) & (grade != lab[:, None])).any():
                 raise ValueError("a product is not homogeneous for the grading")
-            for c in np.unique(lab).tolist():
+            for c in sorted(set(lab.tolist())):  # plain np.unique imports numpy.ma
                 pieces.setdefault(c, []).append(P[lab == c][:, cols[c]] % p)
         new = []
         for c, blocks in pieces.items():

@@ -97,32 +97,33 @@ def _lmul_into(out, shape, groups, stab):
     (c, terms) of groups: {B} of Chevalley shape `shape`, ro(A) == co(B).
 
     This is the one Chevalley kernel, called once per shape.  A diagonal {B}
-    keeps each {A} and never reaches _row_moves; a unit c (read off its
-    terms, not through VTPoly.__eq__) passes the cA through unmultiplied;
-    sums start from the first term, as in elt_add_into.  Returns out.
+    keeps each {A} and never reaches _row_moves.  A unit c or cA (read off
+    its terms, not through VTPoly.__eq__) is not multiplied in: a unit c
+    passes the cA through, and a unit c cA passes each move's coefficient
+    through.  Sums start from the first term, as in elt_add_into.  Returns out.
     """
     kind, h, r = shape
     src, tgt = _chev_rows(kind, h)
+    one = laurent.ONE.c
     for c, terms in groups:
-        unit = c.c == laurent.ONE.c
+        unit = c.c == one
         for A, cA in terms:
+            if not unit:
+                cA = c if cA.c == one else c * cA
             if kind == "diag":
-                y = cA if unit else cA * c
                 prev = out.get(A)
-                if prev is not None:
-                    y = prev + y
+                y = cA if prev is None else prev + cA
                 if y:
                     out[A] = y
                 else:
                     out.pop(A, None)
                 continue
-            if not unit:
-                cA = c * cA
+            unit_a = cA.c == one
             rows = list(A)
             for new_tgt, new_src, coef in _row_moves(kind, r, len(A), src, A[src], A[tgt], stab):
                 rows[tgt], rows[src] = new_tgt, new_src
                 At = tuple(rows)
-                y = cA * coef
+                y = coef if unit_a else cA * coef
                 prev = out.get(At)
                 if prev is not None:
                     y = prev + y
@@ -135,10 +136,10 @@ def _lmul_into(out, shape, groups, stab):
 
 @lru_cache(maxsize=1 << 15)
 def _classify(B):
-    """(co(B), chev_shape(B)) for a left term of chev_mul.  A window factor
-    meets many right factors, its terms always in the same order, so maxsize
-    holds the working set of each stab suite within the `verify stab` guard
-    (16,807 matrices at n = 4, W = 3); right terms are not memoized."""
+    """(co(B), chev_shape(B)) for a left term of chev_mul.  The same window
+    matrices recur across the stab suites' factors, so maxsize holds the
+    working set of each suite within the `verify stab` guard (16,807
+    matrices at n = 4, W = 3); right terms are not memoized."""
     return co(B), chev_shape(B)
 
 
@@ -158,17 +159,28 @@ def lmul_braced(B, x, stab=False):
     return _lmul_into({}, shape, [(laurent.ONE, terms)], stab)
 
 
-def chev_mul(x, y, stab=False):
-    """Product when every matrix in x is Chevalley-shaped: each left term
-    c {B} is classified once (_classify) and its right terms of row sums
-    co(B) join its shape's group; each group is one _lmul_into call."""
+def chev_left(x):
+    """The left step of chev_mul: (co(B), chev_shape(B), B, c) for each term
+    c {B} of x, classified through the _classify memo."""
+    return [(*_classify(B), B, c) for B, c in x.items()]
+
+
+def chev_right(y):
+    """The right step of chev_mul: the terms of y grouped by row sums."""
     by_ro = {}
     for A, cy in y.items():
         by_ro.setdefault(ro(A), []).append((A, cy))
+    return by_ro
+
+
+def chev_prod(left, right, stab=False):
+    """The product of the factors behind a chev_left and a chev_right step:
+    each left term c {B} joins its shape's group with the right terms of row
+    sums co(B), and each group is one _lmul_into call.  A factor multiplied
+    many times can keep its steps and pass them here (stab.stab_mul)."""
     groups = {}
-    for B, c in x.items():
-        cb, shape = _classify(B)
-        sub = by_ro.get(cb)
+    for cb, shape, B, c in left:
+        sub = right.get(cb)
         if not sub:
             continue
         if shape is None:
@@ -178,6 +190,13 @@ def chev_mul(x, y, stab=False):
     for shape, group in groups.items():
         _lmul_into(out, shape, group, stab)
     return out
+
+
+def chev_mul(x, y, stab=False):
+    """Product when every matrix in x that meets a term of y is
+    Chevalley-shaped: chev_prod over the left step of x and the right step
+    of y (chev_left, chev_right)."""
+    return chev_prod(chev_left(x), chev_right(y), stab)
 
 
 # -- generators ----------------------------------------------------------------

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from . import laurent, linalg, schur
-from .laurent import ONE, VTPoly, elt_add, elt_scale, mono
+from .laurent import ONE, VTPoly, elt_add_into, elt_scale, mono
 from .matrices import add as mat_add, co, diag, diag_of, is_stab, ro, unit as mat_unit, zero
 from .uvt import _ev, pairing
 
@@ -46,9 +47,26 @@ def shift(A, p):
 
 # -- stabilized products ----------------------------------------------------------
 
+class _Factor(dict):
+    """A window element that a suite multiplies many times.  Each chev_mul
+    step (schur.chev_left, schur.chev_right) is built the first time the
+    factor is used on that side and then kept, and only for that side."""
+
+    @cached_property
+    def left(self):
+        return schur.chev_left(self)
+
+    @cached_property
+    def right(self):
+        return schur.chev_right(self)
+
+
 def stab_mul(x, y):
-    """Product of limit-algebra elements with Chevalley-shaped left support."""
-    return schur.chev_mul(x, y, stab=True)
+    """Product of limit-algebra elements with Chevalley-shaped left support;
+    a window factor (_Factor) brings the step it keeps for its side."""
+    left = x.left if type(x) is _Factor else schur.chev_left(x)
+    right = y.right if type(y) is _Factor else schur.chev_right(y)
+    return schur.chev_prod(left, right, stab=True)
 
 
 # -- the weight window -------------------------------------------------------------
@@ -87,9 +105,18 @@ def completion_element(A0, jvec, window):
     if len(jvec) != n:
         raise ValueError("jvec has %d entries, the matrix has %d rows" % (len(jvec), n))
     absj = [abs(j) for j in jvec]
-    return {tuple(row[:i] + (l,) + row[i + 1:] for i, (row, l) in enumerate(zip(A0, lam))):
-            mono(sum(map(mul, lam, jvec)), sum(map(mul, lam, absj)))
-            for lam in window.lambdas(n)}
+    span = range(-window.W, window.W + 1)
+    rows = [[row[:i] + (l,) + row[i + 1:] for l in span] for i, row in enumerate(A0)]
+    # each weight is a unit monomial, built directly (no zero filter) and
+    # shared by the diagonals that carry it
+    weights, out = {}, {}
+    for M, lam in zip(itertools.product(*rows), window.lambdas(n)):
+        ab = sum(map(mul, lam, jvec)), sum(map(mul, lam, absj))
+        wt = weights.get(ab)
+        if wt is None:
+            wt = weights[ab] = ONE.shift(*ab)
+        out[M] = wt
+    return out
 
 
 def diagonal_weight(jvec, window, n):
@@ -110,7 +137,12 @@ class _WindowChecks:
     """Named window comparisons under the margin rule: a relation with f
     factors is compared only on matrices that keep a margin of f - 1.  A
     failed comparison files its witness under its name in `witnesses`, when
-    given: the first differing interior matrix and both coefficients."""
+    given: the first differing interior matrix and both coefficients.
+
+    cmp compares lhs times lhs_scale with rhs times rhs_scale, each scale
+    when given.  A nonzero scale keeps every key (there are no zero
+    divisors), so a side is scaled after the interior filter, and the
+    boundary terms it skips are never multiplied."""
 
     def __init__(self, window, witnesses=None):
         self.window = window
@@ -118,13 +150,13 @@ class _WindowChecks:
         self.checks = []
         self.skipped = 0  # boundary matrices excluded from the comparisons
 
-    def cmp(self, name, lhs, rhs, nfactors):
+    def cmp(self, name, lhs, rhs, nfactors, lhs_scale=None, rhs_scale=None):
         win = WeightWindow(self.window.W, max(self.window.margin, nfactors - 1))
         keys = lhs.keys() | rhs.keys()
         inner = set(filter(win.interior, keys))
         self.skipped += len(keys) - len(inner)
-        lhs = {M: c for M, c in lhs.items() if M in inner}
-        rhs = {M: c for M, c in rhs.items() if M in inner}
+        lhs, rhs = ({M: c if s is None else c * s for M, c in x.items() if M in inner}
+                    for x, s in ((lhs, lhs_scale), (rhs, rhs_scale)))
         ok = lhs == rhs
         self.checks.append((name, ok))
         if not ok and self.witnesses is not None:
@@ -133,11 +165,18 @@ class _WindowChecks:
             self.witnesses[name] = {"matrix": [list(row) for row in M], "lhs": a, "rhs": b}
 
 
+def _combo(*terms):
+    """The sum of c x over the (x, c) pairs; a unit c adds x unmultiplied."""
+    out = {}
+    for x, c in terms:
+        elt_add_into(out, x, None if c.c == ONE.c else c)
+    return out
+
+
 def _serre(X, Y, a, b, c):
     """a XXY - b XYX + c YXX, each product nested from the right."""
-    return elt_add(elt_add(elt_scale(stab_mul(X, stab_mul(X, Y)), a),
-                           elt_scale(stab_mul(X, stab_mul(Y, X)), -b)),
-                   elt_scale(stab_mul(Y, stab_mul(X, X)), c))
+    return _combo((stab_mul(X, stab_mul(X, Y)), a), (stab_mul(X, stab_mul(Y, X)), -b),
+                  (stab_mul(Y, stab_mul(X, X)), c))
 
 
 VT_MID = mono(1, 1) + mono(-1, 1)
@@ -148,13 +187,15 @@ def limit_relation_suite(n, window, witnesses=None):
 
     Returns (checks, skipped): checks is a list of (name, ok); skipped counts
     boundary matrices excluded from each comparison.  Failed checks file
-    witnesses in the dict `witnesses`, when given.
+    witnesses in the dict `witnesses`, when given.  The weights Z and the
+    Chevalley elements E, F are window factors (_Factor): each builds the
+    chev_mul step of a side once, on its first product on that side.
     """
     suite = _WindowChecks(window, witnesses)
     jvecs = [_ev(n, 1), _ev(n, 2, -1), tuple(range(1, n + 1)), (-1,) * n]
-    Z = {jv: diagonal_weight(jv, window, n) for jv in jvecs}
-    E = {h: e_limit(h, window, n) for h in range(1, n)}
-    F = {h: f_limit(h, window, n) for h in range(1, n)}
+    Z = {jv: _Factor(diagonal_weight(jv, window, n)) for jv in jvecs}
+    E = {h: _Factor(e_limit(h, window, n)) for h in range(1, n)}
+    F = {h: _Factor(f_limit(h, window, n)) for h in range(1, n)}
     for j1 in jvecs[:2]:
         for j2 in jvecs[2:]:
             suite.cmp("commuting weights %r %r" % (j1, j2),
@@ -163,18 +204,18 @@ def limit_relation_suite(n, window, witnesses=None):
         for jv in jvecs:
             wt = mono(jv[h - 1] - jv[h], abs(jv[h - 1]) - abs(jv[h]))
             suite.cmp("weight past E_%d %r" % (h, jv),
-                      stab_mul(Z[jv], E[h]), elt_scale(stab_mul(E[h], Z[jv]), wt), 2)
+                      stab_mul(Z[jv], E[h]), stab_mul(E[h], Z[jv]), 2, rhs_scale=wt)
             wt = mono(jv[h] - jv[h - 1], abs(jv[h]) - abs(jv[h - 1]))
             suite.cmp("weight past F_%d %r" % (h, jv),
-                      stab_mul(Z[jv], F[h]), elt_scale(stab_mul(F[h], Z[jv]), wt), 2)
+                      stab_mul(Z[jv], F[h]), stab_mul(F[h], Z[jv]), 2, rhs_scale=wt)
         # t (E F - F E) (v - v^{-1}) = 0(e_h - e_{h+1}) - 0(e_{h+1} - e_h)
-        comm = elt_add(stab_mul(E[h], F[h]), elt_scale(stab_mul(F[h], E[h]), -ONE))
-        lhs = elt_scale(comm, laurent.T * (mono(1, 0) - mono(-1, 0)))
+        comm = _combo((stab_mul(E[h], F[h]), ONE), (stab_mul(F[h], E[h]), -ONE))
         jplus = tuple(a - b for a, b in zip(_ev(n, h), _ev(n, h + 1)))
         jminus = tuple(-x for x in jplus)
-        rhs = elt_add(diagonal_weight(jplus, window, n),
-                      elt_scale(diagonal_weight(jminus, window, n), -ONE))
-        suite.cmp("cartan commutator h=%d" % h, lhs, rhs, 2)
+        rhs = _combo((diagonal_weight(jplus, window, n), ONE),
+                     (diagonal_weight(jminus, window, n), -ONE))
+        suite.cmp("cartan commutator h=%d" % h, comm, rhs, 2,
+                  lhs_scale=laurent.T * (mono(1, 0) - mono(-1, 0)))
     vt_mid_inv = mono(1, -1) + mono(-1, -1)
     for i in range(1, n - 1):
         suite.cmp("serre E first i=%d" % i, _serre(E[i], E[i + 1], ONE, VT_MID, mono(0, 2)), {}, 3)
@@ -192,28 +233,28 @@ def generator_transport_suite(n, window, witnesses=None):
 
     The inverse relations are excluded: 0(e_a) 0(-e_a) is a genuine t-series,
     not the unit, because the completion weights carry |j| exponents.
-    Failed checks file witnesses as in limit_relation_suite.
+    Failed checks file witnesses, and the generators are window factors,
+    as in limit_relation_suite.
     """
     suite = _WindowChecks(window, witnesses)
-    E = {j: elt_scale(e_limit(j, window, n), laurent.T) for j in range(1, n)}
-    F = {j: f_limit(j, window, n) for j in range(1, n)}
-    A = {i: diagonal_weight(_ev(n, i), window, n) for i in range(1, n + 1)}
-    B = {i: diagonal_weight(_ev(n, i, -1), window, n) for i in range(1, n + 1)}
+    E = {j: _Factor(elt_scale(e_limit(j, window, n), laurent.T)) for j in range(1, n)}
+    F = {j: _Factor(f_limit(j, window, n)) for j in range(1, n)}
+    A = {i: _Factor(diagonal_weight(_ev(n, i), window, n)) for i in range(1, n + 1)}
+    B = {i: _Factor(diagonal_weight(_ev(n, i, -1), window, n)) for i in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(1, n):
             br = pairing(n, i, j)
             suite.cmp("R2 transport A%d E%d" % (i, j),
-                      stab_mul(A[i], E[j]), elt_scale(stab_mul(E[j], A[i]), mono(br, br)), 2)
+                      stab_mul(A[i], E[j]), stab_mul(E[j], A[i]), 2, rhs_scale=mono(br, br))
             suite.cmp("R2 transport B%d E%d" % (i, j),
-                      stab_mul(B[i], E[j]), elt_scale(stab_mul(E[j], B[i]), mono(-br, br)), 2)
+                      stab_mul(B[i], E[j]), stab_mul(E[j], B[i]), 2, rhs_scale=mono(-br, br))
     for i in range(1, n):
         for j in range(1, n):
-            comm = elt_add(stab_mul(E[i], F[j]), elt_scale(stab_mul(F[j], E[i]), -ONE))
+            comm = _combo((stab_mul(E[i], F[j]), ONE), (stab_mul(F[j], E[i]), -ONE))
             rhs = {}
             if i == j:
-                rhs = elt_add(stab_mul(A[i], B[i + 1]), elt_scale(stab_mul(B[i], A[i + 1]), -ONE))
-            suite.cmp("R3 transport %d,%d" % (i, j),
-                      elt_scale(comm, mono(1, 0) - mono(-1, 0)), rhs, 2)
+                rhs = _combo((stab_mul(A[i], B[i + 1]), ONE), (stab_mul(B[i], A[i + 1]), -ONE))
+            suite.cmp("R3 transport %d,%d" % (i, j), comm, rhs, 2, lhs_scale=mono(1, 0) - mono(-1, 0))
     for i in range(1, n - 1):
         suite.cmp("R4 transport i=%d" % i, _serre(E[i], E[i + 1], ONE, VT_MID, mono(0, 2)), {}, 3)
     return suite.checks
@@ -248,8 +289,8 @@ def stabilization_check(A1, A2, p_list=(3, 4, 5)):
     denominator; raises FitInconsistent when no bounded pattern exists.
     The v' = t' = 1 specialization is checked against the limit product.
     """
-    if len(p_list) < 3:
-        raise ValueError("need at least three shift values")
+    if len(set(p_list)) < 3:
+        raise ValueError("need at least three distinct shift values, got %r" % (tuple(p_list),))
     for name, M in (("A1", A1), ("A2", A2)):
         if not is_stab(M):
             raise ValueError("%s = %r has a negative off-diagonal entry" % (name, M))

@@ -1,9 +1,13 @@
-"""Every memo in the package is bounded."""
+"""Every memo in the package is bounded, and the benchmark reads existing ones."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import vtschur
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
 def test_every_lru_cache_is_bounded():
@@ -16,3 +20,17 @@ def test_every_lru_cache_is_bounded():
     assert {"schur.braced_op", "schur._row_moves", "schur._peel_order", "schur._classify",
             "tensor.op_sym", "tensor.op_T"} <= set(caches)
     assert not [name for name, size in caches.items() if size is None]
+
+
+def test_tracer_caches_resolve_to_package_memos():
+    # the benchmark tracer reports cache_info() of each CACHES entry; one
+    # that names a renamed or deleted memo crashes a traced run
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    (entries,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["CACHES"]]
+    assert entries
+    for key, (layer, attr) in entries.items():
+        obj = getattr(importlib.import_module("vtschur." + layer), attr, None)
+        assert obj is not None, key
+        assert obj.__module__ == "vtschur." + layer, key
+        assert callable(getattr(obj, "cache_info", None)) and obj.cache_info().maxsize, key

@@ -107,6 +107,17 @@ def test_stab_fit(tmp_path):
     assert doc["patterns"]
 
 
+@pytest.mark.parametrize("plist", ["5,5,5", "5,5,6"])
+def test_stab_fit_repeated_shifts_exit_2(tmp_path, plist):
+    # three shifts must be three distinct values: a repeat is a usage error,
+    # not a failed fit (5,5,5 exited 1) nor a fit from two shifts (5,5,6 exited 0)
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"A1": [[0, 1], [0, 0]], "A2": [[0, 0], [1, 0]]}))
+    code, out, err = run_cli(["stab-fit", "--pair", str(pair), "--plist", plist])
+    assert code == 2 and not out
+    assert "bad request: need at least three distinct shift values" in err
+
+
 def test_failing_suite_exits_1(monkeypatch):
     # direct invocation with a doctored check list
     from vtschur.report import Report

@@ -147,3 +147,19 @@ def test_sparse_frac_solve_matches_dense_reference():
         assert got == {c: x for c, x in enumerate(want) if x}
         assert all(isinstance(x, Fraction) for x in got.values())
     assert min(kinds.values()) >= 30, kinds
+
+
+def test_duality_suite_leaves_numpy_ma_unloaded():
+    # np.unique without options imports numpy.ma (10-17 ms per process); the
+    # span closure sorts its grade labels without it
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "from vtschur import cli\n"
+            "cfg = {'n': 2, 'd': 2, 'm': 1, 'primes': (3,), 'window': 4, 'spec': (2, 3)}\n"
+            "assert cli.run_suite('duality', cfg).passed\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -261,6 +261,29 @@ def test_chev_mul_matches_per_term_reference(stab):
     assert cancelled >= 4, cancelled
 
 
+@pytest.mark.parametrize("stab", [False, True])
+def test_unit_coefficients_match_reference(stab):
+    # the kernel skips the product with a unit left coefficient, with a unit
+    # right coefficient, and with both; the unmemoized rule multiplies them all
+    rng = random.Random(41 + stab)
+    n = 3
+    lams = list(itertools.product(range(-2, 2) if stab else range(3), repeat=n))
+    lefts = _chev_with_diagonals(n, 2, rng.sample(lams, 8)) + [diag(lam) for lam in lams]
+    rights = [mat_add(M, diag(lam)) for M in theta_matrices(n, 2)
+              if all(M[i][i] == 0 for i in range(n)) for lam in lams]
+    coefs = [ONE, ONE, mono(1, -1), mono(0, 1, -2) + ONE]
+    seen = set()
+    for _ in range(16):
+        x = {B: rng.choice(coefs) for B in rng.sample(lefts, 4)}
+        y = {}
+        for B in x:
+            met = [A for A in rights if ro(A) == co(B)]
+            y.update((A, rng.choice(coefs)) for A in rng.sample(met, min(2, len(met))))
+        seen |= {(x[B] == ONE, y[A] == ONE) for B in x for A in y if ro(A) == co(B)}
+        assert sc.chev_mul(x, y, stab) == reference_chev_mul(x, y, stab), (x, y)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_chev_mul_rejects_a_left_term_off_the_chevalley_shapes():
     # the classification is memoized; the second call reads None from the
     # memo and must still raise

@@ -1,6 +1,9 @@
 import hashlib
+import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtschur import laurent, schur, stab
 from vtschur.laurent import ONE, mono
@@ -8,7 +11,7 @@ from vtschur.matrices import (
     add as mat_add, co, diag, mat, ro, theta_matrices, unit as mat_unit, zero,
 )
 
-from references import interior_part
+from references import chev_mul_per_term, interior_part
 
 
 def test_shift_modes():
@@ -283,10 +286,20 @@ def test_fit_rejects_low_p():
         stab.stabilization_check(mat_unit(2, 1, 2), diag((0, 5)), (1, 2, 3))
 
 
+@pytest.mark.parametrize("plist", [(5, 5, 5), (5, 5, 6), (5, 6, 5, 6)])
+def test_fit_rejects_repeated_shifts(plist):
+    # a repeated shift adds no equation, so it does not count toward three
+    with pytest.raises(ValueError, match="three distinct shift values"):
+        stab.stabilization_check(mat_unit(2, 1, 2), mat_unit(2, 2, 1), plist)
+    assert stab.stabilization_check(mat_unit(2, 1, 2), mat_unit(2, 2, 1), (5, 6, 7, 5))
+
+
 def test_window_products_pay_per_term_costs_once(monkeypatch):
     # VTPoly products in one n=3, W=4 stab suite: 210,311 when each term paid
     # for its own left coefficient and a diagonal factor multiplied by ONE,
-    # 148,648 now (cold caches); and no diagonal factor reaches _row_moves
+    # 148,648 when every scaled side was scaled whole and a unit right
+    # coefficient was multiplied in, 89,334 now (cold caches); and no
+    # diagonal factor reaches _row_moves
     from vtschur import cli
 
     real_mul, real_moves = laurent.VTPoly.__mul__, schur._row_moves
@@ -305,7 +318,7 @@ def test_window_products_pay_per_term_costs_once(monkeypatch):
     monkeypatch.setattr(schur, "_row_moves", moves)
     cfg = {"n": 3, "d": 2, "m": 1, "primes": (3,), "window": 4, "spec": (2, 3)}
     cli.run_suite("stab", cfg)
-    assert 0 < calls[0] <= 180_000
+    assert 0 < calls[0] <= 90_000
     assert kinds == {"E", "F"}
     # a unit diagonal factor passes the right coefficients through: it keeps
     # the terms whose row sums lie in the window, with no product at all
@@ -315,3 +328,95 @@ def test_window_products_pay_per_term_costs_once(monkeypatch):
     kept = stab.stab_mul(one, x)
     assert calls[0] == 0
     assert kept == {A: c for A, c in x.items() if max(map(abs, ro(A))) <= 4}
+
+
+def test_window_right_factors_are_grouped_once(monkeypatch):
+    # each window factor groups its terms by row sums once per suite, on its
+    # first product as a right factor: 26,172 ro calls in schur in one n=3,
+    # W=4 stab suite (82,305 when every product grouped its right factor)
+    from vtschur import cli
+
+    real, calls = schur.ro, [0]
+
+    def counted(A):
+        calls[0] += 1
+        return real(A)
+
+    monkeypatch.setattr(schur, "ro", counted)
+    cfg = {"n": 3, "d": 2, "m": 1, "primes": (3,), "window": 4, "spec": (2, 3)}
+    assert cli.run_suite("stab", cfg).passed
+    assert 0 < calls[0] <= 26_172
+
+
+def _window_factors(rng, n, win):
+    """Window elements with Chevalley-shaped support: the unit-weighted E and
+    F limits, weighted diagonals, and both scaled by a random polynomial."""
+    jvec = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(2)]
+    out = [stab.e_limit(h, win, n) for h in range(1, n)] + [stab.f_limit(h, win, n) for h in range(1, n)]
+    out += [stab.diagonal_weight(jv, win, n) for jv in jvec]
+    out += [stab.completion_element(mat_unit(n, 1, 2), jvec[0], win),
+            stab.completion_element(mat_unit(n, 2, 1), jvec[1], win)]
+    poly = mono(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((-2, 3))) + ONE
+    out += [laurent.elt_scale(out[0], poly), laurent.elt_scale(out[-1], poly)]
+    return out
+
+
+@pytest.mark.parametrize("n,W", [(2, 3), (3, 2)])
+def test_window_factor_steps_match_per_term_reference(n, W, monkeypatch):
+    # products of unit and non-unit weighted window factors, and nested
+    # products, equal the per-term reference; each factor builds the
+    # chev_mul step of a side once, and only for the sides it is used on
+    rng = random.Random(31 * n + W)
+    win = stab.WeightWindow(W, 1)
+    plain = _window_factors(rng, n, win)
+    factors = [stab._Factor(x) for x in plain]
+    built = []
+
+    def counting(step):
+        real = getattr(schur, step)
+
+        def wrapped(x):
+            built.append((step, id(x)))
+            return real(x)
+        return wrapped
+
+    for step in ("chev_left", "chev_right"):
+        monkeypatch.setattr(schur, step, counting(step))
+    pairs = rng.sample(list(itertools.product(range(len(plain)), repeat=2)), 24)
+    for i, j in pairs + pairs[:8]:
+        got = stab.stab_mul(factors[i], factors[j])
+        assert got == chev_mul_per_term(plain[i], plain[j], stab=True), (i, j)
+    want = {("chev_left", id(factors[i])) for i, _ in pairs} | {("chev_right", id(factors[j])) for _, j in pairs}
+    assert sorted(built) == sorted(want)
+    for f in factors:
+        assert ("left" in vars(f), "right" in vars(f)) == (("chev_left", id(f)) in want, ("chev_right", id(f)) in want)
+    X, Y = factors[0], factors[2]
+    assert stab.stab_mul(X, stab.stab_mul(Y, X)) == \
+        chev_mul_per_term(plain[0], chev_mul_per_term(plain[2], plain[0], True), True)
+
+
+@st.composite
+def small_windows(draw):
+    """A window factor at n = 2, W = 3 (a Chevalley or diagonal pattern, a
+    weight vector and a scale) and a random right element on the window."""
+    win = stab.WeightWindow(3, draw(st.integers(0, 2)))
+    A0 = draw(st.sampled_from([zero(2), mat_unit(2, 1, 2), mat_unit(2, 2, 1), mat([[0, 2], [0, 0]])]))
+    jvec = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    scale = draw(st.sampled_from([ONE, laurent.T, mono(1, -1, 2) + ONE]))
+    x = laurent.elt_scale(stab.completion_element(A0, jvec, win), scale)
+    keys = [mat_add(off, diag(lam)) for off in (zero(2), mat_unit(2, 1, 2), mat_unit(2, 2, 1))
+            for lam in win.lambdas(2)]
+    coefs = st.sampled_from([ONE, -ONE, mono(1, 0), mono(-1, 2, 3), mono(0, 1) + ONE])
+    y = draw(st.dictionaries(st.sampled_from(keys), coefs, min_size=1, max_size=12))
+    return x, y
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_windows())
+def test_window_factor_products_property(case):
+    x, y = case
+    X, Y = stab._Factor(x), stab._Factor(y)
+    want = chev_mul_per_term(x, y, stab=True)
+    for _ in range(2):  # the second product reads both kept steps
+        assert stab.stab_mul(X, Y) == want
+    assert stab.stab_mul(Y, X) == chev_mul_per_term(y, x, stab=True)
