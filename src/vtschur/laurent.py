@@ -98,9 +98,16 @@ class VTPoly:
             p = VTPoly.__new__(VTPoly)
             p.c = {k: x * other for k, x in self.c.items()}
             return p
+        # 1 is never multiplied in (_UNIT): the other factor is returned
+        # itself, which is safe because no VTPoly is ever mutated
+        sc, oc = self.c, other.c
+        if sc == _UNIT and type(sc[(0, 0)]) is int:
+            return other
+        if oc == _UNIT and type(oc[(0, 0)]) is int:
+            return self
         out = {}
-        for (a1, b1), x1 in self.c.items():
-            for (a2, b2), x2 in other.c.items():
+        for (a1, b1), x1 in sc.items():
+            for (a2, b2), x2 in oc.items():
                 k = (a1 + a2, b1 + b2)
                 s = out.get(k, 0) + x1 * x2
                 if s:
@@ -152,6 +159,9 @@ class VTPoly:
 
 ZERO = VTPoly()
 ONE = VTPoly.const(1)
+# the terms of 1; a product skips a factor with exactly these terms and an
+# int coefficient (a Fraction(1) turns the other factor's ints into Fractions)
+_UNIT = ONE.c
 V = VTPoly.mono(1, 0)
 T = VTPoly.mono(0, 1)
 VINV = VTPoly.mono(-1, 0)
@@ -173,9 +183,11 @@ def clean(x):
 
 
 def elt_add_into(out, x, c=None):
-    """Add c * x (x itself when c is None) into out, in place, dropping the
-    keys whose sum cancels; returns out.  out must be the caller's own dict:
-    the values it gains may be x's (shared) polynomials."""
+    """Add c * x (x itself when c is None or 1) into out, in place, dropping
+    the keys whose sum cancels; returns out.  out must be the caller's own
+    dict: the values it gains may be x's (shared) polynomials."""
+    if type(c) is VTPoly and c.c == _UNIT and type(c.c[(0, 0)]) is int:
+        c = None
     for k, y in x.items():
         if c is not None:
             y = y * c
@@ -191,6 +203,14 @@ def elt_add_into(out, x, c=None):
 
 def elt_add(x, y):
     return elt_add_into(dict(x), y)
+
+
+def elt_combo(*terms):
+    """The sum of c x over the (x, c) pairs, through one add-into each."""
+    out = {}
+    for x, c in terms:
+        elt_add_into(out, x, c)
+    return out
 
 
 def elt_scale(x, poly):

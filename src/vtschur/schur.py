@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import laurent, tensor
-from .laurent import clean, elt_add, elt_scale, mono
+from .laurent import clean, elt_add, elt_add_into, elt_combo, elt_scale, mono
 from .matrices import (
     add as mat_add, co, compositions, diag, diag_of, dminusr, ro,
     theta_matrices, unit as mat_unit,
@@ -22,8 +22,15 @@ from .uvt import A as Ap, B as Bp, E, F, pairing
 
 # -- element plumbing ---------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _diagonals(n, d):
+    """The diagonal matrices diag(lam) over compositions(n, d)."""
+    return tuple(diag(lam) for lam in compositions(n, d))
+
+
 def unit(n, d):
-    return {diag(lam): laurent.ONE for lam in compositions(n, d)}
+    """The unit: a fresh dict, so a caller may add into it."""
+    return dict.fromkeys(_diagonals(n, d), laurent.ONE)
 
 
 # -- Chevalley shapes ----------------------------------------------------------
@@ -264,9 +271,7 @@ def verify_relations(n, d):
 
     def serre(X, Y, a, c):
         """Is a XXY - (vt + v^{-1}t) XYX + c YXX zero?"""
-        lhs = elt_add(elt_add(elt_scale(w(X, X, Y), a), elt_scale(w(X, Y, X), -vt_mid)),
-                      elt_scale(w(Y, X, X), c))
-        return lhs == {}
+        return elt_combo((w(X, X, Y), a), (w(X, Y, X), -vt_mid), (w(Y, X, X), c)) == {}
 
     one = unit(n, d)
     # R1: Cartan family commutes; inverses compose to the unit
@@ -302,7 +307,7 @@ def verify_relations(n, d):
     # R3
     for i in range(1, n):
         for j in range(1, n):
-            comm = elt_add(w(E(i), F(j)), elt_scale(w(F(j), E(i)), -laurent.ONE))
+            comm = elt_combo((w(E(i), F(j)), laurent.ONE), (w(F(j), E(i)), -laurent.ONE))
             rhs = cartan_elt(i, n, d) if i == j else {}
             checks.append(("R3 i=%d j=%d" % (i, j), comm == rhs))
     # R4 two-parameter Serre (adjacent) and commutation (distant)
@@ -326,11 +331,11 @@ def verify_relations(n, d):
     for j in range(1, n + 1):
         acc = one
         for l in range(d + 1):
-            acc = elt_add(mul_gen(Ap(j), acc, n, d), elt_scale(acc, -mono(l, l)))
+            acc = elt_add_into(mul_gen(Ap(j), acc, n, d), acc, -mono(l, l))
         checks.append(("R6 A_%d" % j, acc == {}))
         accB = one
         for l in range(d + 1):
-            accB = elt_add(mul_gen(Bp(j), accB, n, d), elt_scale(accB, -mono(-l, l)))
+            accB = elt_add_into(mul_gen(Bp(j), accB, n, d), accB, -mono(-l, l))
         checks.append(("R6 B_%d" % j, accB == {}))
     # R7 nilpotency
     for i in range(1, n):

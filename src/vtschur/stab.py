@@ -26,7 +26,7 @@ from functools import cached_property
 from operator import mul
 
 from . import laurent, linalg, schur
-from .laurent import ONE, VTPoly, elt_add_into, elt_scale, mono
+from .laurent import ONE, VTPoly, elt_combo, elt_scale, mono
 from .matrices import add as mat_add, co, diag, diag_of, is_stab, ro, unit as mat_unit, zero
 from .uvt import _ev, pairing
 
@@ -149,11 +149,17 @@ class _WindowChecks:
         self.witnesses = witnesses
         self.checks = []
         self.skipped = 0  # boundary matrices excluded from the comparisons
+        # the largest |diagonal entry| of each compared matrix, taken once per
+        # matrix: M is inside a margin exactly when it is at most W - margin
+        self.reach = {}
 
     def cmp(self, name, lhs, rhs, nfactors, lhs_scale=None, rhs_scale=None):
         win = WeightWindow(self.window.W, max(self.window.margin, nfactors - 1))
         keys = lhs.keys() | rhs.keys()
-        inner = set(filter(win.interior, keys))
+        reach, hi = self.reach, win.W - win.margin
+        for M in keys - reach.keys():
+            reach[M] = max(abs(M[i][i]) for i in range(len(M)))
+        inner = {M for M in keys if reach[M] <= hi}
         self.skipped += len(keys) - len(inner)
         lhs, rhs = ({M: c if s is None else c * s for M, c in x.items() if M in inner}
                     for x, s in ((lhs, lhs_scale), (rhs, rhs_scale)))
@@ -165,18 +171,10 @@ class _WindowChecks:
             self.witnesses[name] = {"matrix": [list(row) for row in M], "lhs": a, "rhs": b}
 
 
-def _combo(*terms):
-    """The sum of c x over the (x, c) pairs; a unit c adds x unmultiplied."""
-    out = {}
-    for x, c in terms:
-        elt_add_into(out, x, None if c.c == ONE.c else c)
-    return out
-
-
 def _serre(X, Y, a, b, c):
     """a XXY - b XYX + c YXX, each product nested from the right."""
-    return _combo((stab_mul(X, stab_mul(X, Y)), a), (stab_mul(X, stab_mul(Y, X)), -b),
-                  (stab_mul(Y, stab_mul(X, X)), c))
+    return elt_combo((stab_mul(X, stab_mul(X, Y)), a), (stab_mul(X, stab_mul(Y, X)), -b),
+                     (stab_mul(Y, stab_mul(X, X)), c))
 
 
 VT_MID = mono(1, 1) + mono(-1, 1)
@@ -209,11 +207,11 @@ def limit_relation_suite(n, window, witnesses=None):
             suite.cmp("weight past F_%d %r" % (h, jv),
                       stab_mul(Z[jv], F[h]), stab_mul(F[h], Z[jv]), 2, rhs_scale=wt)
         # t (E F - F E) (v - v^{-1}) = 0(e_h - e_{h+1}) - 0(e_{h+1} - e_h)
-        comm = _combo((stab_mul(E[h], F[h]), ONE), (stab_mul(F[h], E[h]), -ONE))
+        comm = elt_combo((stab_mul(E[h], F[h]), ONE), (stab_mul(F[h], E[h]), -ONE))
         jplus = tuple(a - b for a, b in zip(_ev(n, h), _ev(n, h + 1)))
         jminus = tuple(-x for x in jplus)
-        rhs = _combo((diagonal_weight(jplus, window, n), ONE),
-                     (diagonal_weight(jminus, window, n), -ONE))
+        rhs = elt_combo((diagonal_weight(jplus, window, n), ONE),
+                        (diagonal_weight(jminus, window, n), -ONE))
         suite.cmp("cartan commutator h=%d" % h, comm, rhs, 2,
                   lhs_scale=laurent.T * (mono(1, 0) - mono(-1, 0)))
     vt_mid_inv = mono(1, -1) + mono(-1, -1)
@@ -250,10 +248,10 @@ def generator_transport_suite(n, window, witnesses=None):
                       stab_mul(B[i], E[j]), stab_mul(E[j], B[i]), 2, rhs_scale=mono(-br, br))
     for i in range(1, n):
         for j in range(1, n):
-            comm = _combo((stab_mul(E[i], F[j]), ONE), (stab_mul(F[j], E[i]), -ONE))
+            comm = elt_combo((stab_mul(E[i], F[j]), ONE), (stab_mul(F[j], E[i]), -ONE))
             rhs = {}
             if i == j:
-                rhs = _combo((stab_mul(A[i], B[i + 1]), ONE), (stab_mul(B[i], A[i + 1]), -ONE))
+                rhs = elt_combo((stab_mul(A[i], B[i + 1]), ONE), (stab_mul(B[i], A[i + 1]), -ONE))
             suite.cmp("R3 transport %d,%d" % (i, j), comm, rhs, 2, lhs_scale=mono(1, 0) - mono(-1, 0))
     for i in range(1, n - 1):
         suite.cmp("R4 transport i=%d" % i, _serre(E[i], E[i + 1], ONE, VT_MID, mono(0, 2)), {}, 3)

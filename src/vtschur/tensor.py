@@ -45,6 +45,7 @@ def gens(n):
     return out
 
 
+@lru_cache(maxsize=1024)
 def cartan_weight(sym, k):
     """The scalar by which A_a^s or B_a^s acts where k entries equal a:
     v^{sk} t^{sk} for A, v^{-sk} t^{sk} for B."""

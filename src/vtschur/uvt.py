@@ -307,7 +307,8 @@ def hopf_checks(n, d, printed_antipode=False):
 
     Counit and antipode run as operator identities on V^{tensor d};
     coassociativity compares the two leg-triple expansions on every split
-    d1 + d2 + d3 = d.
+    d1 + d2 + d3 = d.  The two expansions share most of their leg triples,
+    so each distinct triple's operator is built once per split.
     """
     results = []
     for g in tensor.gens(n):
@@ -315,13 +316,22 @@ def hopf_checks(n, d, printed_antipode=False):
         for d1 in range(d + 1):
             for d2 in range(d - d1 + 1):
                 split = (d1, d2, d - d1 - d2)
+                built = {}
+
+                def leg_op(*words):
+                    key = tuple(map(tuple, words))
+                    op = built.get(key)
+                    if op is None:
+                        op = built[key] = tensor.tensor_word_op(key, n, split)
+                    return op
+
                 left = {}
                 right = {}
                 for l, r in legs:
                     for l1, l2 in tensor.coproduct_word(l):
-                        tensor.op_add_into(left, tensor.tensor_word_op((l1, l2, r), n, split))
+                        tensor.op_add_into(left, leg_op(l1, l2, r))
                     for r1, r2 in tensor.coproduct_word(r):
-                        tensor.op_add_into(right, tensor.tensor_word_op((l, r1, r2), n, split))
+                        tensor.op_add_into(right, leg_op(l, r1, r2))
                 results.append(("coassoc %r %d+%d+%d" % ((g,) + split), tensor.op_eq(left, right)))
         # (eps x id) Delta(g) = g = (id x eps) Delta(g), and
         # m(S x id) Delta(g) = eps(g) 1 = m(id x S) Delta(g)

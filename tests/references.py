@@ -29,6 +29,16 @@ def classify_pairs(left_flags, right_flags, p):
     return types
 
 
+def poly_mul(p, q):
+    """The product of two VTPolys by the plain double loop over their terms."""
+    out = {}
+    for (a1, b1), x1 in p.c.items():
+        for (a2, b2), x2 in q.c.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + x1 * x2
+    return laurent.VTPoly(out)
+
+
 def interior_part(x, window):
     """The terms of x on matrices inside the window's margin."""
     return {M: c for M, c in x.items() if window.interior(M)}

@@ -7,11 +7,11 @@ from fractions import Fraction
 
 from vtschur.galois import sigma_poly
 from vtschur.laurent import (
-    ONE, ZERO, InexactDivision, RSPoly, VTPoly, bar, exact_div, from_json, mono, to_json,
-    to_rs,
+    ONE, ZERO, InexactDivision, RSPoly, VTPoly, bar, elt_add_into, exact_div, from_json, mono,
+    to_json, to_rs,
 )
 
-from references import rs_to_vt
+from references import poly_mul, rs_to_vt
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -31,6 +31,28 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + ZERO == p and p * ONE == p and p * ZERO == ZERO
     assert p - p == ZERO and -(-p) == p
+
+
+# factors for the unit rule of VTPoly.__mul__: 1 itself (and a Fraction 1,
+# which the rule must not skip), monomials and zero besides general polynomials
+factors = st.sampled_from([ONE, VTPoly.const(Fraction(1)), ZERO]) | st.builds(
+    mono, st.integers(-3, 3), st.integers(-3, 3), coeffs.filter(bool)) | polys
+
+
+@PROPS
+@given(factors, factors)
+def test_product_matches_reference_and_skips_unit(p, q):
+    prod, ref = p * q, poly_mul(p, q)
+    # equal terms with equal coefficient types: a Fraction(1) is multiplied in
+    assert prod.terms() == ref.terms()
+    assert [type(x) for _, x in prod.terms()] == [type(x) for _, x in ref.terms()]
+    assert p * ONE is p and ONE * p is p
+
+
+@PROPS
+@given(st.dictionaries(st.integers(0, 3), factors), st.dictionaries(st.integers(0, 3), factors))
+def test_add_into_by_unit_adds_unmultiplied(out, x):
+    assert elt_add_into(dict(out), x, ONE) == elt_add_into(dict(out), x)
 
 
 @PROPS

@@ -614,6 +614,25 @@ def test_peel_order_built_once_per_size(monkeypatch):
     assert calls == {(3, 2): 1, (3, 3): 1}
 
 
+def test_unit_elements_built_once(monkeypatch):
+    # expand_word starts every word from unit(n, d); its diagonal matrices
+    # are built once per (n, d), so only their first build and cartan_elt
+    # make diagonals (5,422 diag calls when each unit was rebuilt)
+    sc._diagonals.cache_clear()
+    calls = collections.Counter()
+    make_diag = sc.diag
+
+    def counted(vec):
+        calls["diag"] += 1
+        return make_diag(vec)
+
+    monkeypatch.setattr(sc, "diag", counted)
+    checks = sc.verify_relations(4, 3)
+    assert all(ok for name, ok in checks if not name.startswith("expect-fail"))
+    assert calls["diag"] <= 62
+    assert sc.unit(4, 3) is not sc.unit(4, 3)  # a fresh dict each call
+
+
 @pytest.mark.parametrize("P", [{(1, 2): {(2, 1): ONE}}, {(1, 2): {(1, 2): ONE}}])
 def test_op_to_elt_rejects_operator_outside_image(P):
     # single matrix units lie outside the image of the algebra

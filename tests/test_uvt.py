@@ -1,6 +1,6 @@
 import pytest
 
-from vtschur import laurent, uvt
+from vtschur import laurent, tensor, uvt
 from vtschur.laurent import ONE, mono
 
 
@@ -102,6 +102,37 @@ def test_hopf_printed_antipode_fails():
     # everything else still passes
     others = [ok for name, ok in res if "antipode" not in name]
     assert all(others)
+
+
+def test_hopf_leg_operators_built_once(monkeypatch):
+    # the two coassociativity expansions share leg triples: 340 distinct
+    # triples over the splits of hopf_checks(4, 3), out of 680 expanded
+    calls = []
+    build = tensor.tensor_word_op
+
+    def counted(words, n, degrees):
+        calls.append((words, degrees))
+        return build(words, n, degrees)
+
+    monkeypatch.setattr(tensor, "tensor_word_op", counted)
+    assert all(ok for _, ok in uvt.hopf_checks(4, 3))
+    assert len(calls) == 340
+    assert len(set(calls)) == 340
+
+
+def test_hopf_planted_leg_breaks_coassociativity(monkeypatch):
+    # an extra E x 1 leg for E_1 at n = 2, d = 2 breaks coassociativity on
+    # three splits, and the counit and antipode sides of E_1
+    legs = tensor.coproduct_legs
+
+    def planted(sym):
+        extra = [([sym], [])] if sym[0] == "E" else []
+        return legs(sym) + extra
+
+    monkeypatch.setattr(tensor, "coproduct_legs", planted)
+    fails = [name for name, ok in uvt.hopf_checks(2, 2) if not ok]
+    assert fails == ["coassoc ('E', 1) 1+0+1", "coassoc ('E', 1) 1+1+0", "coassoc ('E', 1) 2+0+0",
+                     "counit-right ('E', 1)", "antipode-left ('E', 1)", "antipode-right ('E', 1)"]
 
 
 def test_unbalanced_factorial_breaks_serre():
