@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from . import flags, galois, hecke, jparity, laurent, schur, stab, tensor, uvt
+from . import flags, galois, hecke, jparity, laurent, linalg, schur, stab, tensor, uvt
 from .report import Report
 
 SUITES = (
@@ -45,7 +45,10 @@ def check_request(suite, cfg):
             for p in cfg["primes"]:
                 flags.check_prime(p)
         if suite == "duality":
-            tensor.check_point(*cfg["spec"])
+            point = tensor.check_point(*cfg["spec"])
+            if not tensor.cert_points(*point):
+                raise ValueError("(v0, t0) = (%s, %s) is not a pair of units mod any "
+                                 "certification prime of %s" % (*point, linalg.CERT_PRIMES))
     except ValueError as exc:
         raise BadRequest(str(exc)) from None
     top = {"jparity-tilde": n - 1, "jparity-hat": n - 2}.get(suite)
@@ -69,13 +72,19 @@ def run_suite(suite, cfg):
         rep.extend(tensor.commute_check(n, d, large))
         v0, t0s = cfg["spec"]
         if n >= d:
+            cert = tensor.certificate(n, d, v0, t0s)
             hdim = tensor.centralizer_dim("hecke", n, d, v0, t0s)
             expect = math.comb(n * n + d - 1, d)
             rep.add("flag-side commutant dimension %d" % hdim, hdim == expect)
+            rep.note("lower %d (span of generator words), upper %d (modular nullity), p=%d"
+                     % (*cert.hecke, cert.prime))
             udim = tensor.centralizer_dim("uvt", n, d, v0, t0s)
             rep.add("hecke-side commutant dimension %d" % udim, udim == math.factorial(d))
+            rep.note("lower %d (span of Hecke words), upper %d (modular nullity), p=%d"
+                     % (*cert.uvt, cert.prime))
             rank = tensor.surjectivity_rank(n, d, v0, t0s)
             rep.add("generator-word image rank %d" % rank, rank == expect)
+            rep.note("word closure: %d rounds" % cert.rounds)
     elif suite == "uvt":
         rep.extend(uvt.verify_all(n, d, star=False))
         rep.extend(uvt.t1_specialization_check(n))

@@ -2,8 +2,9 @@
 
 Checks whose name starts with 'expect-fail' invert their polarity: they
 document printed formulas that the model refutes, so the suite passes when
-they fail.  JSON output carries no timing (identical configurations must
-serialize byte-identically); the text rendering shows it.
+they fail.  JSON output carries no timing and no notes (identical
+configurations must serialize byte-identically); the text rendering shows
+both.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ class Report:
     config: dict
     checks: list = field(default_factory=list)
     elapsed: float = 0.0
+    notes: dict = field(default_factory=dict)  # check index -> text lines under it
 
     def add(self, name, ok, witness=None):
         self.checks.append((str(name), bool(ok), witness))
+
+    def note(self, text):
+        """A line of detail under the last check, in the text rendering only."""
+        self.notes.setdefault(len(self.checks) - 1, []).append(text)
 
     def extend(self, pairs, witnesses=None):
         """Add (name, ok) pairs, each with its witness in `witnesses`, if any."""
@@ -67,11 +73,12 @@ class Report:
 
     def to_text(self):
         lines = ["suite %s: %s (%.2fs)" % (self.suite, "PASS" if self.passed else "FAIL", self.elapsed)]
-        for name, ok, witness in self.checks:
+        for i, (name, ok, witness) in enumerate(self.checks):
             status = self.status(name, ok)
             lines.append("  [%s] %s" % (_TEXT_STATUS[status], name))
             if witness is not None and status == "fail":
                 lines.append("        witness: %s" % (witness,))
+            lines += ["        %s" % text for text in self.notes.get(i, ())]
         return "\n".join(lines) + "\n"
 
 

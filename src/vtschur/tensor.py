@@ -14,9 +14,9 @@ cached generator operators (op_sym, op_T) are shared, and so is the
 operator of a one-symbol word (op_word returns op_sym's own).
 
 The double-centralizer checks share one certificate per (n, d, v0, t0)
-(_certificate): modular nullities ranked by connected component meet the
-ranks of word span closures, at the first certification prime at which v0
-and t0 are units.
+(_certificate): modular nullities of the constraint systems meet the ranks
+of word span closures, at the first certification prime at which v0 and t0
+are units.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import NamedTuple
 
 from . import laurent, linalg
 from .laurent import elt_add_into, mono
@@ -198,27 +197,50 @@ def _residue(x, p):
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
+def cert_points(v0, t0):
+    """(p, v0 mod p, t0 mod p) for each prime of linalg.CERT_PRIMES at which
+    v0 and t0 are units."""
+    out = []
+    for p in linalg.CERT_PRIMES:
+        try:
+            v, t = _residue(v0, p), _residue(t0, p)
+            pow(v * t, -1, p)
+        except ValueError:  # v0 or t0 is not a unit mod p
+            continue
+        out.append((p, v, t))
+    return out
+
+
 def _op_mod(P, idx, v, t, p):
-    """Dense float64 residue matrix of an operator at v, t in F_p (rows/cols by idx)."""
-    M = np.zeros((len(idx), len(idx)))
+    """An operator at v, t in F_p, as its columns: {row: residue} dicts in the order of idx."""
+    cols = [{} for _ in idx]
     for r, col in P.items():
-        j = idx[r]
+        out = cols[idx[r]]
         for s, c in col.items():
-            M[idx[s], j] = sum(_residue(x, p) * pow(v, a, p) * pow(t, b, p)
-                               for (a, b), x in c.c.items()) % p
-    return M
+            val = sum(_residue(x, p) * pow(v, a, p) * pow(t, b, p) for (a, b), x in c.c.items()) % p
+            if val:
+                out[idx[s]] = val
+    return cols
+
+
+class Certificate(NamedTuple):
+    """Certified commutant dimensions: (lower, upper) bounds of each side,
+    equal, at the prime that certified them, and the rounds of the word
+    closure."""
+    prime: int
+    hecke: tuple
+    uvt: tuple
+    rounds: int
 
 
 @lru_cache(maxsize=4)
 def _certificate(n, d, v0, t0):
-    """Certified (dim of the commutant of the Hecke action, dim of the
-    commutant of the quantum action, rounds of the word closure).
+    """The Certificate of the two commutants at (v0, t0).
 
-    For each prime of linalg.CERT_PRIMES at which v0 and t0 are units, the
-    operators are evaluated mod p and both commutants are sandwiched:
+    For each prime of cert_points(v0, t0), the operators are evaluated mod p
+    and both commutants are sandwiched:
 
-    * upper bounds: modular nullities of the two constraint systems, ranked
-      by connected component;
+    * upper bounds: modular nullities of the two constraint systems;
     * lower bound of the Hecke action's commutant: the span of generator
       words, closed from the identity until it reaches the upper bound.  The
       words commute with the Hecke action, so this closure also certifies
@@ -232,30 +254,26 @@ def _certificate(n, d, v0, t0):
     seqs = all_seqs(n, d)
     idx = {r: i for i, r in enumerate(seqs)}
     N = len(seqs)
-    ident = np.eye(N)
-    # words are homogeneous for the weight shift wt(row) - wt(column)
-    wts = [tuple(r.count(a) for a in range(1, n + 1)) for r in seqs]
-    shifts = {}
-    grade = np.array([shifts.setdefault(tuple(x - y for x, y in zip(wr, wc)), len(shifts))
-                      for wr in wts for wc in wts])
+    ident = {i * N + i: 1 for i in range(N)}
     bounds = "no prime of %s is usable at (v0, t0) = (%s, %s)" % (linalg.CERT_PRIMES, v0, t0)
-    for p in linalg.CERT_PRIMES:
-        try:
-            v, t = _residue(v0, p), _residue(t0, p)
-            pow(v * t, -1, p)
-        except ValueError:  # v0 or t0 is not a unit mod p
-            continue
+    for p, v, t in cert_points(v0, t0):
         u_ops = [_op_mod(op_sym(g, n, d), idx, v, t, p) for g in gens(n)]
         t_ops = [_op_mod(op_T(j, n, d), idx, v, t, p) for j in range(1, d)]
         h_upper = linalg.commutant_upper(t_ops, N, p)
         u_upper = linalg.commutant_upper(u_ops, N, p)
-        h_lower, rounds = linalg.mod_span_closure([ident], u_ops, p, grade, stop=h_upper)
-        u_lower, _ = linalg.mod_span_closure([ident], t_ops, p, grade, stop=u_upper)
+        h_lower, rounds = linalg.mod_span_closure([ident], u_ops, p, stop=h_upper)
+        u_lower, _ = linalg.mod_span_closure([ident], t_ops, p, stop=u_upper)
         if (h_lower, u_lower) == (h_upper, u_upper):
-            return h_upper, u_upper, rounds
+            return Certificate(p, (h_lower, h_upper), (u_lower, u_upper), rounds)
         bounds = ("commutant bounds disagree at p=%d: %d..%d for the Hecke action, "
                   "%d..%d for the quantum action" % (p, h_lower, h_upper, u_lower, u_upper))
     raise ArithmeticError(bounds)
+
+
+def certificate(n, d, v0=2, t0=3):
+    """The shared Certificate of both commutants at (v0, t0) (see _certificate);
+    degenerate specializations are rejected."""
+    return _certificate(n, d, *check_point(v0, t0))
 
 
 def centralizer_dim(side, n, d, v0=2, t0=3):
@@ -270,8 +288,8 @@ def centralizer_dim(side, n, d, v0=2, t0=3):
     """
     if side not in ("hecke", "uvt"):
         raise ValueError("side must be 'hecke' or 'uvt'")
-    hdim, udim, _ = _certificate(n, d, *check_point(v0, t0))
-    return hdim if side == "hecke" else udim
+    cert = certificate(n, d, v0, t0)
+    return (cert.hecke if side == "hecke" else cert.uvt)[1]
 
 
 def surjectivity_rank(n, d, v0=2, t0=3):
@@ -282,10 +300,10 @@ def surjectivity_rank(n, d, v0=2, t0=3):
     certificate, which meets the Hecke-commutant dimension (an upper bound,
     since the image commutes with the Hecke action).
     """
-    hdim, _, rounds = _certificate(n, d, *check_point(v0, t0))
-    if rounds > 8 * d:
+    cert = certificate(n, d, v0, t0)
+    if cert.rounds > 8 * d:
         raise ArithmeticError("word-image span did not stabilize below the cap")
-    return hdim
+    return cert.hecke[0]
 
 
 # -- coproduct ------------------------------------------------------------------

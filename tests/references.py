@@ -12,6 +12,35 @@ def frac_rank(rows):
     return acc.rank
 
 
+def mod_rank(rows, p):
+    """Rank mod p of dense integer rows, by Gaussian elimination in column order."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        piv = m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            if f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], piv)]
+        rank += 1
+    return rank
+
+
+def dense(rows, ncols):
+    """Sparse {column: value} rows as dense lists of ncols entries."""
+    out = []
+    for row in rows:
+        out.append([0] * ncols)
+        for c, x in row.items():
+            out[-1][c] += x
+    return out
+
+
 def rs_to_vt(rp):
     """Substitute r = vt, s = v^{-1}t back into an RSPoly (inverse of laurent.to_rs)."""
     return laurent.VTPoly({(x - y, x + y): c for (x, y), c in rp.c.items()})

@@ -162,6 +162,29 @@ def test_bad_request_exit_2(args):
     assert "bad request" in err
 
 
+@pytest.mark.parametrize("spec", ["4000064000087,3", "1/4000064000087,3"])
+def test_spec_without_a_certification_prime_exit_2(spec):
+    # 4000064000087 = 2000003 * 2000029: v0 is no unit mod either certification prime
+    code, out, err = run_cli(["verify", "duality", "--spec", spec])
+    assert code == 2 and not out
+    assert "bad request" in err and "(2000003, 2000029)" in err
+
+
+def test_duality_text_report_shows_the_certificate():
+    cfg = {"n": 3, "d": 2, "m": 1, "primes": (3, 5, 7), "window": 4, "spec": (2, 3)}
+    rep = cli.run_suite("duality", cfg)
+    lines = rep.to_text().splitlines()
+    at = lines.index("  [ok] flag-side commutant dimension 45")
+    assert lines[at + 1:at + 6] == [
+        "        lower 45 (span of generator words), upper 45 (modular nullity), p=2000003",
+        "  [ok] hecke-side commutant dimension 2",
+        "        lower 2 (span of Hecke words), upper 2 (modular nullity), p=2000003",
+        "  [ok] generator-word image rank 45",
+        "        word closure: 4 rounds",
+    ]
+    assert "nullity" not in rep.to_json()
+
+
 @pytest.mark.parametrize("algebra,doc", [
     ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": 2,
                "terms": [{"matrix": [[1, 1], [1, 0]], "poly": [[0, 0, 1, 1]]}]}),

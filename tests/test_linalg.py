@@ -3,13 +3,11 @@
 import random
 from fractions import Fraction
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtschur import linalg
 
-from references import frac_rank
+from references import dense, frac_rank, mod_rank
 
 P0 = linalg.CERT_PRIMES[0]
 PROPS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -17,87 +15,77 @@ PROPS = settings(max_examples=40, deadline=None, derandomize=True)
 
 @st.composite
 def block_systems(draw):
-    """A sparse integer system whose unknowns split into a few blocks.
+    """A sparse integer system whose unknowns split into blocks of 1 to 5.
 
-    Each block is a small random matrix on its own columns; rows of all
-    blocks are shuffled together, and some rows are single entries.
+    Each block is a small random matrix on its own columns, which interleave
+    with those of the other blocks; rows of all blocks are shuffled together,
+    and some rows are single entries.  Entries lie in [-3, 3], so every minor
+    of a block is below (3 sqrt 5)^5 < 14,000 in absolute value: the rank
+    mod P0 is the rank over Q.
     """
     p = draw(st.sampled_from((7, P0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     ncols = draw(st.integers(1, 30))
-    blocks = rng.integers(0, draw(st.integers(1, 6)), size=ncols)
-    entries = []
-    nrows = 0
-    for b in np.unique(blocks):
-        cols = np.flatnonzero(blocks == b)
-        for _ in range(int(rng.integers(1, 2 * cols.size + 2))):
-            support = cols[rng.random(cols.size) < draw(st.sampled_from((0.2, 0.6, 1.0)))]
-            if support.size == 0:
-                support = cols[:1]
-            vals = rng.integers(-3, 4, size=support.size) % p
-            entries += [(nrows, int(c), float(x)) for c, x in zip(support, vals) if x]
-            nrows += 1
-    rng.shuffle(entries)
-    rows, cols, vals = (np.array(x) for x in zip(*entries)) if entries else (np.zeros(0, int),) * 3
-    return p, nrows, ncols, rows.astype(np.int64), cols.astype(np.int64), vals.astype(np.float64)
+    density = draw(st.sampled_from((0.2, 0.6, 1.0)))
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    rows = []
+    while cols:
+        size = rng.randint(1, 5)
+        block, cols = cols[:size], cols[size:]
+        for _ in range(rng.randint(1, 2 * size + 2)):
+            support = [c for c in block if rng.random() < density] or block[:1]
+            rows.append({c: rng.randint(-3, 3) for c in support})
+        if rng.random() < 0.5:
+            rows.append({rng.choice(block): rng.randint(1, 3)})
+    rng.shuffle(rows)
+    return p, ncols, rows
 
 
 @PROPS
 @given(block_systems())
 def test_component_rank_equals_dense_rank(system):
-    p, nrows, ncols, rows, cols, vals = system
-    dense = np.zeros((nrows, ncols))
-    np.add.at(dense, (rows, cols), vals)
-    assert linalg.component_rank(rows, cols, vals, ncols, p) == linalg.modular_rank(dense, ncols, p)
-
-
-@PROPS
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((-1, 0, 1, 2)), st.sampled_from((1, 2)),
-       st.sampled_from(linalg.CERT_PRIMES))
-def test_float_mul_mod_equals_int64(seed, offset, chunks, p):
-    """At and around the chunk boundary of the inner dimension, with maximal entries."""
-    rng = np.random.default_rng(seed)
-    k = chunks * linalg.exact_inner(p) + offset
-    a = rng.integers(0, p, size=(3, k))
-    b = rng.integers(0, p, size=(k, 2))
-    # one output entry sums k products of near-maximal residues of both parities:
-    # past the chunk boundary it would exceed 2^53 and round
-    a[0] = rng.integers(p - 20, p, size=k)
-    b[:, 0] = rng.integers(p - 20, p, size=k)
-    want = np.zeros((3, 2), dtype=np.int64)  # int64 cannot overflow: k (p-1)^2 < 2^63
-    for lo in range(0, k, 1000):
-        want = (want + a[:, lo:lo + 1000] @ b[lo:lo + 1000] % p) % p
-    got = linalg.mul_mod(a.astype(np.float64), b.astype(np.float64), p)
-    assert np.array_equal(got.astype(np.int64), want)
+    """A block-diagonal system with single-entry rows, ranked shortest rows
+    first, against plain dense elimination."""
+    p, ncols, rows = system
+    want = mod_rank(dense(rows, ncols), p)
+    assert linalg.modular_rank(rows, ncols, p) == want
+    if p == P0:
+        assert want == frac_rank(dense(rows, ncols))
 
 
 @PROPS
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 4))
 def test_modular_ranks_equal_rational_rank(seed, nrows, ncols):
     """Entries in [-9, 9] and at most 4 columns keep every minor below the
-    certification primes, so the modular and rational ranks agree, in one
-    elimination and in blocks of random size."""
-    rng = np.random.default_rng(seed)
-    m = rng.integers(-9, 10, size=(nrows, ncols)) * (rng.random((nrows, ncols)) < 0.5)
-    want = frac_rank(m.tolist())
-    assert linalg.modular_rank(m, ncols, P0) == want
-    acc = linalg.ModIncrementalRank(ncols, P0)
-    cuts = np.sort(rng.integers(0, nrows + 1, size=3))
-    for block in np.split(m, cuts):
-        acc.add(block)
-    assert acc.rank == want
-    assert np.array_equal(acc.basis[:, acc.pivots], np.eye(want))
+    certification primes, so the modular and rational ranks agree, shortest
+    rows first and in the given order."""
+    rng = random.Random(seed)
+    rows = [{c: rng.randint(-9, 9) for c in range(ncols) if rng.random() < 0.5}
+            for _ in range(nrows)]
+    want = frac_rank(dense(rows, ncols))
+    assert linalg.modular_rank(rows, ncols, P0) == want
+    acc = linalg.ModIncrementalRank(P0)
+    basis = [row for row in map(acc.add, rows) if row]
+    assert acc.rank == len(basis) == want
+    assert mod_rank(dense(rows + basis, ncols), P0) == want  # the basis spans the rows
+    # reduced: no tail has an entry at a pivot, and rows_at indexes the tails
+    assert all(c not in acc.tails for tail in acc.tails.values() for c in tail)
+    assert {c: q for c, q in acc.rows_at.items() if q} == {
+        c: {piv for piv, tail in acc.tails.items() if c in tail}
+        for tail in acc.tails.values() for c in tail}
 
 
-def test_span_closure_rejects_a_grading_the_words_break():
-    ident = np.eye(2)
-    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
-    grade = np.array([0, 1, 1, 0])  # diagonal against off-diagonal entries
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert linalg.mod_span_closure([ident], [swap], P0, grade) == (2, 2)  # round 2 adds nothing
-    assert linalg.mod_span_closure([ident], [swap], P0, grade, stop=2) == (2, 1)
-    with pytest.raises(ValueError):
-        linalg.mod_span_closure([ident], [shear], P0, grade)
+def test_span_closure_rounds_and_stop():
+    ident = {0: 1, 3: 1}
+    swap = [{1: 1}, {0: 1}]  # the columns of [[0, 1], [1, 0]]
+    shear = [{0: 1}, {0: 1, 1: 1}]  # [[1, 1], [0, 1]]: S^2 = 2 S - I
+    assert linalg.mod_span_closure([ident], [swap], P0) == (2, 2)  # round 2 adds nothing
+    assert linalg.mod_span_closure([ident], [swap], P0, stop=2) == (2, 1)
+    assert linalg.mod_span_closure([ident], [shear], P0) == (2, 2)
+    # X S = X + E_22 completes M_2 in round 2
+    assert linalg.mod_span_closure([ident], [swap, shear], P0) == (4, 3)
+    assert linalg.mod_span_closure([ident], [swap, shear], P0, stop=4) == (4, 2)
 
 
 def dense_frac_solve(matrix, rhs):
@@ -131,35 +119,36 @@ def test_sparse_frac_solve_matches_dense_reference():
     for _ in range(300):
         ncols = rng.randint(1, 12)
         nrows = rng.randint(1, 16)
-        dense = [[int(rng.random() < 0.3) for _ in range(ncols)] for _ in range(nrows)]
+        matrix = [[int(rng.random() < 0.3) for _ in range(ncols)] for _ in range(nrows)]
         if rng.random() < 0.6:
             hidden = [rng.randint(-3, 3) for _ in range(ncols)]
-            rhs = [sum(a * x for a, x in zip(row, hidden)) for row in dense]
+            rhs = [sum(a * x for a, x in zip(row, hidden)) for row in matrix]
         else:
             rhs = [rng.randint(-3, 3) for _ in range(nrows)]
-        want = dense_frac_solve(dense, rhs)
-        got = linalg.frac_solve([{c: a for c, a in enumerate(row) if a} for row in dense], rhs)
+        want = dense_frac_solve(matrix, rhs)
+        got = linalg.frac_solve([{c: a for c, a in enumerate(row) if a} for row in matrix], rhs)
         if want is None:
             kinds["inconsistent"] += 1
             assert got is None
             continue
-        kinds["unique" if frac_rank(dense) == ncols else "under-determined"] += 1
+        kinds["unique" if frac_rank(matrix) == ncols else "under-determined"] += 1
         assert got == {c: x for c, x in enumerate(want) if x}
         assert all(isinstance(x, Fraction) for x in got.values())
     assert min(kinds.values()) >= 30, kinds
 
 
-def test_duality_suite_leaves_numpy_ma_unloaded():
-    # np.unique without options imports numpy.ma (10-17 ms per process); the
-    # span closure sorts its grade labels without it
+def test_cli_suites_leave_numpy_unloaded():
+    # nothing in the package needs numpy; importing it costs ~150 ms and ~13 MB
     import subprocess
     import sys
 
     code = ("import sys\n"
+            "import vtschur.cli\n"
             "from vtschur import cli\n"
-            "cfg = {'n': 2, 'd': 2, 'm': 1, 'primes': (3,), 'window': 4, 'spec': (2, 3)}\n"
+            "cfg = {'n': 2, 'd': 2, 'm': 1, 'primes': (3, 5, 7), 'window': 4, 'spec': (2, 3)}\n"
             "assert cli.run_suite('duality', cfg).passed\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "assert cli.run_suite('oracle', cfg).passed\n"
+            "print('numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -3,7 +3,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +10,7 @@ from vtschur import cli, galois, laurent, linalg, schur as sc, stab, tensor as t
 from vtschur.laurent import ONE, T, V, VTPoly, mono
 from vtschur.matrices import theta_matrices
 
-from references import frac_rank
+from references import dense, frac_rank, mod_rank
 
 
 def _col(sym, r, n=2):
@@ -558,11 +557,9 @@ def test_component_rank_equals_dense_rank(n, d, side):
     p = linalg.CERT_PRIMES[0]
     u, h = _mod_ops(n, d, p)
     mats = h if side == "hecke" else u
-    NN = (n ** d) ** 2
-    rows, cols, vals = linalg.commutant_constraint_rows(mats, p)
-    dense = np.zeros((len(mats) * NN, NN))
-    dense[rows, cols] = vals
-    assert linalg.component_rank(rows, cols, vals, NN, p) == linalg.modular_rank(dense, NN, p)
+    N = n ** d
+    rows = linalg.commutant_constraint_rows(mats, N)
+    assert linalg.modular_rank(rows, N * N, p) == mod_rank(dense(rows, N * N), p)
 
 
 def test_prime_with_unusable_spec_falls_through(monkeypatch):
