@@ -30,7 +30,7 @@ import warnings
 from collections import Counter
 from functools import lru_cache
 
-from . import laurent
+from . import laurent, linalg
 from .matrices import co, mat, ro
 
 MAX_D = 3
@@ -67,30 +67,19 @@ def _guard(p, d, n=1, allow_large=False):
 
 
 def rref(rows, p):
-    """Canonical reduced row-echelon form over F_p, zero rows dropped."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    if nrows == 0:
-        return ()
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] % p), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in m[:r])
+    """Canonical reduced row-echelon form over F_p, zero rows dropped: the
+    basis of a linalg.ModIncrementalRank of the rows, sorted by pivot."""
+    acc = linalg.ModIncrementalRank(p)
+    for row in rows:
+        acc.add({c: x for c, x in enumerate(row) if x})
+    out = []
+    for piv, tail in sorted(acc.tails.items()):
+        row = [0] * len(rows[0])
+        row[piv] = 1
+        for c, x in tail.items():
+            row[c] = x
+        out.append(tuple(row))
+    return tuple(out)
 
 
 @lru_cache(maxsize=1 << 16)

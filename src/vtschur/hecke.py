@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 
 from . import laurent
-from .laurent import clean, elt_add, elt_add_into, elt_scale, mono
+from .laurent import clean, elt_combo, mono
 
 QUAD_LIN = mono(1, 1) + mono(-1, 1, -1)   # vt - v^{-1}t
 QUAD_CONST = mono(0, 2)                   # t^2
+QUAD_ROOT = mono(1, 1)                    # vt, a root of the quadratic
 
 
 def identity_perm(d):
@@ -60,21 +61,25 @@ def basis(w):
     return {tuple(w): laurent.ONE}
 
 
+def t_column(j, r):
+    """T_r T_j (1-based j) for a permutation r, column r of tensor.op_T for a
+    sequence: the swap when r rises at j, the quadratic rule when it falls,
+    vt when the two entries are equal (sequences only)."""
+    a, b = r[j - 1], r[j]
+    swapped = r[:j - 1] + (b, a) + r[j + 1:]
+    if a < b:
+        return {swapped: laurent.ONE}
+    if a == b:
+        return {r: QUAD_ROOT}
+    return {r: QUAD_LIN, swapped: QUAD_CONST}
+
+
 def mul_Ti(x, i):
     """Right multiplication by the generator T_i (1-based index)."""
     d = len(next(iter(x)))
     if not 1 <= i <= d - 1:
         raise ValueError("generator index %d out of range for d=%d" % (i, d))
-    j = i - 1
-    out = {}
-    for w, c in x.items():
-        ws = right_s(w, j)
-        if w[j] < w[j + 1]:
-            out[ws] = out.get(ws, laurent.ZERO) + c
-        else:
-            out[w] = out.get(w, laurent.ZERO) + c * QUAD_LIN
-            out[ws] = out.get(ws, laurent.ZERO) + c * QUAD_CONST
-    return clean(out)
+    return elt_combo(*[(t_column(i, w), c) for w, c in x.items()])
 
 
 def mul_Tw(x, w):
@@ -92,11 +97,7 @@ def hecke_mul(x, y):
     dy = len(next(iter(y)))
     if dx != dy:
         raise ValueError("degree mismatch: %d vs %d" % (dx, dy))
-    out = {}
-    for w, c in y.items():
-        if c:
-            elt_add_into(out, mul_Tw(x, w), c)
-    return out
+    return elt_combo(*[(mul_Tw(x, w), c) for w, c in y.items() if c])
 
 
 def Ti(d, i):
@@ -110,9 +111,7 @@ def quadratic_certificate(i, d):
     coefficients rewritten over (r, s): T_i^2 - (r - s) T_i - rs = 0.
     """
     ti = Ti(d, i)
-    sq = hecke_mul(ti, ti)
-    elt = elt_add(sq, elt_scale(ti, -QUAD_LIN))
-    elt = elt_add(elt, elt_scale(unit(d), -QUAD_CONST))
+    elt = elt_combo((hecke_mul(ti, ti), None), (ti, -QUAD_LIN), (unit(d), -QUAD_CONST))
     rs = {
         "T^2": laurent.to_rs(laurent.ONE).terms(),
         "T": laurent.to_rs(-QUAD_LIN).terms(),
@@ -184,12 +183,15 @@ def to_json(x, d):
 def from_json(doc):
     if doc.get("algebra") != "hecke":
         raise ValueError("not a hecke element")
+    d = laurent.json_int(doc["d"])
+    if d < 0:
+        raise ValueError("need d >= 0, got d=%d" % d)
     x = {}
     for term in doc["terms"]:
         w = tuple(map(laurent.json_int, term["perm"]))
-        if sorted(w) != list(range(doc["d"])):
-            raise ValueError("perm %r is not a permutation of range(%d)" % (w, doc["d"]))
+        if sorted(w) != list(range(d)):
+            raise ValueError("perm %r is not a permutation of range(%d)" % (w, d))
         if w in x:
             raise ValueError("repeated perm %r" % (w,))
         x[w] = laurent.from_json(term["poly"])
-    return clean(x), doc["d"]
+    return clean(x), d

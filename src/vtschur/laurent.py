@@ -177,8 +177,8 @@ def mono(a, b, coeff=1):
 
 def clean(x):
     """x without its zero values.  Zeros are dropped only where terms are
-    summed (elt_add_into; hecke.mul_Ti cleans its own sums here) and from
-    elements read from outside (from_json): every other element is clean."""
+    summed (elt_add_into) and from elements read from outside (from_json):
+    every other element is clean."""
     return {k: c for k, c in x.items() if c}
 
 
@@ -252,7 +252,8 @@ def qbinom(n, k):
     """Gaussian binomial prod_{i<=k} (n+1-i)_v / (i)_v, exact division.
 
     n may be negative (the stabilized multiplication rules need this);
-    k must be a natural number.
+    k must be a natural number.  For 0 <= k <= n, the balanced binomial is
+    qbinom(n, k) v^{-k(n-k)}, the two-parameter one that times t^{k(n-k)}.
     """
     if k < 0:
         raise ValueError("qbinom needs k >= 0")
@@ -269,16 +270,6 @@ def qbinom_bar(n, k):
     return bar(qbinom(n, k))
 
 
-def vbinom(n, k):
-    """Balanced v-binomial with vint quantum integers."""
-    if k < 0 or k > n:
-        return VTPoly()
-    out = ONE
-    for i in range(1, k + 1):
-        out = exact_div(out * vint(n + 1 - i), vint(i))
-    return out
-
-
 def vtint(k):
     """Two-parameter quantum integer ((vt)^k - (v^{-1}t)^k)/(vt - v^{-1}t) = t^{k-1}[k]_v."""
     if k < 0:
@@ -292,13 +283,6 @@ def vtfact(p):
     for k in range(1, p + 1):
         out = out * vtint(k)
     return out
-
-
-def vtbinom(n, k):
-    """Two-parameter binomial vtfact(n) / (vtfact(k) vtfact(n-k))."""
-    if k < 0 or k > n:
-        return VTPoly()
-    return exact_div(vtfact(n), vtfact(k) * vtfact(n - k))
 
 
 def specialize(p, v0, t0):

@@ -13,14 +13,15 @@ nullity of the integer constraint system is an upper bound.  When the two
 meet, the dimension is pinned exactly.
 
 Both bounds are ranks of sparse {column: residue} rows of Python ints,
-grown by one Gauss-Jordan accumulator (`ModIncrementalRank`).  The upper
-bound adds the constraint rows shortest first, so the single-entry rows
-(most of them) peel their unknowns before the rest.  The lower bound closes
-the identity under left multiplication by the generators
-(`mod_span_closure`), a word being a sparse row over the N^2 entries of an
-N x N matrix.  The words and the constraints respect the weight blocks of
-tensor space, and sparse rows keep the blocks apart with no bookkeeping:
-elimination only ever combines rows that share a column.
+grown by one Gauss-Jordan accumulator (`ModIncrementalRank`, also the
+canonical form of a subspace in flags.rref).  The upper bound adds the
+constraint rows shortest first, so the single-entry rows (most of them)
+peel their unknowns before the rest.  The lower bound closes the identity
+under left multiplication by the generators (`mod_span_closure`), a word
+being a sparse row over the N^2 entries of an N x N matrix.  The words and
+the constraints respect the weight blocks of tensor space, and sparse rows
+keep the blocks apart with no bookkeeping: elimination only ever combines
+rows that share a column.
 """
 
 from __future__ import annotations

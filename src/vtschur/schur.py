@@ -346,24 +346,19 @@ def verify_relations(n, d):
 
 # -- partial order ----------------------------------------------------------------
 
+def _corners(A):
+    """The corner sums of A: for each i < j (1-based), the entries in rows
+    1..i and columns j..n of A, then of its transpose."""
+    n = len(A)
+    return [sum(M[r][s] for r in range(i) for s in range(j - 1, n))
+            for M in (A, tuple(zip(*A))) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
 def preceq(A, B):
     """Corner-sum dominance in both triangles (same row/column profiles)."""
-    n = len(A)
     if ro(A) != ro(B) or co(A) != co(B):
         return False
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            sa = sum(A[r][s] for r in range(i) for s in range(j - 1, n))
-            sb = sum(B[r][s] for r in range(i) for s in range(j - 1, n))
-            if sa > sb:
-                return False
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            sa = sum(A[r][s] for r in range(i - 1, n) for s in range(j))
-            sb = sum(B[r][s] for r in range(i - 1, n) for s in range(j))
-            if sa > sb:
-                return False
-    return True
+    return all(a <= b for a, b in zip(_corners(A), _corners(B)))
 
 
 def prec(A, B):
@@ -486,14 +481,12 @@ def elt_op(x, n, d):
 def _height(A):
     """The total of the corner sums that preceq compares.
 
-    An entry k = |i - j| steps off the diagonal lies in k(k + 1)/2 of the
-    corners.  If prec(B, A), no corner sum of B exceeds that of A, and one is
+    If prec(B, A), no corner sum of B exceeds that of A, and one is
     smaller: the corner sums fix the off-diagonal entries by
     inclusion-exclusion and the row sums then fix the diagonal, so equal
     sums would force B == A.  Hence prec(B, A) implies _height(B) < _height(A).
     """
-    return sum(m * abs(i - j) * (abs(i - j) + 1) // 2
-               for i, row in enumerate(A) for j, m in enumerate(row))
+    return sum(_corners(A))
 
 
 @lru_cache(maxsize=64)
@@ -591,6 +584,8 @@ def from_json(doc):
     if doc.get("basis", "braced") != "braced":
         raise ValueError("basis %r is not 'braced'" % (doc["basis"],))
     n, d = laurent.json_int(doc["n"]), laurent.json_int(doc["d"])
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and d >= 0, got n=%d d=%d" % (n, d))
     x = {}
     for term in doc["terms"]:
         A = tuple(tuple(map(laurent.json_int, row)) for row in term["matrix"])

@@ -86,10 +86,6 @@ class WeightWindow:
     def lambdas(self, n):
         return itertools.product(range(-self.W, self.W + 1), repeat=n)
 
-    def interior(self, M):
-        lo, hi = -self.W + self.margin, self.W - self.margin
-        return all(lo <= M[i][i] <= hi for i in range(len(M)))
-
 
 def completion_element(A0, jvec, window):
     """Truncated completion element: the weighted sum of {A0 + D_lambda}.

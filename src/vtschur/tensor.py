@@ -3,7 +3,8 @@
 Basis vectors are sequences r = (r_1, ..., r_d) with entries in [1, n];
 elements are dicts {seq: VTPoly}.  Operators (LinOp) are column-sparse dicts
 {basis seq: element}, the common arena where every relation of the presented
-algebras is verified exactly.
+algebras is verified exactly.  The right action of T_j (op_T) is the Hecke
+algebra's own basis rule, read on sequences (hecke.t_column).
 
 Operators are clean by construction: no op_* result holds a zero entry or
 an empty column.  Sums, products and scalings are accumulated in place,
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import laurent, linalg
+from . import hecke, laurent, linalg
 from .laurent import elt_add_into, mono
 
 # -- elements ----------------------------------------------------------------
@@ -71,17 +72,6 @@ def _column(sym, r):
             a, b = seen.count(new), seen.count(old)
             out[r[:p] + (new,) + r[p + 1:]] = mono(a - b, a + b + (kind == "E"))
     return out
-
-
-def _t_column(j, r):
-    """Column r of the right Hecke action of T_j (1-based j in [1, d-1])."""
-    a, b = r[j - 1], r[j]
-    swapped = r[:j - 1] + (b, a) + r[j + 1:]
-    if a < b:
-        return {swapped: laurent.ONE}
-    if a == b:
-        return {r: mono(1, 1)}
-    return {r: mono(1, 1) - mono(-1, 1), swapped: mono(0, 2)}
 
 
 # -- operators -----------------------------------------------------------------
@@ -164,7 +154,7 @@ def op_combo(combo, n, d):
 
 @lru_cache(maxsize=64)
 def op_T(j, n, d):
-    return {r: _t_column(j, r) for r in all_seqs(n, d)}
+    return {r: hecke.t_column(j, r) for r in all_seqs(n, d)}
 
 
 # -- duality checks --------------------------------------------------------------

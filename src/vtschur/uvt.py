@@ -205,11 +205,10 @@ def relation_instances(rel, n, star=False, fold=True):
                     for p in range(top + 1):
                         pp = top - p
                         sign = 1 if p % 2 == 0 else -1
-                        if star:
-                            coeff = laurent.vbinom(top, p) * sign
-                        else:
-                            texp = -p * (pp - pairing(n, i, j) + pairing(n, j, i))
-                            coeff = laurent.vtbinom(top, p) * mono(0, texp) * sign
+                        # the balanced binomial is qbinom(top, p) v^{-p pp}; the plain (v, t)
+                        # one has t^{p pp} more, and the relation t^{-p (pp - <i,j> + <j,i>)}
+                        texp = 0 if star else p * (pairing(n, i, j) - pairing(n, j, i))
+                        coeff = laurent.qbinom(top, p).shift(-p * pp, texp) * sign
                         # plain E words read E_i^pp E_j E_i^p; the others E_i^p E_j E_i^pp
                         a, b = (pp, p) if name == "E" and not star else (p, pp)
                         lhs.append((coeff, tuple([X(i)] * a + [X(j)] + [X(i)] * b)))

@@ -69,8 +69,9 @@ def poly_mul(p, q):
 
 
 def interior_part(x, window):
-    """The terms of x on matrices inside the window's margin."""
-    return {M: c for M, c in x.items() if window.interior(M)}
+    """The terms of x on matrices whose diagonal keeps the window's margin."""
+    bound = window.W - window.margin
+    return {M: c for M, c in x.items() if all(abs(M[i][i]) <= bound for i in range(len(M)))}
 
 
 def chev_mul_per_term(x, y, stab=False):
@@ -82,3 +83,51 @@ def chev_mul_per_term(x, y, stab=False):
         if sub:
             laurent.elt_add_into(out, schur.lmul_braced(B, sub, stab), c)
     return out
+
+
+def rref_dense(rows, p):
+    """flags.rref by dense Gauss-Jordan elimination in column order."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    if nrows == 0:
+        return ()
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, nrows) if m[i][c] % p), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] % p:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in m[:r])
+
+
+def vbinom(n, k):
+    """The balanced v-binomial, by exact division of vint quantum integers."""
+    if k < 0 or k > n:
+        return laurent.VTPoly()
+    out = laurent.ONE
+    for i in range(1, k + 1):
+        out = laurent.exact_div(out * laurent.vint(n + 1 - i), laurent.vint(i))
+    return out
+
+
+def vtbinom(n, k):
+    """The two-parameter binomial vtfact(n) / (vtfact(k) vtfact(n-k))."""
+    if k < 0 or k > n:
+        return laurent.VTPoly()
+    return laurent.exact_div(laurent.vtfact(n), laurent.vtfact(k) * laurent.vtfact(n - k))
+
+
+def height_closed_form(A):
+    """schur._height in closed form: an entry k = |i - j| steps off the
+    diagonal lies in k(k + 1)/2 of the corners."""
+    return sum(m * abs(i - j) * (abs(i - j) + 1) // 2
+               for i, row in enumerate(A) for j, m in enumerate(row))

@@ -233,6 +233,22 @@ def test_mult_malformed_element_exit_2(tmp_path, algebra, doc):
     assert "schema error" in err
 
 
+@pytest.mark.parametrize("algebra,doc", [
+    ("schur", {"schema": 1, "algebra": "schur", "n": -1, "d": -2, "terms": []}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 0, "d": 0, "terms": []}),
+    ("schur", {"schema": 1, "algebra": "schur", "n": 2, "d": -1, "terms": []}),
+    ("hecke", {"schema": 1, "algebra": "hecke", "d": True, "terms": []}),
+    ("hecke", {"schema": 1, "algebra": "hecke", "d": -1, "terms": []}),
+])
+def test_mult_bad_sizes_exit_2(tmp_path, algebra, doc):
+    # sizes that verify rejects are rejected on read, on both sides alike
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(doc))
+    code, out, err = run_cli(["mult", "--algebra", algebra, "--lhs", str(x), "--rhs", str(x)])
+    assert code == 2 and not out
+    assert "schema error" in err and "Traceback" not in err
+
+
 # sha256 of run_suite(...).to_json(), one cheap configuration per suite;
 # refactors of the algebra kernels must leave every report byte-identical
 PINNED_REPORTS = [

@@ -7,7 +7,7 @@ import pytest
 from vtschur import flags as fl, laurent
 from vtschur.matrices import co, diag, dim_stats, mat, ro, unit
 
-from references import classify_pairs
+from references import classify_pairs, rref_dense
 
 
 def gaussian_binomial_count(p, d, k):
@@ -34,6 +34,20 @@ def test_subspaces_canonical():
     assert len(set(subs)) == len(subs)
     for s in subs:
         assert fl.rref(s, 5) == s
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rref_matches_dense_reference(p):
+    rng = random.Random(p)
+    for d in range(5):
+        cases = [(), ((0,) * d,), ((0,) * d,) * 3]
+        for _ in range(60):
+            rows = [tuple(rng.randrange(-p, 2 * p) for _ in range(d)) for _ in range(rng.randrange(1, 6))]
+            rows += [(0,) * d] * rng.randrange(2) + rng.sample(rows, rng.randrange(len(rows) + 1))
+            rng.shuffle(rows)
+            cases.append(tuple(rows))
+        for rows in cases:
+            assert fl.rref(rows, p) == rref_dense(rows, p), (rows, p)
 
 
 def test_flag_counts():

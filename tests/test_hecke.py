@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vtschur import hecke as hk
-from vtschur import laurent
+from vtschur import laurent, tensor
 from vtschur.laurent import elt_add, elt_scale, mono
 
 
@@ -38,6 +38,21 @@ def test_quadratic():
     assert elt == {}
     assert rs["T"] == [((0, 1), 1), ((1, 0), -1)]
     assert rs["1"] == [((1, 1), -1)]
+
+
+def test_regular_representation_is_the_tensor_action():
+    # T_w T_i on permutations is the right action of T_i on V^{(x)d} at the
+    # sequences w + 1, whose entries are distinct
+    rng = random.Random(7)
+    for d in range(2, 5):
+        shift = {w: tuple(x + 1 for x in w) for w in hk.all_perms(d)}
+        for i in range(1, d):
+            Ti = tensor.op_T(i, d, d)
+            x = {w: mono(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((-2, 1, 3)))
+                 for w in rng.sample(sorted(shift), min(5, len(shift)))}
+            for elt in [hk.basis(w) for w in shift] + [x]:
+                want = tensor.op_apply(Ti, {shift[w]: c for w, c in elt.items()})
+                assert {shift[w]: c for w, c in hk.mul_Ti(elt, i).items()} == want, (d, i, elt)
 
 
 def test_identity_and_braid():

@@ -7,11 +7,10 @@ from vtschur.laurent import (
     ONE, T, TINV, V, VINV, VTPoly, ZERO,
     InexactDivision, NotDescendable, OddVPower,
     bar, eval_q, exact_div, from_json, mono, qbinom, qbinom_bar, qint,
-    qint_any, specialize, to_json, to_rs, to_text, vbinom, vint,
-    vtfact, vtint,
+    qint_any, specialize, to_json, to_rs, to_text, vint, vtfact, vtint,
 )
 
-from references import rs_to_vt
+from references import rs_to_vt, vbinom, vtbinom
 
 
 def test_add_basics():
@@ -80,11 +79,26 @@ def test_qbinom():
 def test_vint_vbinom_vtfact():
     assert vint(2) == V + VINV
     assert vint(-3) == -vint(3)
-    assert vbinom(2, 1) == V + VINV
-    assert vbinom(4, 2) == mono(4, 0) + mono(2, 0) + mono(0, 0, 2) + mono(-2, 0) + mono(-4, 0)
+    assert qbinom(2, 1).shift(-1, 0) == V + VINV
+    assert qbinom(4, 2).shift(-4, 0) == mono(4, 0) + mono(2, 0) + mono(0, 0, 2) + mono(-2, 0) + mono(-4, 0)
     assert vtint(2) == V * T + VINV * T
     # [3]!_{v,t} = t^3 [2]_v [3]_v
     assert vtfact(3) == (vint(2) * vint(3)).shift(0, 3)
+
+
+def test_binomials_are_shifted_qbinom():
+    # the balanced and (v, t) binomials are qbinom up to a monomial; the
+    # references divide exactly, as the package once did
+    for n in range(9):
+        for k in range(-2, n + 3):
+            if k < 0:
+                assert vbinom(n, k) == vtbinom(n, k) == ZERO
+                with pytest.raises(ValueError):
+                    qbinom(n, k)
+                continue
+            e = k * (n - k)
+            assert vbinom(n, k) == qbinom(n, k).shift(-e, 0), (n, k)
+            assert vtbinom(n, k) == qbinom(n, k).shift(-e, e), (n, k)
 
 
 def test_specialize():

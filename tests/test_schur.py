@@ -10,7 +10,7 @@ from vtschur.matrices import (
     add as mat_add, co, diag, dminusr, mat, ro, theta_matrices, unit as mat_unit,
 )
 
-from references import chev_mul_per_term
+from references import chev_mul_per_term, height_closed_form
 
 
 def test_gen_elements_small():
@@ -568,6 +568,12 @@ def test_height_strictly_monotone(n, d):
         for B in thetas:
             if sc.prec(B, A):
                 assert sc._height(B) < sc._height(A), (B, A)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 3), (3, 4), (5, 2)])
+def test_height_is_the_closed_form(n, d):
+    for A in theta_matrices(n, d):
+        assert sc._height(A) == height_closed_form(A), A
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
