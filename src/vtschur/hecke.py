@@ -75,7 +75,10 @@ def t_column(j, r):
 
 
 def mul_Ti(x, i):
-    """Right multiplication by the generator T_i (1-based index)."""
+    """Right multiplication by the generator T_i (1-based index).  The zero
+    element has no degree to check i against; it stays zero."""
+    if not x:
+        return {}
     d = len(next(iter(x)))
     if not 1 <= i <= d - 1:
         raise ValueError("generator index %d out of range for d=%d" % (i, d))

@@ -6,6 +6,15 @@ monomial and is only used when talking to the counting oracle.  Products are
 driven by the closed-form rule for a left factor whose matrix is diagonal
 plus r E_{h,h+1} (or r E_{h+1,h}); general products go through the faithful
 tensor-space operator model (n >= d).
+
+In that model the algebra acts on V^{(x)d} as the commutant of the right
+Hecke action, and V^{(x)d} is generated over the Hecke algebra by the sorted
+sequences s_mu, one per content mu (Dipper-James).  An operator of the
+algebra is therefore fixed by its columns at the s_mu, and {A} s_mu, with
+mu = co(A), holds exactly the sequences of position matrix A, a unit monomial
+at each (Beilinson-Lusztig-MacPherson).  braced_op builds each operator from
+its one column at s_mu; product_via_operators reads a product off one column
+per content.  Neither composes whole operators.
 """
 
 from __future__ import annotations
@@ -441,33 +450,92 @@ def content_projector(lam, n, d):
     return {r: {r: laurent.ONE} for r in tensor.all_seqs(n, d) if _content(r, n) == lam}
 
 
+@lru_cache(maxsize=64)
+def _column_plan(n, d):
+    """{mu: (s_mu, steps, reads)} for each content mu in compositions(n, d).
+
+    s_mu is the sorted sequence of content mu.  steps lists (r, q, j) with
+    q rising at j and r = q s_j, so e_r = e_q T_j; each q is s_mu or an
+    earlier r, and each sequence of content mu but s_mu is one r.  reads lists
+    (C, s) over the matrices C with co(C) = mu, in enumeration order: s is
+    the canonical sequence of position matrix C against s_mu, the block of
+    s_mu's value b holding the rows of column b of C in increasing order.
+    """
+    plan = {}
+    for mu in compositions(n, d):
+        s_mu = tuple(b + 1 for b, m in enumerate(mu) for _ in range(m))
+        seen, steps, frontier = {s_mu}, [], [s_mu]
+        for q in frontier:
+            for j in range(1, d):
+                if q[j - 1] < q[j]:
+                    r = q[:j - 1] + (q[j], q[j - 1]) + q[j + 1:]
+                    if r not in seen:
+                        seen.add(r)
+                        frontier.append(r)
+                        steps.append((r, q, j))
+        plan[mu] = (s_mu, tuple(steps), [])
+    for C in theta_matrices(n, d):
+        plan[co(C)][2].append((C, tuple(i + 1 for b in range(n) for i in range(n) for _ in range(C[i][b]))))
+    return {mu: (s_mu, steps, tuple(reads)) for mu, (s_mu, steps, reads) in plan.items()}
+
+
+def _position(s, s_mu, n):
+    """The position matrix of the pair (s, s_mu): entry (a, b) counts the
+    places where s holds a and s_mu holds b."""
+    M = [[0] * n for _ in range(n)]
+    for a, b in zip(s, s_mu):
+        M[a - 1][b - 1] += 1
+    return tuple(map(tuple, M))
+
+
 @lru_cache(maxsize=2048)
 def braced_op(A, n, d):
     """Tensor-space operator of a single braced basis element (n >= d unless
-    A is diagonal: a diagonal element acts as a content projector for all n)."""
+    A is diagonal: a diagonal element acts as a content projector for all n).
+
+    A non-diagonal {A} vanishes off the sequences of content mu = co(A), so
+    it is built from its one column at the sorted sequence s_mu:
+
+    * Chevalley A: E_h^r (F_h^r) applied to s_mu through op_sym, divided by
+      the coefficient of {A} in that power;
+    * any other A: its triangular factors applied to s_mu, kept at the
+      sequences of position matrix A.  The lower terms {M} of the triangular
+      product sit at position M != A, so nothing is subtracted; an entry at
+      a position that is not below A raises AssertionError.
+
+    {A} commutes with the Hecke action, and e_r = e_q T_j when q rises at j
+    and r = q s_j, so column r is T_j applied to column q; the columns are
+    filled from s_mu along _column_plan's rising swaps.
+    """
     shape = chev_shape(A)
     if shape is not None and shape[0] == "diag":
         return content_projector(diag_of(A), n, d)
     if n < d:
         raise ValueError("the operator model is faithful only for n >= d")
+    s_mu, steps, _ = _column_plan(n, d)[co(A)]
+    col = {s_mu: laurent.ONE}
     if shape is not None:
         kind, h, r = shape
-        sym = ("E", h) if kind == "E" else ("F", h)
+        sym = (kind, h)
         cA = expand_word([sym] * r, n, d).get(A)
         if not cA:
             raise AssertionError("power expansion missed the factor %r" % (A,))
-        # E^r (F^r) sends the sequences of content co(A) to content ro(A)
-        lam = co(A)
-        P = tensor.op_word([sym] * r, n, d)
-        return {rr: {ss: laurent.exact_div(c, cA) for ss, c in col.items()}
-                for rr, col in P.items() if _content(rr, n) == lam}
-    expansion, factors = triangular_product(A)
-    P = tensor.op_identity(n, d)
-    for B in factors:
-        P = tensor.op_compose(P, braced_op(B, n, d))
-    for M, c in expansion.items():
-        if M != A:
-            tensor.op_add_into(P, braced_op(M, n, d), -c)
+        for _ in range(r):
+            col = tensor.op_apply(tensor.op_sym(sym, n, d), col)
+        col = {s: laurent.exact_div(c, cA) for s, c in col.items()}
+    else:
+        for B in reversed(triangular_factors(A)):
+            col = tensor.op_apply(braced_op(B, n, d), col)
+        by_position = {}
+        for s, c in col.items():
+            by_position.setdefault(_position(s, s_mu, n), {})[s] = c
+        col = by_position.pop(A)
+        for M in by_position:
+            if not prec(M, A):
+                raise AssertionError("non-lower position %r in the column of %r" % (M, A))
+    P = {s_mu: col}
+    for r, q, j in steps:
+        P[r] = tensor.op_apply(tensor.op_T(j, n, d), P[q])
     return P
 
 
@@ -478,58 +546,50 @@ def elt_op(x, n, d):
     return out
 
 
-def _height(A):
-    """The total of the corner sums that preceq compares.
-
-    If prec(B, A), no corner sum of B exceeds that of A, and one is
-    smaller: the corner sums fix the off-diagonal entries by
-    inclusion-exclusion and the row sums then fix the diagonal, so equal
-    sums would force B == A.  Hence prec(B, A) implies _height(B) < _height(A).
-    """
-    return sum(_corners(A))
-
-
-@lru_cache(maxsize=64)
-def _peel_order(n, d):
-    """((A, s_col, s_row), ...) over theta_matrices(n, d) by decreasing
-    _height, ties in enumeration order; (s_row, s_col) is one pair of
-    sequences of position matrix A."""
-    return tuple(
-        (A,
-         tuple(j + 1 for row in A for j, m in enumerate(row) for _ in range(m)),
-         tuple(i + 1 for i, row in enumerate(A) for m in row for _ in range(m)))
-        for A in sorted(theta_matrices(n, d), key=_height, reverse=True))
-
-
-def op_to_elt(P, n, d):
-    """Re-express an operator in the braced basis (n >= d, faithfulness).
-
-    braced_op(A) is unitriangular: its entries sit at pairs of sequences
-    whose position matrix B has preceq(B, A), and it holds a unit monomial at
-    the pairs of position A.  Walking the matrices by decreasing _height, the
-    residual at one position-A pair is therefore c_A times that unit; the
-    term is peeled off, and what is left at the end must be zero.  The walk
-    order and its position-A pairs are built once per (n, d) (_peel_order).
-    """
-    out = {}
-    rest = tensor.op_add_into({}, P)
-    for A, s_col, s_row in _peel_order(n, d):
-        entry = rest.get(s_col, {}).get(s_row)
-        if entry:
-            op = braced_op(A, n, d)
-            out[A] = c = laurent.exact_div(entry, op[s_col][s_row])
-            tensor.op_add_into(rest, op, -c)
-    if rest:
-        raise laurent.InexactDivision("operator is not in the image of the algebra")
-    return out
-
-
 def product_via_operators(x, y, n, d):
-    """General product through the faithful operator model (n >= d)."""
+    """General product through the faithful operator model (n >= d), read
+    off one column per content.
+
+    For each content mu among the co(A) of y's terms, the column
+    (x y) s_mu = x (y s_mu) is built from the columns of braced_op at s_mu.
+    {C} s_mu with co(C) = mu is supported exactly on the sequences of
+    position matrix C, with a unit monomial at each, so c_C is the entry at
+    the canonical position-C sequence of _column_plan divided by that
+    monomial.  c_C {C} s_mu is subtracted for each C, and a nonzero
+    remainder raises InexactDivision.
+
+    That check is as strong as comparing whole operators: x y - sum c_C {C}
+    commutes with every T_j, and the s_mu generate the tensor space over the
+    Hecke algebra, so it is zero once it vanishes at every s_mu (at the
+    contents outside y's it vanishes on both sides).
+    """
     if n < d:
         raise ValueError("general products need n >= d")
-    P = tensor.op_compose(elt_op(x, n, d), elt_op(y, n, d))
-    return op_to_elt(P, n, d)
+    plan = _column_plan(n, d)
+    by_co = {}
+    for A, c in y.items():
+        by_co.setdefault(co(A), []).append((A, c))
+    out = {}
+    for mu, terms in by_co.items():
+        s_mu, _, reads = plan[mu]
+        w = {}
+        for A, c in terms:
+            elt_add_into(w, braced_op(A, n, d)[s_mu], c)
+        col = {}
+        for B, c in x.items():
+            P = braced_op(B, n, d)
+            for r, cr in w.items():
+                if r in P:
+                    elt_add_into(col, P[r], c * cr)
+        for C, s in reads:
+            entry = col.get(s)
+            if entry:
+                first = braced_op(C, n, d)[s_mu]
+                out[C] = c = laurent.exact_div(entry, first[s])
+                elt_add_into(col, first, -c)
+        if col:
+            raise laurent.InexactDivision("the product leaves a residue in the column of %r" % (s_mu,))
+    return out
 
 
 # -- oracle comparison ----------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact references that only the tests use."""
 
-from vtschur import flags, laurent, linalg, schur
-from vtschur.matrices import co, ro
+import functools
+
+from vtschur import flags, laurent, linalg, schur, tensor
+from vtschur.matrices import co, diag_of, ro, theta_matrices
 
 
 def frac_rank(rows):
@@ -127,7 +129,78 @@ def vtbinom(n, k):
 
 
 def height_closed_form(A):
-    """schur._height in closed form: an entry k = |i - j| steps off the
+    """height in closed form: an entry k = |i - j| steps off the
     diagonal lies in k(k + 1)/2 of the corners."""
     return sum(m * abs(i - j) * (abs(i - j) + 1) // 2
                for i, row in enumerate(A) for j, m in enumerate(row))
+
+
+# -- the operator model by whole operators, as it was before the column build ----
+
+@functools.lru_cache(maxsize=4096)
+def braced_op(A, n, d):
+    """schur.braced_op by whole operators: a Chevalley A from the operator
+    of the word E_h^r (F_h^r) on the columns of content co(A), divided by the
+    coefficient of {A} in that power; any other non-diagonal A from the
+    composed operators of its triangular factors, minus the operators of the
+    lower terms of triangular_product(A)."""
+    shape = schur.chev_shape(A)
+    if shape is not None and shape[0] == "diag":
+        return schur.content_projector(diag_of(A), n, d)
+    if shape is not None:
+        kind, h, r = shape
+        cA = schur.expand_word([(kind, h)] * r, n, d)[A]
+        P = tensor.op_word([(kind, h)] * r, n, d)
+        return {rr: {ss: laurent.exact_div(c, cA) for ss, c in col.items()}
+                for rr, col in P.items() if schur._content(rr, n) == co(A)}
+    expansion, factors = schur.triangular_product(A)
+    P = tensor.op_identity(n, d)
+    for B in factors:
+        P = tensor.op_compose(P, braced_op(B, n, d))
+    for M, c in expansion.items():
+        if M != A:
+            tensor.op_add_into(P, braced_op(M, n, d), -c)
+    return P
+
+
+def height(A):
+    """The total of the corner sums that schur.preceq compares.
+
+    If prec(B, A), no corner sum of B exceeds that of A, and one is
+    smaller: the corner sums fix the off-diagonal entries by
+    inclusion-exclusion and the row sums then fix the diagonal, so equal
+    sums would force B == A.  Hence prec(B, A) implies height(B) < height(A).
+    """
+    return sum(schur._corners(A))
+
+
+def peel_order(n, d):
+    """((A, s_col, s_row), ...) over theta_matrices(n, d) by decreasing
+    height, ties in enumeration order; (s_row, s_col) is one pair of
+    sequences of position matrix A."""
+    return tuple(
+        (A,
+         tuple(j + 1 for row in A for j, m in enumerate(row) for _ in range(m)),
+         tuple(i + 1 for i, row in enumerate(A) for m in row for _ in range(m)))
+        for A in sorted(theta_matrices(n, d), key=height, reverse=True))
+
+
+def op_to_elt(P, n, d):
+    """Re-express an operator in the braced basis by unitriangularity.
+
+    braced_op(A) has its entries at pairs of sequences whose position
+    matrix B has preceq(B, A), and a unit monomial at the pairs of position
+    A.  Walking the matrices by decreasing height, the residual at one
+    position-A pair is c_A times that unit; the term is peeled off, and what
+    is left at the end must be zero (InexactDivision otherwise)."""
+    out = {}
+    rest = tensor.op_add_into({}, P)
+    for A, s_col, s_row in peel_order(n, d):
+        entry = rest.get(s_col, {}).get(s_row)
+        if entry:
+            op = braced_op(A, n, d)
+            out[A] = c = laurent.exact_div(entry, op[s_col][s_row])
+            tensor.op_add_into(rest, op, -c)
+    if rest:
+        raise laurent.InexactDivision("operator is not in the image of the algebra")
+    return out

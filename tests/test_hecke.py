@@ -28,6 +28,14 @@ def test_index_out_of_range():
         hk.mul_Ti(hk.unit(3), 0)
 
 
+def test_zero_element_stays_zero():
+    # the degree is read off a key, and the zero element has none
+    assert hk.mul_Ti({}, 1) == {}
+    assert hk.mul_Tw({}, (1, 2, 0)) == {}
+    assert list(hk.mul_Ti(x, 2) for x in ({}, {})) == [{}, {}]
+    assert list(hk.mul_Tw(x, (2, 1, 0)) for x in ({},)) == [{}]
+
+
 def test_quadratic():
     x = hk.mul_Ti(hk.Ti(2, 1), 1)
     assert x == {

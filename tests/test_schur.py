@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from vtschur import laurent, schur as sc, tensor
 from vtschur.laurent import ONE, mono
 from vtschur.matrices import (
-    add as mat_add, co, diag, dminusr, mat, ro, theta_matrices, unit as mat_unit,
+    add as mat_add, co, compositions, diag, dminusr, mat, ro, theta_matrices, unit as mat_unit,
 )
 
-from references import chev_mul_per_term, height_closed_form
+from references import (
+    braced_op as reference_braced_op, chev_mul_per_term, height, height_closed_form, op_to_elt,
+    peel_order,
+)
 
 
 def test_gen_elements_small():
@@ -390,8 +394,6 @@ def test_preceq():
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_triangular_products(n, d):
-    import math
-
     seen = []
     for A in theta_matrices(n, d):
         x, factors = sc.triangular_product(A)
@@ -567,13 +569,13 @@ def test_height_strictly_monotone(n, d):
     for A in thetas:
         for B in thetas:
             if sc.prec(B, A):
-                assert sc._height(B) < sc._height(A), (B, A)
+                assert height(B) < height(A), (B, A)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 3), (4, 3), (3, 4), (5, 2)])
 def test_height_is_the_closed_form(n, d):
     for A in theta_matrices(n, d):
-        assert sc._height(A) == height_closed_form(A), A
+        assert height(A) == height_closed_form(A), A
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
@@ -584,28 +586,23 @@ def test_op_to_elt_inverts_elt_op(n, d):
         x = {A: mono(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((-2, -1, 1, 3)))
              for A in rng.sample(thetas, min(4, len(thetas)))}
         x[rng.choice(thetas)] = laurent.ZERO
-        assert sc.op_to_elt(sc.elt_op(x, n, d), n, d) == sc.clean(x)
+        assert op_to_elt(sc.elt_op(x, n, d), n, d) == sc.clean(x)
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
 def test_peel_order_contract(n, d):
-    thetas = theta_matrices(n, d)
-    order = sc._peel_order(n, d)
-    assert sorted(A for A, _, _ in order) == sorted(thetas)
-    heights = [sc._height(A) for A, _, _ in order]
+    # the walk of the reference op_to_elt: every matrix once, by decreasing
+    # height, each with one pair of sequences of its position
+    order = peel_order(n, d)
+    assert sorted(A for A, _, _ in order) == sorted(theta_matrices(n, d))
+    heights = [height(A) for A, _, _ in order]
     assert heights == sorted(heights, reverse=True)
     for A, s_col, s_row in order:
         assert _position(s_row, s_col, n) == A
-    # the walk op_to_elt built inline on every call, before it was memoized
-    inline = [(A,
-               tuple(j + 1 for row in A for j, m in enumerate(row) for _ in range(m)),
-               tuple(i + 1 for i, row in enumerate(A) for m in row for _ in range(m)))
-              for A in sorted(thetas, key=sc._height, reverse=True)]
-    assert list(order) == inline
 
 
-def test_peel_order_built_once_per_size(monkeypatch):
-    sc._peel_order.cache_clear()
+def test_column_plan_built_once_per_size(monkeypatch):
+    sc._column_plan.cache_clear()
     calls = collections.Counter()
     enumerate_thetas = sc.theta_matrices
 
@@ -639,8 +636,125 @@ def test_unit_elements_built_once(monkeypatch):
     assert sc.unit(4, 3) is not sc.unit(4, 3)  # a fresh dict each call
 
 
-@pytest.mark.parametrize("P", [{(1, 2): {(2, 1): ONE}}, {(1, 2): {(1, 2): ONE}}])
-def test_op_to_elt_rejects_operator_outside_image(P):
-    # single matrix units lie outside the image of the algebra
+def _sorted_seq(mu):
+    return tuple(b + 1 for b, m in enumerate(mu) for _ in range(m))
+
+
+def test_product_via_operators_rejects_a_planted_residue(monkeypatch):
+    # {diag(2, 0)}, a term of E F that neither factor holds, gains the entry
+    # (2, 1) in its column at (1, 1).  The canonical sequence of that
+    # entry's position matrix is (1, 2), so the product never reads at
+    # (2, 1): subtracting c {diag(2, 0)} leaves a residue that no braced
+    # element explains
+    n = d = 2
+    x, y = sc.gen_elt(("E", 1), n, d), sc.gen_elt(("F", 1), n, d)
+    C = diag((2, 0))
+    assert C in sc.product_via_operators(x, y, n, d) and C not in x and C not in y
+    real = sc.braced_op
+
+    def planted(A, n, d):
+        P = real(A, n, d)
+        if A != C:
+            return P
+        return {**P, (1, 1): {**P[(1, 1)], (2, 1): ONE}}
+
+    monkeypatch.setattr(sc, "braced_op", planted)
     with pytest.raises(laurent.InexactDivision):
-        sc.op_to_elt(P, 2, 2)
+        sc.product_via_operators(x, y, n, d)
+
+
+# -- the column build against the whole-operator construction ------------------------
+
+def _reference_elt_op(x, n, d):
+    out = {}
+    for A, c in x.items():
+        tensor.op_add_into(out, reference_braced_op(A, n, d), c)
+    return out
+
+
+SIZES = [(2, 2), (3, 2), (3, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_braced_op_matches_whole_operator_reference(n, d):
+    for A in theta_matrices(n, d):
+        assert sc.braced_op(A, n, d) == reference_braced_op(A, n, d), A
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_product_via_operators_matches_whole_operator_reference(n, d):
+    rng = random.Random(1000 * n + d)
+    thetas = theta_matrices(n, d)
+
+    def poly():
+        return mono(rng.randint(-2, 2), rng.randint(-1, 1), rng.choice((-2, -1, 1, 3)))
+
+    cases = [({A: poly() for A in rng.sample(thetas, 3)}, {A: poly() for A in rng.sample(thetas, 3)})
+             for _ in range(4)]
+    # zero products: a left factor whose column sums meet no row sums of y
+    B = next(iter(sc.gen_elt(("E", 1), n, d)))
+    mu = next(mu for mu in compositions(n, d) if mu != co(B))
+    cases += [({B: ONE}, {diag(mu): ONE}), ({B: ONE}, {})]
+    # (E + F)(F - E): the terms of E F and F E cancel inside one product
+    E, F = sc.gen_elt(("E", 1), n, d), sc.gen_elt(("F", 1), n, d)
+    cases.append((sc.elt_add(E, F), sc.elt_add(F, sc.elt_scale(E, -ONE))))
+    zeros = 0
+    for x, y in cases:
+        composed = tensor.op_compose(_reference_elt_op(x, n, d), _reference_elt_op(y, n, d))
+        want = op_to_elt(composed, n, d)
+        assert sc.product_via_operators(x, y, n, d) == want, (x, y)
+        zeros += not want
+    assert zeros >= 2
+
+
+# -- the support fact and the Hecke equivariance the column build rests on ----------
+
+def test_column_at_the_sorted_sequence_is_position_a():
+    # {A} s_mu, mu = co(A), holds exactly the sequences of position matrix
+    # A, each with a unit monomial: one arrangement per column of A
+    n = d = 3
+    for A in theta_matrices(n, d):
+        s_mu = _sorted_seq(co(A))
+        col = sc.braced_op(A, n, d)[s_mu]
+        arrangements = 1
+        for b in range(n):
+            column = [A[i][b] for i in range(n)]
+            arrangements *= math.factorial(sum(column)) // math.prod(map(math.factorial, column))
+        assert len(col) == arrangements, A
+        for s, c in col.items():
+            assert _position(s, s_mu, n) == A, (A, s)
+            ((_ab, coeff),) = c.terms()
+            assert coeff in (1, -1), (A, s, c)
+
+
+def test_braced_op_commutes_with_the_hecke_action():
+    n = d = 3
+    for A in theta_matrices(n, d):
+        P = sc.braced_op(A, n, d)
+        for j in range(1, d):
+            T = tensor.op_T(j, n, d)
+            assert tensor.op_compose(P, T) == tensor.op_compose(T, P), (A, j)
+
+
+def test_products_and_builds_compose_no_operators(monkeypatch):
+    # the column build and the product read one column per content; no
+    # whole operators are composed
+    calls = collections.Counter()
+    compose = tensor.op_compose
+
+    def counted(P, Q):
+        calls["op_compose"] += 1
+        return compose(P, Q)
+
+    monkeypatch.setattr(tensor, "op_compose", counted)
+    sc.braced_op.cache_clear()
+    n = d = 3
+    thetas = theta_matrices(n, d)
+    for A in thetas:
+        sc.braced_op(A, n, d)
+    rng = random.Random(5)
+    for _ in range(5):
+        x, y = ({A: mono(rng.randint(-1, 1), rng.randint(-1, 1)) for A in rng.sample(thetas, 3)}
+                for _ in range(2))
+        sc.product_via_operators(x, y, n, d)
+    assert calls["op_compose"] == 0

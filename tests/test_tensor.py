@@ -10,7 +10,7 @@ from vtschur import cli, galois, laurent, linalg, schur as sc, stab, tensor as t
 from vtschur.laurent import ONE, T, V, VTPoly, mono
 from vtschur.matrices import theta_matrices
 
-from references import dense, frac_rank, mod_rank
+from references import dense, frac_rank, mod_rank, op_to_elt
 
 
 def _col(sym, r, n=2):
@@ -421,7 +421,7 @@ def test_element_operators_match_reference(x):
         want = reference_op_add(want, reference_op_scale(sc.braced_op(A, n, d), c))
     got = sc.elt_op(x, n, d)
     assert _layout(got) == _layout(want) and not _shared_columns(got, *cached)
-    assert sc.op_to_elt(got, n, d) == laurent.clean(x)
+    assert op_to_elt(got, n, d) == laurent.clean(x)
     assert [_layout(P) for P in cached] == before
 
 
