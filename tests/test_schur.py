@@ -589,6 +589,13 @@ def test_op_to_elt_inverts_elt_op(n, d):
         assert op_to_elt(sc.elt_op(x, n, d), n, d) == sc.clean(x)
 
 
+@pytest.mark.parametrize("P", [{(1, 2): {(2, 1): ONE}}, {(1, 2): {(1, 2): ONE}}])
+def test_op_to_elt_rejects_operator_outside_image(P):
+    # single matrix units lie outside the image of the algebra
+    with pytest.raises(laurent.InexactDivision):
+        op_to_elt(P, 2, 2)
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
 def test_peel_order_contract(n, d):
     # the walk of the reference op_to_elt: every matrix once, by decreasing
