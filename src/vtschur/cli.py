@@ -208,7 +208,7 @@ def cmd_mult(args):
 def cmd_stab_fit(args):
     try:
         doc = _load_json(args.pair)
-        A1, A2 = (tuple(tuple(int(x) for x in row) for row in doc[k]) for k in ("A1", "A2"))
+        A1, A2 = (tuple(tuple(map(laurent.json_int, row)) for row in doc[k]) for k in ("A1", "A2"))
         if not A1 or len(A2) != len(A1) or any(len(row) != len(A1) for row in A1 + A2):
             raise ValueError("A1 and A2 must be square matrices of one size")
     except SCHEMA_ERRORS as exc:

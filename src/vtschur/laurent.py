@@ -365,15 +365,7 @@ def exact_div(p, q):
         return VTPoly()
     if len(q.c) == 1:
         ((a, b), x), = q.c.items()
-        out = {}
-        for (a1, b1), x1 in p.c.items():
-            if isinstance(x1, int) and isinstance(x, int):
-                if x1 % x:
-                    raise InexactDivision("coefficient %s not divisible by %s" % (x1, x))
-                out[(a1 - a, b1 - b)] = x1 // x
-            else:
-                out[(a1 - a, b1 - b)] = Fraction(x1) / Fraction(x)
-        return VTPoly(out)
+        return VTPoly({(a1 - a, b1 - b): _coeff_div(x1, x) for (a1, b1), x1 in p.c.items()})
     # Corner-normalize both operands so ordinary lex division applies; the
     # lost monomial shifts are restored on the quotient at the end.  For an
     # exact division every intermediate remainder is a multiple of q, so its
@@ -395,13 +387,7 @@ def exact_div(p, q):
         kq = (lead[0] - qlead[0], lead[1] - qlead[1])
         if kq[0] < 0 or kq[1] < 0:
             raise InexactDivision("remainder term v^%d t^%d not reducible" % lead)
-        if isinstance(x, int) and isinstance(qx, int):
-            if x % qx:
-                raise InexactDivision("leading coefficient %s not divisible by %s" % (x, qx))
-            f = x // qx
-        else:
-            f = Fraction(x) / Fraction(qx)
-        out[kq] = f
+        f = out[kq] = _coeff_div(x, qx)
         for (a2, b2), x2 in qn.items():
             k = (a2 + kq[0], b2 + kq[1])
             s = rem.get(k, 0) - f * x2
@@ -410,6 +396,15 @@ def exact_div(p, q):
             else:
                 rem.pop(k, None)
     return VTPoly({(a + pa - qa, b + pb - qb): x for (a, b), x in out.items()})
+
+
+def _coeff_div(x, y):
+    """x / y exactly: an int if both are ints (InexactDivision if y does not divide x), else a Fraction."""
+    if isinstance(x, int) and isinstance(y, int):
+        if x % y:
+            raise InexactDivision("coefficient %s not divisible by %s" % (x, y))
+        return x // y
+    return Fraction(x) / Fraction(y)
 
 
 # -- serialization ---------------------------------------------------------

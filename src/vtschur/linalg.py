@@ -1,10 +1,15 @@
 """Exact rational and modular linear algebra at desk scale.
 
-`frac_solve` solves sparse systems over Q (the stabilization fit) by
-Gauss-Jordan elimination on {column: coefficient} rows.  `IncrementalRank`
-is a dense row-echelon accumulator over Q, viable only for a few hundred
-unknowns; the tests use it (and a Fraction rank built the same way) as the
-exact reference the modular path is compared against.
+One sparse Gauss-Jordan accumulator, `ModIncrementalRank`, does every
+elimination, over F_p (a prime p, residues as entries) or over Q (p = None,
+Fraction entries); only its field operations depend on p.  It keeps the
+reduced row-echelon form of {column: entry} rows, each pivot the smallest
+column of its row.  `frac_solve` solves sparse systems over Q (the
+stabilization fit) on it, each row augmented by its right-hand side at a
+column after every unknown.  `IncrementalRank` is a dense row-echelon
+accumulator over Q, viable only for a few hundred unknowns; the tests use
+it (and a Fraction rank built the same way) as the exact reference the
+sparse one is compared against.
 
 Commutant dimensions are certified mod p by a sandwich: ranks can only
 drop under reduction mod p, so the modular rank of a family known to lie in
@@ -12,16 +17,15 @@ the commutant is a lower bound, and nullities can only grow, so the modular
 nullity of the integer constraint system is an upper bound.  When the two
 meet, the dimension is pinned exactly.
 
-Both bounds are ranks of sparse {column: residue} rows of Python ints,
-grown by one Gauss-Jordan accumulator (`ModIncrementalRank`, also the
-canonical form of a subspace in flags.rref).  The upper bound adds the
-constraint rows shortest first, so the single-entry rows (most of them)
-peel their unknowns before the rest.  The lower bound closes the identity
-under left multiplication by the generators (`mod_span_closure`), a word
-being a sparse row over the N^2 entries of an N x N matrix.  The words and
-the constraints respect the weight blocks of tensor space, and sparse rows
-keep the blocks apart with no bookkeeping: elimination only ever combines
-rows that share a column.
+Both bounds are ranks mod p of sparse rows of Python ints, grown by the
+accumulator (also the canonical form of a subspace in flags.rref).  The
+upper bound adds the constraint rows shortest first, so the single-entry
+rows (most of them) peel their unknowns before the rest.  The lower bound
+closes the identity under left multiplication by the generators
+(`mod_span_closure`), a word being a sparse row over the N^2 entries of an
+N x N matrix.  The words and the constraints respect the weight blocks of
+tensor space, and sparse rows keep the blocks apart with no bookkeeping:
+elimination only ever combines rows that share a column.
 """
 
 from __future__ import annotations
@@ -56,67 +60,25 @@ class IncrementalRank:
         return len(self.basis)
 
 
-def frac_solve(rows, rhs):
-    """Solve sum_c row[c] x_c = b exactly for each row, b in zip(rows, rhs).
-
-    Rows are sparse {column: coefficient} dicts; the system may be
-    overdetermined.  Gauss-Jordan elimination keeps the reduced row-echelon
-    form of the rows seen so far, each pivot the smallest column of its row;
-    that form is unique, so the pivots are those of elimination in column
-    order.  Free unknowns are 0.  Returns {column: value} for the nonzero
-    values, in column order, or None when the system is inconsistent.
-    """
-    basis, value = {}, {}  # pivot column -> reduced row (1 at the pivot), its rhs
-    for row, b in zip(rows, rhs):
-        row, b = {c: Fraction(x) for c, x in row.items() if x}, Fraction(b)
-        for c in [c for c in row if c in basis]:
-            f = row[c]
-            _sub_scaled(row, f, basis[c])
-            b -= f * value[c]
-        if not row:
-            if b:
-                return None
-            continue
-        piv = min(row)
-        inv = 1 / row[piv]
-        row, b = {c: x * inv for c, x in row.items()}, b * inv
-        for c, other in basis.items():
-            f = other.get(piv)
-            if f:
-                _sub_scaled(other, f, row)
-                value[c] -= f * b
-        basis[piv], value[piv] = row, b
-    return {c: value[c] for c in sorted(basis) if value[c]}
-
-
-def _sub_scaled(row, f, src):
-    """row -= f * src on sparse rows, dropping the entries that cancel."""
-    for c, y in src.items():
-        x = row.get(c, 0) - f * y
-        if x:
-            row[c] = x
-        else:
-            row.pop(c, None)
-
-
-# -- modular ranks ------------------------------------------------------------------
+# -- sparse reduced row-echelon form ----------------------------------------------
 
 class ModIncrementalRank:
-    """Reduced row-echelon basis over F_p of sparse {column: residue} rows.
+    """Reduced row-echelon basis of sparse {column: entry} rows over F_p or Q.
 
-    Each basis row has a 1 at its pivot column, where every other basis row
-    is 0; `tails` holds each row without its pivot entry.  `rows_at` indexes,
-    for each column, the pivots of the tails with an entry there, so a new
-    pivot clears only those rows.
+    The field is F_p for a prime p, with residues as entries, or Q for
+    p = None, with Fractions.  Each basis row has a 1 at its pivot column,
+    where every other basis row is 0; `tails` holds each row without its
+    pivot entry.  `rows_at` indexes, for each column, the pivots of the
+    tails with an entry there, so a new pivot clears only those rows.
     """
 
     def __init__(self, p):
         self.p = p
-        self.tails = {}  # pivot column -> {column: residue} off the pivots
+        self.tails = {}  # pivot column -> {column: entry} off the pivots
         self.rows_at = {}  # column -> pivots whose tails have an entry there
 
     def add(self, row):
-        """Add a row of ints ({column: value}, read only).
+        """Add a row of ints or, over Q, Fractions ({column: value}, read only).
 
         Returns the new basis row (a fresh dict) if the row enlarged the
         span, else None.  The pivot of a new row is its smallest column.
@@ -129,22 +91,31 @@ class ModIncrementalRank:
             f = row.pop(c)
             for c2, y in tails[c].items():
                 row[c2] = row.get(c2, 0) - f * y
-        row = {c: x % p for c, x in row.items() if x % p}
+        if p:
+            row = {c: x % p for c, x in row.items() if x % p}
+        else:
+            row = {c: x for c, x in row.items() if x}
         if not row:
             return None
         piv = min(row)
-        inv = pow(row.pop(piv), -1, p)
-        tail = {c: x * inv % p for c, x in row.items()}
+        if p:
+            inv = pow(row.pop(piv), -1, p)
+            tail = {c: x * inv % p for c, x in row.items()}
+        else:
+            inv = 1 / Fraction(row.pop(piv))
+            tail = {c: x * inv for c, x in row.items()}
         for q in rows_at.pop(piv, ()):
             other = tails[q]
             f = other.pop(piv)
             for c, y in tail.items():
-                x = (other.get(c, 0) - f * y) % p
+                x = other.get(c, 0) - f * y
+                if p:
+                    x %= p
                 if x:
                     if c not in other:
                         rows_at.setdefault(c, set()).add(q)
                     other[c] = x
-                else:  # other held c: f y is not 0 mod p
+                else:  # other held c: f y is not 0 in the field
                     del other[c]
                     rows_at[c].discard(q)
         for c in tail:
@@ -155,6 +126,30 @@ class ModIncrementalRank:
     @property
     def rank(self):
         return len(self.tails)
+
+
+_RHS = float("inf")  # the augmented column of frac_solve, after every unknown
+
+
+def frac_solve(rows, rhs):
+    """Solve sum_c row[c] x_c = b exactly for each row, b in zip(rows, rhs).
+
+    Rows are sparse {column: coefficient} dicts; the system may be
+    overdetermined.  Each row goes into a `ModIncrementalRank` over Q,
+    augmented by -b at the column `_RHS`, which sorts after every unknown; a
+    basis row then reads x_piv + sum_c tail[c] x_c + tail[_RHS] = 0.  The
+    system is inconsistent exactly when `_RHS` becomes a pivot.  Otherwise,
+    with the free unknowns 0, each pivot unknown is -tail[_RHS]; the reduced
+    row-echelon form is unique, so these are the values of elimination in
+    column order.  Returns {column: value} for the nonzero values, Fractions
+    in column order, or None when the system is inconsistent.
+    """
+    acc = ModIncrementalRank(None)
+    for row, b in zip(rows, rhs):
+        acc.add({**row, _RHS: -b})
+        if _RHS in acc.tails:
+            return None
+    return {c: -tail[_RHS] for c, tail in sorted(acc.tails.items()) if _RHS in tail}
 
 
 def modular_rank(rows, ncols, p):

@@ -322,6 +322,9 @@ def test_fraction_spec_round_trips_through_json():
     {"A1": [[0, 1], [0]], "A2": [[0, 0], [1, 0]]},
     {"A1": [[0, 1], [0, 0]], "A2": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]},
     [1, 2],
+    {"A1": [[0, 1.9], [0, 0]], "A2": [[0, 0], [0, 1]]},
+    {"A1": [[0, 1], [0, 0]], "A2": [[0, 0], [0, True]]},
+    {"A1": [[0, "1"], [0, 0]], "A2": [[0, 0], [0, 1]]},
 ])
 def test_stab_fit_malformed_pair_exit_2(tmp_path, doc):
     pair = tmp_path / "pair.json"

@@ -76,6 +76,59 @@ def test_modular_ranks_equal_rational_rank(seed, nrows, ncols):
         for tail in acc.tails.values() for c in tail}
 
 
+NCOLS = 8
+small_ints = st.integers(-3, 3)
+small_fracs = st.fractions(-2, 2, max_denominator=3)
+
+
+@st.composite
+def cancelling_systems(draw, entries):
+    """Sparse rows over NCOLS columns, then up to 3 combinations a r_i + b r_j
+    of them, which cancel completely against the rows before them."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, NCOLS - 1), entries, max_size=4),
+                         max_size=10))
+    combos = []
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(entries), draw(entries)
+        combos.append({c: a * r1.get(c, 0) + b * r2.get(c, 0) for c in r1.keys() | r2.keys()})
+    return rows, combos
+
+
+@PROPS
+@given(cancelling_systems(small_ints | small_fracs))
+def test_rational_accumulator_is_the_reduced_echelon_form(system):
+    """Over Q (p = None) the accumulator's rank is the Fraction reference's,
+    the combinations add nothing, and the basis is reduced: each row is 1 at
+    its pivot, its smallest column, and 0 at every other pivot."""
+    rows, combos = system
+    acc = linalg.ModIncrementalRank(None)
+    added = [row for row in map(acc.add, rows) if row]
+    assert not any(map(acc.add, combos))
+    assert acc.rank == len(added) == frac_rank(dense(rows + combos, NCOLS))
+    assert all(row[min(row)] == 1 for row in added)
+    basis = {piv: {piv: 1, **tail} for piv, tail in acc.tails.items()}
+    for piv, row in basis.items():
+        assert min(row) == piv and row[piv] == 1 and all(row.values())
+        assert all(row.get(q, 0) == 0 for q in basis if q != piv)
+    assert frac_rank(dense(rows + list(basis.values()), NCOLS)) == acc.rank  # it spans the rows
+
+
+@PROPS
+@given(cancelling_systems(small_ints))
+def test_modular_rank_at_most_rational_rank(system):
+    """On integer rows a rank can only drop mod p: the premise of the
+    certificate's lower bound.  Primes 2 and 3 make the drop happen."""
+    rows, combos = system
+    want = frac_rank(dense(rows + combos, NCOLS))
+    for p in linalg.CERT_PRIMES + (2, 3):
+        acc = linalg.ModIncrementalRank(p)
+        for row in rows + combos:
+            acc.add(row)
+        assert acc.rank <= want
+        assert acc.rank == mod_rank(dense(rows + combos, NCOLS), p)
+
+
 def test_span_closure_rounds_and_stop():
     ident = {0: 1, 3: 1}
     swap = [{1: 1}, {0: 1}]  # the columns of [[0, 1], [1, 0]]
