@@ -10,15 +10,25 @@ tensor-space operator model (n >= d).
 In that model the algebra acts on V^{(x)d} as the commutant of the right
 Hecke action, and V^{(x)d} is generated over the Hecke algebra by the sorted
 sequences s_mu, one per content mu (Dipper-James).  An operator of the
-algebra is therefore fixed by its columns at the s_mu, and {A} s_mu, with
-mu = co(A), holds exactly the sequences of position matrix A, a unit monomial
-at each (Beilinson-Lusztig-MacPherson).  braced_op builds each operator from
-its one column at s_mu; product_via_operators reads a product off one column
+algebra is therefore fixed by its columns at the s_mu, and the column of
+{A} at s_mu, mu = co(A), is known in closed form:
+
+1. support: it holds exactly the sequences s of position matrix A against
+   s_mu (Beilinson-Lusztig-MacPherson);
+2. ratio: e_{s_mu} T_j = vt e_{s_mu} where s_mu has equal entries at j and
+   j + 1, so the column is a vt-eigenvector of T_j, and comparing
+   coefficients gives alpha_{s s_j} = v t^{-1} alpha_s when s rises at j;
+3. normalization: alpha_s = 1 where s decreases on every block of s_mu.
+
+So alpha_s = (v^{-1} t)^{asc(s)}, asc(s) counting the pairs p < q in one
+block with s_p < s_q.  braced_op writes that column down and fills the rest
+by the Hecke action; product_via_operators reads a product off one column
 per content.  Neither composes whole operators.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from . import laurent, tensor
@@ -479,13 +489,10 @@ def _column_plan(n, d):
     return {mu: (s_mu, steps, tuple(reads)) for mu, (s_mu, steps, reads) in plan.items()}
 
 
-def _position(s, s_mu, n):
-    """The position matrix of the pair (s, s_mu): entry (a, b) counts the
-    places where s holds a and s_mu holds b."""
-    M = [[0] * n for _ in range(n)]
-    for a, b in zip(s, s_mu):
-        M[a - 1][b - 1] += 1
-    return tuple(map(tuple, M))
+def _check_matrix(A, n, d):
+    """ValueError unless A is an n x n matrix of naturals summing to d."""
+    if len(A) != n or any(len(row) != n or min(row) < 0 for row in A) or sum(map(sum, A)) != d:
+        raise ValueError("matrix %r is not %d x %d natural summing to %d" % (A, n, n, d))
 
 
 @lru_cache(maxsize=2048)
@@ -494,46 +501,30 @@ def braced_op(A, n, d):
     A is diagonal: a diagonal element acts as a content projector for all n).
 
     A non-diagonal {A} vanishes off the sequences of content mu = co(A), so
-    it is built from its one column at the sorted sequence s_mu:
-
-    * Chevalley A: E_h^r (F_h^r) applied to s_mu through op_sym, divided by
-      the coefficient of {A} in that power;
-    * any other A: its triangular factors applied to s_mu, kept at the
-      sequences of position matrix A.  The lower terms {M} of the triangular
-      product sit at position M != A, so nothing is subtracted; an entry at
-      a position that is not below A raises AssertionError.
+    it is built from its one column at the sorted sequence s_mu, in closed
+    form (module docstring): (v^{-1} t)^{asc(s)} at each sequence s of
+    position matrix A, where the block of s_mu's value b holds an
+    arrangement of the rows of column b of A.
 
     {A} commutes with the Hecke action, and e_r = e_q T_j when q rises at j
     and r = q s_j, so column r is T_j applied to column q; the columns are
-    filled from s_mu along _column_plan's rising swaps.
+    filled from s_mu along _column_plan's rising swaps.  A that is not an
+    n x n natural matrix summing to d raises ValueError.
     """
+    _check_matrix(A, n, d)
     shape = chev_shape(A)
     if shape is not None and shape[0] == "diag":
         return content_projector(diag_of(A), n, d)
     if n < d:
         raise ValueError("the operator model is faithful only for n >= d")
     s_mu, steps, _ = _column_plan(n, d)[co(A)]
-    col = {s_mu: laurent.ONE}
-    if shape is not None:
-        kind, h, r = shape
-        sym = (kind, h)
-        cA = expand_word([sym] * r, n, d).get(A)
-        if not cA:
-            raise AssertionError("power expansion missed the factor %r" % (A,))
-        for _ in range(r):
-            col = tensor.op_apply(tensor.op_sym(sym, n, d), col)
-        col = {s: laurent.exact_div(c, cA) for s, c in col.items()}
-    else:
-        for B in reversed(triangular_factors(A)):
-            col = tensor.op_apply(braced_op(B, n, d), col)
-        by_position = {}
-        for s, c in col.items():
-            by_position.setdefault(_position(s, s_mu, n), {})[s] = c
-        col = by_position.pop(A)
-        for M in by_position:
-            if not prec(M, A):
-                raise AssertionError("non-lower position %r in the column of %r" % (M, A))
-    P = {s_mu: col}
+    asc = {(): 0}  # the sequences on the blocks so far: their ascents inside blocks
+    for b in range(n):
+        block = [i + 1 for i in range(n) for _ in range(A[i][b])]
+        arrangements = {p: sum(x < y for k, x in enumerate(p) for y in p[k + 1:])
+                        for p in set(itertools.permutations(block))}
+        asc = {s + p: a + k for s, a in asc.items() for p, k in arrangements.items()}
+    P = {s_mu: {s: mono(-a, a) for s, a in asc.items()}}
     for r, q, j in steps:
         P[r] = tensor.op_apply(tensor.op_T(j, n, d), P[q])
     return P
@@ -649,8 +640,7 @@ def from_json(doc):
     x = {}
     for term in doc["terms"]:
         A = tuple(tuple(map(laurent.json_int, row)) for row in term["matrix"])
-        if len(A) != n or any(len(row) != n or min(row) < 0 for row in A) or sum(map(sum, A)) != d:
-            raise ValueError("matrix %r is not %d x %d natural summing to %d" % (A, n, n, d))
+        _check_matrix(A, n, d)
         if A in x:
             raise ValueError("repeated matrix %r" % (A,))
         x[A] = laurent.from_json(term["poly"])

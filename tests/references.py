@@ -137,6 +137,25 @@ def height_closed_form(A):
 
 # -- the operator model by whole operators, as it was before the column build ----
 
+@functools.lru_cache(maxsize=64)
+def _power_coefficients(kind, h, r, n, d):
+    """E_h^r (F_h^r) as a braced element, through expand_word."""
+    return schur.expand_word([(kind, h)] * r, n, d)
+
+
+def chevalley_column(A, n, d):
+    """The column of schur.braced_op at s_mu, mu = co(A), for a non-diagonal
+    Chevalley-shaped A, as it was built before its closed form: E_h^r
+    (F_h^r) applied to s_mu through op_sym, divided by the coefficient of
+    {A} in that power."""
+    kind, h, r = schur.chev_shape(A)
+    cA = _power_coefficients(kind, h, r, n, d)[A]
+    col = {tuple(b + 1 for b, m in enumerate(co(A)) for _ in range(m)): laurent.ONE}
+    for _ in range(r):
+        col = tensor.op_apply(tensor.op_sym((kind, h), n, d), col)
+    return {s: laurent.exact_div(c, cA) for s, c in col.items()}
+
+
 @functools.lru_cache(maxsize=4096)
 def braced_op(A, n, d):
     """schur.braced_op by whole operators: a Chevalley A from the operator
@@ -149,7 +168,7 @@ def braced_op(A, n, d):
         return schur.content_projector(diag_of(A), n, d)
     if shape is not None:
         kind, h, r = shape
-        cA = schur.expand_word([(kind, h)] * r, n, d)[A]
+        cA = _power_coefficients(kind, h, r, n, d)[A]
         P = tensor.op_word([(kind, h)] * r, n, d)
         return {rr: {ss: laurent.exact_div(c, cA) for ss, c in col.items()}
                 for rr, col in P.items() if schur._content(rr, n) == co(A)}

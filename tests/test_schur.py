@@ -12,8 +12,8 @@ from vtschur.matrices import (
 )
 
 from references import (
-    braced_op as reference_braced_op, chev_mul_per_term, height, height_closed_form, op_to_elt,
-    peel_order,
+    braced_op as reference_braced_op, chev_mul_per_term, chevalley_column, height,
+    height_closed_form, op_to_elt, peel_order,
 )
 
 
@@ -717,21 +717,40 @@ def test_product_via_operators_matches_whole_operator_reference(n, d):
 # -- the support fact and the Hecke equivariance the column build rests on ----------
 
 def test_column_at_the_sorted_sequence_is_position_a():
-    # {A} s_mu, mu = co(A), holds exactly the sequences of position matrix
-    # A, each with a unit monomial: one arrangement per column of A
-    n = d = 3
+    # on the whole-operator construction: {A} s_mu, mu = co(A), holds
+    # exactly the sequences of position matrix A, one arrangement per column
+    # of A, with (v^{-1} t)^{asc(s)} at each, asc(s) counting the pairs
+    # p < q in one block of s_mu with s_p < s_q
+    for n, d in [(2, 2), (3, 2), (3, 3)]:
+        for A in theta_matrices(n, d):
+            mu = co(A)
+            s_mu = _sorted_seq(mu)
+            col = reference_braced_op(A, n, d)[s_mu]
+            arrangements = 1
+            for b in range(n):
+                column = [A[i][b] for i in range(n)]
+                arrangements *= math.factorial(sum(column)) // math.prod(map(math.factorial, column))
+            assert len(col) == arrangements, A
+            blocks = [range(sum(mu[:b]), sum(mu[:b + 1])) for b in range(n)]
+            for s, c in col.items():
+                assert _position(s, s_mu, n) == A, (A, s)
+                asc = sum(s[p] < s[q] for block in blocks for p in block for q in block if p < q)
+                assert c == mono(-asc, asc), (A, s, c)
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (5, 3)])
+def test_chevalley_columns_match_the_power_construction(n, d):
+    # beyond the reach of the whole-operator reference: for every
+    # non-diagonal Chevalley-shaped A, the closed-form column at s_mu is
+    # E_h^r (F_h^r) s_mu divided by the coefficient of {A} in that power
+    checked = 0
     for A in theta_matrices(n, d):
-        s_mu = _sorted_seq(co(A))
-        col = sc.braced_op(A, n, d)[s_mu]
-        arrangements = 1
-        for b in range(n):
-            column = [A[i][b] for i in range(n)]
-            arrangements *= math.factorial(sum(column)) // math.prod(map(math.factorial, column))
-        assert len(col) == arrangements, A
-        for s, c in col.items():
-            assert _position(s, s_mu, n) == A, (A, s)
-            ((_ab, coeff),) = c.terms()
-            assert coeff in (1, -1), (A, s, c)
+        shape = sc.chev_shape(A)
+        if shape is None or shape[0] == "diag":
+            continue
+        assert sc.braced_op(A, n, d)[_sorted_seq(co(A))] == chevalley_column(A, n, d), A
+        checked += 1
+    assert checked
 
 
 def test_braced_op_commutes_with_the_hecke_action():
@@ -765,3 +784,36 @@ def test_products_and_builds_compose_no_operators(monkeypatch):
                 for _ in range(2))
         sc.product_via_operators(x, y, n, d)
     assert calls["op_compose"] == 0
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3)])
+def test_builds_take_no_powers_factors_or_divisions(monkeypatch, n, d):
+    # each column at s_mu is written down in closed form: a cold build of
+    # every operator takes no Chevalley power, no triangular factorization,
+    # no generator operator and no exact division
+    calls = collections.Counter()
+    for mod, name in [(sc, "triangular_factors"), (sc, "expand_word"), (tensor, "op_sym"),
+                      (laurent, "exact_div")]:
+        def counted(*args, _name=name, _real=getattr(mod, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    sc.braced_op.cache_clear()
+    for A in theta_matrices(n, d):
+        sc.braced_op(A, n, d)
+    assert sc.braced_op.cache_info().misses == len(theta_matrices(n, d))
+    assert not calls, calls
+
+
+@pytest.mark.parametrize("A", [
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),  # 4 x 3
+    ((1, 0), (0, 2)),                              # 2 x 2
+    ((1, 0, 0), (0, 1), (0, 0, 1)),                # a short row
+    ((1, 1, 0), (0, 1, 0), (0, 0, 1)),             # sums to 4
+    ((2, 1, 0), (0, -1, 0), (0, 0, 1)),            # a negative entry
+    ((0, 1, 0), (0, 1, 0), (0, 0, 0)),             # sums to 2
+])
+def test_braced_op_rejects_a_matrix_of_the_wrong_size(A):
+    with pytest.raises(ValueError, match="not 3 x 3 natural summing to 3"):
+        sc.braced_op(A, 3, 3)
