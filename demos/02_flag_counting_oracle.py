@@ -1,9 +1,10 @@
 """The brute-force ground truth: flags over F_p, orbits, counted products.
 
 Nothing here knows any closed formula.  Flags are enumerated literally,
-pairs are classified by their relative-position matrix, and products are
-the number of middle flags -- the numbers every formula in the library has
-to reproduce.
+pairs are classified by their relative-position matrix (every type is met
+from the standard flag of each dimension vector, since GL_d(F_p) moves any
+flag there), and products are the number of middle flags -- the numbers
+every formula in the library has to reproduce.
 """
 
 import math
@@ -18,8 +19,8 @@ Y = flags.enum_flags_Y(p, d)
 print("n-step flags over F_%d:    %d" % (p, len(X)))
 print("complete flags over F_%d:  %d  (expected (q+1) = %d)" % (p, len(Y), p + 1))
 
-xy_types = {flags.orbit_matrix(V, F, p) for V in X for F in Y}
-yy_types = {flags.orbit_matrix(F, G, p) for F in Y for G in Y}
+xy_types = flags.orbit_types(p, d, n, ("X", "Y"))
+yy_types = flags.orbit_types(p, d, n, ("Y", "Y"))
 print("X*Y orbit types: %d = n^d = %d" % (len(xy_types), n ** d))
 print("Y*Y orbit types: %d = d! = %d" % (len(yy_types), math.factorial(d)))
 

@@ -28,13 +28,32 @@ class BadRequest(ValueError):
     """Parameters outside a suite's domain: a usage error, exit code 2."""
 
 
-def check_request(suite, cfg):
-    """Raise BadRequest when the parameters of a suite are out of its domain."""
+def _over_guard(suite, cfg):
+    """The guard limit that a suite's parameters exceed, as text, or None."""
+    n, d = cfg["n"], cfg["d"]
+    if suite == "oracle":
+        return next(filter(None, (flags.over_guard(p, d, n) for p in cfg["primes"])), None)
+    if suite == "hecke":
+        return flags.over_guard(cfg["primes"][0], d, d)
+    if suite == "duality":
+        return tensor.commute_guard(n, d)
+    if suite == "stab":
+        size = (2 * cfg["window"] + 1) ** n
+        if size > stab.MAX_DIAGONALS:
+            return "stab guard: (2 window + 1)^n = %d diagonals, over %d" % (size, stab.MAX_DIAGONALS)
+
+
+def check_request(suite, cfg, large=False):
+    """Raise BadRequest when a suite's parameters are out of its domain, and,
+    unless large, GuardExceeded beyond its guard (judged before any primality test)."""
     n, d, m = cfg["n"], cfg["d"], cfg["m"]
     if n < 1 or d < 0:
         raise BadRequest("need n >= 1 and d >= 0, got n=%d d=%d" % (n, d))
     if suite == "stab" and cfg["window"] < 3:
         raise BadRequest("stab needs window >= 3, got %d" % cfg["window"])
+    over = None if large else _over_guard(suite, cfg)
+    if over:
+        raise flags.GuardExceeded(over + "; set VTSCHUR_ALLOW_LARGE=1 to lift it")
     # below these degrees the printed variants hold trivially, so their
     # expect-fail checks could not be refuted
     low = {"schur": 1, "jparity-tilde": 1, "jparity-hat": 2}.get(suite, 0)
@@ -58,8 +77,8 @@ def check_request(suite, cfg):
 
 def run_suite(suite, cfg):
     n, d, m = cfg["n"], cfg["d"], cfg["m"]
-    check_request(suite, cfg)
     large = os.environ.get("VTSCHUR_ALLOW_LARGE", "") == "1"
+    check_request(suite, cfg, large)
     rep = Report(suite=suite, config=cfg)
     t0 = time.time()
     if suite == "schur":
@@ -94,10 +113,6 @@ def run_suite(suite, cfg):
         rep.add("twist exponent identity n=%d" % n, uvt.exponent_identity_holds(n))
         rep.add("star associativity sample", uvt.star_associativity_sample(n))
     elif suite == "stab":
-        size = (2 * cfg["window"] + 1) ** n
-        if size > stab.MAX_DIAGONALS and not large:
-            raise flags.GuardExceeded("stab guard: (2 window + 1)^n = %d diagonals, over %d; "
-                                      "set VTSCHUR_ALLOW_LARGE=1 to lift it" % (size, stab.MAX_DIAGONALS))
         window, witnesses = stab.WeightWindow(cfg["window"], 2), {}
         checks, skipped = stab.limit_relation_suite(n, window, witnesses)
         rep.extend(checks, witnesses)

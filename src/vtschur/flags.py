@@ -31,7 +31,7 @@ from collections import Counter
 from functools import lru_cache
 
 from . import laurent, linalg
-from .matrices import co, mat, ro
+from .matrices import check_matrix, co, dminusr, mat, ro
 
 MAX_D = 3
 MAX_P = 7
@@ -49,21 +49,20 @@ def check_prime(p):
     return p
 
 
-def _guard(p, d, n=1, allow_large=False):
-    check_prime(p)
+def over_guard(p, d, n=1):
+    """The desk-scale limit that (p, d, n) exceeds, as text; None within it."""
     if d > MAX_D or p > MAX_P or n > MAX_N:
-        if allow_large:
-            warnings.warn(
-                "enumerating beyond the desk-scale guards (d=%d p=%d n=%d); "
-                "expect combinatorial cost" % (d, p, n),
-                stacklevel=3,
-            )
-            return
-        raise GuardExceeded(
-            "enumeration guard: d<=%d, p<=%d, n<=%d (got d=%d p=%d n=%d); "
-            "pass allow_large=True to override at your own expense"
-            % (MAX_D, MAX_P, MAX_N, d, p, n)
-        )
+        return "enumeration guard: d<=%d, p<=%d, n<=%d (got d=%d p=%d n=%d)" % (MAX_D, MAX_P, MAX_N, d, p, n)
+
+
+def _guard(p, d, n=1, allow_large=False):
+    over = over_guard(p, d, n)  # judged first: trial division is slow on a large p
+    if over and not allow_large:
+        raise GuardExceeded(over + "; pass allow_large=True to override at your own expense")
+    if over:
+        warnings.warn("enumerating beyond the desk-scale guards (d=%d p=%d n=%d); expect combinatorial cost"
+                      % (d, p, n), stacklevel=3)
+    check_prime(p)
 
 
 def rref(rows, p):
@@ -255,16 +254,18 @@ def _type_counts(vs, mid, wmid, right, table, columns, pick):
     return out
 
 
-def _products(p, d, n, kinds, vectors):
-    """{(B, A): {C: count}} over the output types C whose left flags have a
-    dimension vector in vectors.
+@lru_cache(maxsize=4)
+def _products(p, d, n, kinds):
+    """{(B, A): {C: count}} over every output type C, for the flag families
+    kinds = (left, middle, right).  Memoized: the tables are shared and
+    read-only by convention.
 
     Every type C is counted twice: from the standard flag (V_i spanned by the
     first dim V_i basis vectors) with the first representative right flag,
     and from the opposite flag (the last dim V_i basis vectors) with the
     last; the two counts must agree.  Flags are encoded once as tuples of
     subspace ids, and the column of orbit matrices against each
-    representative right flag is built once per call and shared by every
+    representative right flag is built once per table and shared by every
     left flag that picks it.
     """
     ids, table = _subspace_index(p, d)
@@ -276,7 +277,7 @@ def _products(p, d, n, kinds, vectors):
     full = full_space(d)
     columns = {}
     by_type = {}
-    for dims in vectors:
+    for dims in _dim_vectors(kinds[0], d, n):
         std_v, opp_v = _encoded(ids, [tuple(full[:k] for k in dims), tuple(full[d - k:] for k in dims)])
         std = _type_counts(std_v, mid, wmid, right, table, columns, 0)
         opp = _type_counts(opp_v, mid, wmid, right, table, columns, -1)
@@ -316,14 +317,12 @@ def convolve_count(B, A, p, d, n, allow_large=False):
     number of middle flags U with orbit(V, U) = B and orbit(U, W) = A, on a
     representative pair (V, W) of type C.
     """
-    for M in (B, A):
-        if len(M) != n or any(len(row) != n or min(row) < 0 for row in M) or sum(ro(M)) != d:
-            raise ValueError("need an n x n natural matrix summing to d=%d (n=%d), got %r" % (d, n, M))
+    check_matrix(B, n, d)
+    check_matrix(A, n, d)
     if co(B) != ro(A):
         raise ValueError("co(B) = %r must equal ro(A) = %r" % (co(B), ro(A)))
     _guard(p, d, n, allow_large)
-    vector = tuple(itertools.accumulate(ro(B)))
-    return _products(p, d, n, ("X", "X", "X"), [vector]).get((mat(B), mat(A)), {})
+    return _products(p, d, n, ("X", "X", "X")).get((mat(B), mat(A)), {})
 
 
 def conv_table(p, d, n, kinds=("X", "X", "X"), allow_large=False):
@@ -332,7 +331,7 @@ def conv_table(p, d, n, kinds=("X", "X", "X"), allow_large=False):
     nonzero product.
     """
     _guard(p, d, n, allow_large)
-    return _products(p, d, n, kinds, _dim_vectors(kinds[0], d, n))
+    return _products(p, d, n, tuple(kinds))
 
 
 def counts_match(prod, counts, p):
@@ -349,3 +348,14 @@ def counts_match(prod, counts, p):
         if set(vals) - {0} or vals.get(0, 0) != counts.get(C, 0):
             return False
     return not set(counts) - set(prod)
+
+
+def braced_counts_match(prod, B, A, tables):
+    """Whether a braced product {B}{A} = prod ({C: VTPoly}) matches the flag
+    counts of (B, A) in every table of {p: conv_table}: {M} is
+    (v^{-1} t)^{dminusr(M)} e_M, so each term C moves to the e-basis by
+    (v^{-1} t)^{dminusr(C) - dminusr(B) - dminusr(A)} before counts_match.
+    """
+    shift = dminusr(B) + dminusr(A)
+    e_prod = {C: c * laurent.mono(shift - dminusr(C), dminusr(C) - shift) for C, c in prod.items()}
+    return all(counts_match(e_prod, table.get((B, A), {}), p) for p, table in tables.items())

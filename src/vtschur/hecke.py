@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import laurent
+from . import flags, laurent
 from .laurent import clean, elt_combo, mono
 
 QUAD_LIN = mono(1, 1) + mono(-1, 1, -1)   # vt - v^{-1}t
@@ -152,24 +152,18 @@ def perm_matrix(w):
 def geometric_structure_match(d, p, allow_large=False):
     """Compare algebraic products against complete-flag convolution counts.
 
-    T_w corresponds to (v^{-1} t)^{l(w)} e_{sigma_w}; the counting structure
-    constants must then reproduce every product T_w T_u at v^2 = p.
-    Returns a list of (w, u, ok).
+    T_w is the braced element {perm_matrix(w)} = (v^{-1} t)^{l(w)} e_{sigma_w}:
+    dminusr(perm_matrix(w)) counts the pairs of 1s at (w(j), j), (w(k), k)
+    with w(j) > w(k) and j < k, which are the inversions of w.  So
+    flags.braced_counts_match compares every product T_w T_u with the
+    counting structure constants at v^2 = p.  Returns a list of (w, u, ok).
     """
-    from . import flags
-
-    table = flags.conv_table(p, d, d, kinds=("Y", "Y", "Y"), allow_large=allow_large)
+    tables = {p: flags.conv_table(p, d, d, kinds=("Y", "Y", "Y"), allow_large=allow_large)}
     out = []
     for w in all_perms(d):
         for u in all_perms(d):
-            alg = hecke_mul(basis(w), basis(u))
-            geo = table.get((perm_matrix(w), perm_matrix(u)), {})
-            # move the dictionary's monomial to the algebraic side
-            shift = inversions(w) + inversions(u)
-            e_prod = {perm_matrix(x): c * mono(-1, 1) ** (inversions(x) - shift)
-                      for x, c in alg.items()}
-            ok = flags.counts_match(e_prod, geo, p)
-            out.append((w, u, ok))
+            alg = {perm_matrix(x): c for x, c in hecke_mul(basis(w), basis(u)).items()}
+            out.append((w, u, flags.braced_counts_match(alg, perm_matrix(w), perm_matrix(u), tables)))
     return out
 
 

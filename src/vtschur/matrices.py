@@ -44,6 +44,12 @@ def add(M, N):
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(M, N))
 
 
+def check_matrix(A, n, d):
+    """ValueError unless A is an n x n matrix of naturals summing to d."""
+    if len(A) != n or any(len(row) != n or min(row) < 0 for row in A) or sum(map(sum, A)) != d:
+        raise ValueError("matrix %r is not %d x %d natural summing to %d" % (A, n, n, d))
+
+
 def is_stab(M):
     """Integer matrix with nonnegative off-diagonal entries."""
     return all(x >= 0 for i, row in enumerate(M) for j, x in enumerate(row) if i != j)

@@ -31,10 +31,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from . import laurent, tensor
+from . import flags, laurent, tensor
 from .laurent import clean, elt_add, elt_add_into, elt_combo, elt_scale, mono
 from .matrices import (
-    add as mat_add, co, compositions, diag, diag_of, dminusr, ro,
+    add as mat_add, check_matrix, co, compositions, diag, diag_of, ro,
     theta_matrices, unit as mat_unit,
 )
 from .uvt import A as Ap, B as Bp, E, F, pairing
@@ -489,12 +489,6 @@ def _column_plan(n, d):
     return {mu: (s_mu, steps, tuple(reads)) for mu, (s_mu, steps, reads) in plan.items()}
 
 
-def _check_matrix(A, n, d):
-    """ValueError unless A is an n x n matrix of naturals summing to d."""
-    if len(A) != n or any(len(row) != n or min(row) < 0 for row in A) or sum(map(sum, A)) != d:
-        raise ValueError("matrix %r is not %d x %d natural summing to %d" % (A, n, n, d))
-
-
 @lru_cache(maxsize=2048)
 def braced_op(A, n, d):
     """Tensor-space operator of a single braced basis element (n >= d unless
@@ -511,7 +505,7 @@ def braced_op(A, n, d):
     filled from s_mu along _column_plan's rising swaps.  A that is not an
     n x n natural matrix summing to d raises ValueError.
     """
-    _check_matrix(A, n, d)
+    check_matrix(A, n, d)
     shape = chev_shape(A)
     if shape is not None and shape[0] == "diag":
         return content_projector(diag_of(A), n, d)
@@ -589,33 +583,18 @@ def oracle_compare(n, d, primes=(3, 5, 7), allow_large=False):
     """Check every admissible Chevalley product against flag counting.
 
     For each left factor {B} of E or F shape and each compatible A, the
-    closed-form product is rewritten on the e-basis; all coefficients must be
-    t-free with even v-powers and must evaluate at v^2 = p to the oracle's
-    counts for every prime.  Returns a list of (B, A, ok).
+    closed-form product {B}{A} must match the oracle's counts at every prime
+    (flags.braced_counts_match).  Returns a list of (B, A, ok).
     """
-    from . import flags
-
     tables = {p: flags.conv_table(p, d, n, allow_large=allow_large) for p in primes}
-    results = []
     thetas = theta_matrices(n, d)
-    lefts = []
+    results = []
     for B in thetas:
         shape = chev_shape(B)
-        if shape is not None and shape[0] != "diag":
-            lefts.append(B)
-
-    for B in lefts:
-        for A in thetas:
-            if ro(A) != co(B):
-                continue
-            prod = lmul_braced(B, {A: laurent.ONE})
-            shiftBA = dminusr(B) + dminusr(A)
-            e_prod = {
-                Cmat: c * mono(shiftBA - dminusr(Cmat), dminusr(Cmat) - shiftBA)
-                for Cmat, c in prod.items()
-            }
-            ok = all(flags.counts_match(e_prod, tables[p].get((B, A), {}), p) for p in primes)
-            results.append((B, A, ok))
+        if shape is None or shape[0] == "diag":
+            continue
+        results += [(B, A, flags.braced_counts_match(lmul_braced(B, {A: laurent.ONE}), B, A, tables))
+                    for A in thetas if ro(A) == co(B)]
     return results
 
 
@@ -640,7 +619,7 @@ def from_json(doc):
     x = {}
     for term in doc["terms"]:
         A = tuple(tuple(map(laurent.json_int, row)) for row in term["matrix"])
-        _check_matrix(A, n, d)
+        check_matrix(A, n, d)
         if A in x:
             raise ValueError("repeated matrix %r" % (A,))
         x[A] = laurent.from_json(term["poly"])

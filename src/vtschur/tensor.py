@@ -159,12 +159,18 @@ def op_T(j, n, d):
 
 # -- duality checks --------------------------------------------------------------
 
+def commute_guard(n, d):
+    """The limit that (n, d) exceeds in commute_check, as text, or None."""
+    return "commutation guard n<=4, d<=3 (got n=%d d=%d)" % (n, d) if n > 4 or d > 3 else None
+
+
 def commute_check(n, d, allow_large=False):
     """Each generator operator commutes with each T_j: list of (label, ok)."""
-    if (n > 4 or d > 3) and not allow_large:
+    over = commute_guard(n, d)
+    if over and not allow_large:
         from .flags import GuardExceeded
 
-        raise GuardExceeded("commutation guard n<=4, d<=3; pass allow_large=True")
+        raise GuardExceeded(over + "; pass allow_large=True")
     out = []
     for g in gens(n):
         G = op_sym(g, n, d)

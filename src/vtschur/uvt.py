@@ -281,27 +281,19 @@ def counit(sym):
     return laurent.ZERO if sym[0] in ("E", "F") else ONE
 
 
-def antipode(sym, printed=False):
-    """S on a generator, as a combo.
-
-    printed=True selects the alternate grouplike normalization (inverse-free
-    factors); it fails the antipode axiom on the model and exists only for
-    the expected-fail regression."""
+def antipode(sym):
+    """S on a generator, as a combo."""
     kind = sym[0]
     if kind == "E":
         i = sym[1]
-        if printed:
-            return [(-ONE, (sym, ("B", i, 1), ("A", i + 1, 1)))]
         return [(-ONE, (sym, ("A", i, -1), ("B", i + 1, -1)))]
     if kind == "F":
         i = sym[1]
-        if printed:
-            return [(-ONE, (("A", i, 1), ("B", i + 1, 1), sym))]
         return [(-ONE, (("B", i, -1), ("A", i + 1, -1), sym))]
     return [(ONE, ((kind, sym[1], -sym[2]),))]
 
 
-def hopf_checks(n, d, printed_antipode=False):
+def hopf_checks(n, d):
     """Coassociativity, counit and antipode axioms on every generator.
 
     Counit and antipode run as operator identities on V^{tensor d};
@@ -340,9 +332,9 @@ def hopf_checks(n, d, printed_antipode=False):
             ("counit-left", [(_word_counit(l), r) for l, r in legs], g_op),
             ("counit-right", [(_word_counit(r), l) for l, r in legs], g_op),
             ("antipode-left", [(c, w + tuple(r)) for l, r in legs
-                               for c, w in _word_antipode(l, printed_antipode)], unit),
+                               for c, w in _word_antipode(l)], unit),
             ("antipode-right", [(c, tuple(l) + w) for l, r in legs
-                                for c, w in _word_antipode(r, printed_antipode)], unit),
+                                for c, w in _word_antipode(r)], unit),
         ]
         for name, combo, want in sides:
             results.append(("%s %r" % (name, g), tensor.op_eq(tensor.op_combo(combo, n, d), want)))
@@ -354,15 +346,11 @@ def _word_counit(word):
     return math.prod(map(counit, word), start=ONE)
 
 
-def _word_antipode(word, printed):
+def _word_antipode(word):
     """S extended as an anti-homomorphism to a word; a combo list."""
     combos = [(ONE, ())]
     for sym in reversed(word):
-        combos = [
-            (c1 * c2, w1 + w2)
-            for c1, w1 in combos
-            for c2, w2 in antipode(sym, printed=printed)
-        ]
+        combos = [(c1 * c2, w1 + w2) for c1, w1 in combos for c2, w2 in antipode(sym)]
     return combos
 
 

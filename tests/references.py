@@ -2,7 +2,7 @@
 
 import functools
 
-from vtschur import flags, laurent, linalg, schur, tensor
+from vtschur import flags, laurent, linalg, schur, tensor, uvt
 from vtschur.matrices import co, diag_of, ro, theta_matrices
 
 
@@ -46,6 +46,25 @@ def dense(rows, ncols):
 def rs_to_vt(rp):
     """Substitute r = vt, s = v^{-1}t back into an RSPoly (inverse of laurent.to_rs)."""
     return laurent.VTPoly({(x - y, x + y): c for (x, y), c in rp.c.items()})
+
+
+def printed_antipode(sym):
+    """S with the printed grouplike normalization (inverse-free factors), as
+    a combo; it fails the antipode axiom on E and F."""
+    i = sym[1]
+    if sym[0] == "E":
+        return [(-laurent.ONE, (sym, ("B", i, 1), ("A", i + 1, 1)))]
+    if sym[0] == "F":
+        return [(-laurent.ONE, (("A", i, 1), ("B", i + 1, 1), sym))]
+    return uvt.antipode(sym)
+
+
+def printed_word_antipode(word):
+    """printed_antipode extended as an anti-homomorphism to a word."""
+    combos = [(laurent.ONE, ())]
+    for sym in reversed(word):
+        combos = [(c1 * c2, w1 + w2) for c1, w1 in combos for c2, w2 in printed_antipode(sym)]
+    return combos
 
 
 def classify_pairs(left_flags, right_flags, p):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -131,6 +132,26 @@ def test_guard_exceeded_exit_2():
     code, _, err = run_cli(["verify", "oracle", "--n", "2", "--d", "2", "--primes", "11,13"])
     assert code == 2
     assert "guard" in err.lower()
+
+
+@pytest.mark.parametrize("suite", ["hecke", "oracle"])
+def test_large_prime_meets_the_guard_before_the_primality_test(suite):
+    # trial division of this 19-digit prime runs for minutes
+    start = time.monotonic()
+    code, out, err = run_cli(["verify", suite, "--primes", "1000000000000000003"])
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and not out and "guard exceeded" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "oracle", "--d", "4"],
+    ["verify", "hecke", "--d", "4"],
+    ["verify", "duality", "--n", "5"],
+])
+def test_guard_messages_name_the_environment_switch(args):
+    code, out, err = run_cli(args)
+    assert code == 2 and not out
+    assert "guard exceeded" in err and "VTSCHUR_ALLOW_LARGE=1" in err and "allow_large" not in err
 
 
 def test_stab_window_guard_exit_2():

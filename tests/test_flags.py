@@ -331,6 +331,7 @@ def test_opposite_representative_disagreement_raises(monkeypatch):
         return counts
 
     monkeypatch.setattr(fl, "_type_counts", corrupt_opposite)
+    fl._products.cache_clear()
     with pytest.raises(AssertionError, match="depends on the representative"):
         fl.conv_table(3, 2, 2)
     with pytest.raises(AssertionError, match="depends on the representative"):
@@ -348,8 +349,26 @@ def test_conv_table_builds_each_orbit_column_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(fl, "_orbit", counted)
+    fl._products.cache_clear()
     fl.conv_table(3, 3, 3)
     assert 0 < calls[0] <= 10_000
+
+
+def test_convolve_count_reads_the_memoized_table(monkeypatch):
+    # after conv_table, each convolve_count at the same (p, d, n) is a lookup
+    p, d, n = 3, 3, 3
+    table = fl.conv_table(p, d, n)
+    calls = [0]
+    real = fl._orbit
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(fl, "_orbit", counted)
+    for B, A in random.Random(5).sample(sorted(table), 20):
+        assert fl.convolve_count(B, A, p, d, n) == table[(B, A)]
+    assert calls[0] == 0
 
 
 def test_conv_table_pinned():

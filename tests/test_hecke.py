@@ -5,6 +5,7 @@ import pytest
 from vtschur import hecke as hk
 from vtschur import laurent, tensor
 from vtschur.laurent import elt_add, elt_scale, mono
+from vtschur.matrices import dminusr
 
 
 def test_inversions_and_words():
@@ -19,6 +20,13 @@ def test_inversions_and_words():
             for i in word:
                 x = hk.right_s(x, i)
             assert x == w
+
+
+def test_inversions_are_dminusr_of_the_permutation_matrix():
+    # the braced element {perm_matrix(w)} is T_w exactly when these agree
+    for d in range(1, 6):
+        for w in hk.all_perms(d):
+            assert hk.inversions(w) == dminusr(hk.perm_matrix(w))
 
 
 def test_index_out_of_range():

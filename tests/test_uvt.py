@@ -3,6 +3,8 @@ import pytest
 from vtschur import laurent, tensor, uvt
 from vtschur.laurent import ONE, mono
 
+from references import printed_word_antipode
+
 
 def test_cartan_forms():
     n = 4
@@ -94,14 +96,16 @@ def test_hopf_axioms(n, d):
 
 
 def test_hopf_printed_antipode_fails():
-    # the printed grouplike factors break the antipode axiom on E and F
-    res = uvt.hopf_checks(2, 1, printed_antipode=True)
-    fails = {name for name, ok in res if not ok}
-    assert "antipode-left %r" % (("E", 1),) in fails
-    assert "antipode-left %r" % (("F", 1),) in fails
-    # everything else still passes
-    others = [ok for name, ok in res if "antipode" not in name]
-    assert all(others)
+    # the printed grouplike factors break the antipode axiom m(S x id) Delta(g)
+    # = eps(g) 1 on E and F, and only there
+    n, d = 2, 1
+    fails = set()
+    for g in tensor.gens(n):
+        combo = [(c, w + tuple(r)) for l, r in tensor.coproduct_legs(g) for c, w in printed_word_antipode(l)]
+        if not tensor.op_eq(tensor.op_combo(combo, n, d), tensor.op_combo([(uvt.counit(g), ())], n, d)):
+            fails.add(g)
+    assert fails == {("E", 1), ("F", 1)}
+    assert all(ok for _, ok in uvt.hopf_checks(n, d))
 
 
 def test_hopf_leg_operators_built_once(monkeypatch):
