@@ -31,16 +31,20 @@ class BadRequest(ValueError):
 def _over_guard(suite, cfg):
     """The guard limit that a suite's parameters exceed, as text, or None."""
     n, d = cfg["n"], cfg["d"]
-    if suite == "oracle":
-        return next(filter(None, (flags.over_guard(p, d, n) for p in cfg["primes"])), None)
-    if suite == "hecke":
-        return flags.over_guard(cfg["primes"][0], d, d)
+    if suite in ("oracle", "hecke"):  # every listed prime, before any primality test
+        steps = n if suite == "oracle" else d
+        return next(filter(None, (flags.over_guard(p, d, steps) for p in cfg["primes"])), None)
     if suite == "duality":
         return tensor.commute_guard(n, d)
     if suite == "stab":
-        size = (2 * cfg["window"] + 1) ** n
-        if size > stab.MAX_DIAGONALS:
-            return "stab guard: (2 window + 1)^n = %d diagonals, over %d" % (size, stab.MAX_DIAGONALS)
+        base, size = 2 * cfg["window"] + 1, 1
+        for _ in range(n):  # stops once over: a large n makes the power itself slow
+            size *= base
+            if size > stab.MAX_DIAGONALS:
+                digits = n * math.log10(base)
+                shown = "%d" % base ** n if digits < 18 else "about 10^%d" % digits
+                return "stab guard: (2 window + 1)^n = %d^%d = %s diagonals, over %d" % (
+                    base, n, shown, stab.MAX_DIAGONALS)
 
 
 def check_request(suite, cfg, large=False):

@@ -16,16 +16,22 @@ flag is (F_1, ..., F_d) with dim F_i = i.
 
 Orbit matrices are read from integers: once per (p, d), every subspace of
 F_p^d gets an id (the zero space 0) and one table holds dim(a + b) for
-every pair of ids, built from bitmasks of the subspaces' vectors.  An orbit
-matrix is then a second difference of table entries.  The counting routine
-encodes every flag of its families once as the tuple of its subspace ids,
-and builds the column of orbit matrices against each representative right
-flag once per table, shared by every left flag whose type picks it.
+every pair of ids, built from bitmasks of the subspaces' vectors.  Each
+flag is encoded once, in two roles.  On the left, V is its difference rows
+D_i = table[v_i] - table[v_{i-1}]; on the right, W is its pairs
+(w_{j-1}, w_j); here v_i, w_j are subspace ids and v_0 = w_0 = 0.  Entry
+(i, j) of the orbit matrix is then D_i[w_{j-1}] - D_i[w_j]: two reads and
+one subtraction.  orbit_matrix keeps both encodings of every flag it meets
+in a bounded memo; the counting routine encodes every flag of its families
+once per table, and builds the column of orbit matrices against each
+representative right flag once, shared by every left flag whose type picks
+it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from collections import Counter
 from functools import lru_cache
@@ -101,7 +107,8 @@ def enum_subspaces(p, d, k, allow_large=False):
     if not 0 <= k <= d:
         raise ValueError("need 0 <= k <= d")
     if d > SUBSPACE_MAX_D and not allow_large:
-        raise GuardExceeded("subspace enumeration guard d <= %d" % SUBSPACE_MAX_D)
+        raise GuardExceeded("subspace enumeration guard d <= %d; pass allow_large=True to override"
+                            % SUBSPACE_MAX_D)
     if k == 0:
         return [()]
     out = []
@@ -155,16 +162,17 @@ def enum_flags_Y(p, d, allow_large=False):
 
 
 @lru_cache(maxsize=32)
-def _subspace_index(p, d):
+def _subspace_index(p, d, allow_large=False):
     """Ids of all subspaces of F_p^d and the table of their sum dimensions.
 
     Returns ({subspace: id}, T) with T[a][b] = dim(a + b); the zero space
     has id 0.  Each subspace is stored as the bitmask of its p^k vectors, so
     p^dim(a cap b) is the popcount of mask_a & mask_b and
     dim(a + b) = dim a + dim b - dim(a cap b).  The table has one entry per
-    pair of subspaces, so d > SUBSPACE_MAX_D raises GuardExceeded.
+    pair of subspaces, so d > SUBSPACE_MAX_D raises GuardExceeded unless
+    allow_large.
     """
-    subs = [s for k in range(d + 1) for s in enum_subspaces(p, d, k)]
+    subs = [s for k in range(d + 1) for s in enum_subspaces(p, d, k, allow_large)]
     weights = [p ** j for j in range(d)]
     masks = []
     for s in subs:
@@ -181,18 +189,33 @@ def _subspace_index(p, d):
     return {s: i for i, s in enumerate(subs)}, table
 
 
-def _orbit(vs, ws, table):
-    """Orbit matrix of an encoded pair: vs holds the subspace ids of V, ws
-    those of W after a leading 0 (the zero space W_0), table is the (p, d)
-    sum-dimension table."""
-    cols = list(zip(ws, ws[1:]))
-    above = table[0]
+def _encode(vs, table):
+    """Both roles of the flag with subspace ids vs: (rows, cols), its
+    difference rows D_i = table[v_i] - table[v_{i-1}] and its pairs
+    (v_{i-1}, v_i), with v_0 = 0."""
+    cols = tuple(zip((0, *vs), vs))
+    return tuple(tuple(map(operator.sub, table[b], table[a])) for a, b in cols), cols
+
+
+def _orbit(rows, cols):
+    """Orbit matrix of the pair (V, W) from V's rows and W's cols (_encode):
+    entry (i, j) is D_i[w_{j-1}] - D_i[w_j]."""
     out = []
-    for i in vs:
-        below = table[i]
-        out.append(tuple([above[w] - below[w] - above[u] + below[u] for u, w in cols]))
-        above = below
+    for D in rows:
+        out.append(tuple([D[u] - D[w] for u, w in cols]))
     return tuple(out)
+
+
+@lru_cache(maxsize=1 << 11)
+def _flag_code(F, p):
+    """_encode of the flag F over F_p, each subspace brought to its
+    canonical RREF first when its rows are not that already."""
+    d = next((len(s[0]) for s in F if s), 0)
+    ids, table = _subspace_index(p, d)
+    vs = [*map(ids.get, F)]
+    if None in vs:
+        vs = [ids[rref(s, p)] for s in F]
+    return _encode(vs, table)
 
 
 def orbit_matrix(V, W, p):
@@ -206,39 +229,27 @@ def orbit_matrix(V, W, p):
     brought to it first.  Flags in F_p^d with d > SUBSPACE_MAX_D raise
     GuardExceeded.
     """
-    d = 0
-    for s in (*V, *W):
-        if s:
-            d = len(s[0])
-            break
-    ids, table = _subspace_index(p, d)
-    vs = [*map(ids.get, V)]
-    ws = [0, *map(ids.get, W)]
-    if None in vs or None in ws:
-        vs = [ids[rref(s, p)] for s in V]
-        ws = [0] + [ids[rref(s, p)] for s in W]
-    return _orbit(vs, ws, table)
+    return _orbit(_flag_code(V, p)[0], _flag_code(W, p)[1])
 
 
-def _encoded(ids, family):
-    """Each flag as the tuple of its subspace ids; every subspace must be
-    canonical RREF already."""
-    return [tuple([ids[s] for s in F]) for F in family]
+def _encoded(ids, table, family):
+    """_encode of each flag; every subspace must be canonical RREF already."""
+    return [_encode([ids[s] for s in F], table) for F in family]
 
 
-def _type_counts(vs, mid, wmid, right, table, columns, pick):
+def _type_counts(v_rows, mid, right, columns, pick):
     """{C: Counter of (orbit(V, U), orbit(U, W)) over the middle flags U}, for
     each type C of the pairs (V, W); W is the representative reps[pick].
 
-    vs encodes V; mid holds the middle flags as ids, wmid the same flags in
-    the (0, *ids) form, right the right flags in that form (it is wmid when
-    the two families agree, and the types are then read from the row
-    orbit(V, U) itself).  Each type keeps its first two right flags in
-    enumeration order as reps.  columns maps the index of a representative
-    W in right to its column [orbit(U, W) for U in mid], built on first use.
+    v_rows encodes V, mid the middle flags and right the right flags
+    (_encode; right is mid when the two families agree, and the types are
+    then read from the row orbit(V, U) itself).  Each type keeps its first
+    two right flags in enumeration order as reps.  columns maps the index
+    of a representative W in right to its column [orbit(U, W) for U in
+    mid], built on first use.
     """
-    left = [_orbit(vs, w, table) for w in wmid]
-    row = left if right is wmid else [_orbit(vs, w, table) for w in right]
+    left = [_orbit(v_rows, cols) for _, cols in mid]
+    row = left if right is mid else [_orbit(v_rows, cols) for _, cols in right]
     types = {}
     for j, C in enumerate(row):
         reps = types.setdefault(C, [])
@@ -249,13 +260,13 @@ def _type_counts(vs, mid, wmid, right, table, columns, pick):
         j = reps[pick]
         col = columns.get(j)
         if col is None:
-            col = columns[j] = [_orbit(u, right[j], table) for u in mid]
+            col = columns[j] = [_orbit(rows, right[j][1]) for rows, _ in mid]
         out[C] = Counter(zip(left, col))
     return out
 
 
 @lru_cache(maxsize=4)
-def _products(p, d, n, kinds):
+def _products(p, d, n, kinds, allow_large=False):
     """{(B, A): {C: count}} over every output type C, for the flag families
     kinds = (left, middle, right).  Memoized: the tables are shared and
     read-only by convention.
@@ -263,24 +274,21 @@ def _products(p, d, n, kinds):
     Every type C is counted twice: from the standard flag (V_i spanned by the
     first dim V_i basis vectors) with the first representative right flag,
     and from the opposite flag (the last dim V_i basis vectors) with the
-    last; the two counts must agree.  Flags are encoded once as tuples of
-    subspace ids, and the column of orbit matrices against each
-    representative right flag is built once per table and shared by every
-    left flag that picks it.
+    last; the two counts must agree.  Flags are encoded once per table, and
+    the column of orbit matrices against each representative right flag is
+    built once and shared by every left flag that picks it.
     """
-    ids, table = _subspace_index(p, d)
-    mid = _encoded(ids, _family(kinds[1], p, d, n))
-    wmid = [(0, *u) for u in mid]
-    right = wmid
-    if kinds[2] != kinds[1]:
-        right = [(0, *w) for w in _encoded(ids, _family(kinds[2], p, d, n))]
+    ids, table = _subspace_index(p, d, allow_large)
+    mid = _encoded(ids, table, _family(kinds[1], p, d, n))
+    right = mid if kinds[2] == kinds[1] else _encoded(ids, table, _family(kinds[2], p, d, n))
     full = full_space(d)
     columns = {}
     by_type = {}
     for dims in _dim_vectors(kinds[0], d, n):
-        std_v, opp_v = _encoded(ids, [tuple(full[:k] for k in dims), tuple(full[d - k:] for k in dims)])
-        std = _type_counts(std_v, mid, wmid, right, table, columns, 0)
-        opp = _type_counts(opp_v, mid, wmid, right, table, columns, -1)
+        (std_v, _), (opp_v, _) = _encoded(ids, table, [tuple(full[:k] for k in dims),
+                                                      tuple(full[d - k:] for k in dims)])
+        std = _type_counts(std_v, mid, right, columns, 0)
+        opp = _type_counts(opp_v, mid, right, columns, -1)
         for C in sorted(set(std) | set(opp)):
             a, b = std.get(C, Counter()), opp.get(C, Counter())
             if a != b:
@@ -305,11 +313,11 @@ def orbit_types(p, d, n, kinds, allow_large=False):
     every type, so only those are paired with every right flag.
     """
     _guard(p, d, n, allow_large)
-    ids, table = _subspace_index(p, d)
+    ids, table = _subspace_index(p, d, allow_large)
     full = full_space(d)
-    left = _encoded(ids, [tuple(full[:k] for k in dims) for dims in _dim_vectors(kinds[0], d, n)])
-    right = [(0, *w) for w in _encoded(ids, _family(kinds[1], p, d, n))]
-    return {_orbit(vs, ws, table) for vs in left for ws in right}
+    left = _encoded(ids, table, [tuple(full[:k] for k in dims) for dims in _dim_vectors(kinds[0], d, n)])
+    right = _encoded(ids, table, _family(kinds[1], p, d, n))
+    return {_orbit(rows, cols) for rows, _ in left for _, cols in right}
 
 
 def convolve_count(B, A, p, d, n, allow_large=False):
@@ -322,7 +330,7 @@ def convolve_count(B, A, p, d, n, allow_large=False):
     if co(B) != ro(A):
         raise ValueError("co(B) = %r must equal ro(A) = %r" % (co(B), ro(A)))
     _guard(p, d, n, allow_large)
-    return _products(p, d, n, ("X", "X", "X")).get((mat(B), mat(A)), {})
+    return _products(p, d, n, ("X", "X", "X"), allow_large).get((mat(B), mat(A)), {})
 
 
 def conv_table(p, d, n, kinds=("X", "X", "X"), allow_large=False):
@@ -331,7 +339,7 @@ def conv_table(p, d, n, kinds=("X", "X", "X"), allow_large=False):
     nonzero product.
     """
     _guard(p, d, n, allow_large)
-    return _products(p, d, n, tuple(kinds))
+    return _products(p, d, n, tuple(kinds), allow_large)
 
 
 def counts_match(prod, counts, p):

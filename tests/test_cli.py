@@ -136,11 +136,13 @@ def test_guard_exceeded_exit_2():
 
 @pytest.mark.parametrize("suite", ["hecke", "oracle"])
 def test_large_prime_meets_the_guard_before_the_primality_test(suite):
-    # trial division of this 19-digit prime runs for minutes
-    start = time.monotonic()
-    code, out, err = run_cli(["verify", suite, "--primes", "1000000000000000003"])
-    assert time.monotonic() - start < 1.0
-    assert code == 2 and not out and "guard exceeded" in err
+    # trial division of this 19-digit prime runs for minutes, also when it
+    # is listed after a prime that the suite runs at
+    for primes in ("1000000000000000003", "3,1000000000000000003"):
+        start = time.monotonic()
+        code, out, err = run_cli(["verify", suite, "--primes", primes])
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and not out and "guard exceeded" in err
 
 
 @pytest.mark.parametrize("args", [
@@ -159,6 +161,13 @@ def test_stab_window_guard_exit_2():
     code, out, err = run_cli(["verify", "stab", "--n", "5", "--window", "4"])
     assert code == 2 and not out
     assert "guard exceeded" in err and "59049" in err and "VTSCHUR_ALLOW_LARGE" in err
+
+
+def test_stab_guard_states_a_huge_size_without_printing_it():
+    # 9^5000 has 4,772 digits, past the limit of int-to-str conversion
+    code, out, err = run_cli(["verify", "stab", "--n", "5000"])
+    assert code == 2 and not out
+    assert "guard exceeded" in err and "9^5000" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [
@@ -328,6 +337,21 @@ def test_allow_large_lifts_the_guards(monkeypatch, suite, over):
     with warnings.catch_warnings(record=True):  # lifted flag guards warn
         warnings.simplefilter("always")
         assert cli.run_suite(suite, cfg).passed
+
+
+def test_allow_large_lifts_the_subspace_table_guard(monkeypatch, capsys):
+    # the subspace table's guard (d <= SUBSPACE_MAX_D) lowered, so that
+    # lifting it starts no large run
+    monkeypatch.setattr(flags, "SUBSPACE_MAX_D", 1)
+    for memo in (flags._subspace_index, flags._products, flags._flag_code):
+        memo.cache_clear()
+    argv = ["verify", "oracle", "--n", "2", "--d", "2", "--primes", "3"]
+    monkeypatch.delenv("VTSCHUR_ALLOW_LARGE", raising=False)
+    assert cli.main(argv) == 2
+    assert "subspace enumeration guard d <= 1" in capsys.readouterr().err
+    monkeypatch.setenv("VTSCHUR_ALLOW_LARGE", "1")
+    assert cli.main(argv) == 0
+    assert "suite oracle: PASS" in capsys.readouterr().out
 
 
 def test_fraction_spec_round_trips_through_json():

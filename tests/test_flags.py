@@ -238,6 +238,17 @@ def test_orbit_matrix_accepts_any_spanning_rows():
             assert fl.orbit_matrix(V, W2, p) == expect
 
 
+def test_orbit_matrix_encodes_each_flag_once():
+    p, n, d = 5, 2, 3
+    X = fl.enum_flags_X(p, d, n)
+    Y = fl.enum_flags_Y(p, d)
+    fl._flag_code.cache_clear()
+    xy = {fl.orbit_matrix(V, F, p) for V in X for F in Y}
+    yy = {fl.orbit_matrix(F, G, p) for F in Y for G in Y}
+    assert len(xy) == n ** d and len(yy) == math.factorial(d)
+    assert fl._flag_code.cache_info().misses <= len(X) + len(Y)
+
+
 def test_yy_identity():
     p = 3
     F = fl.enum_flags_Y(p, 3)[0]
