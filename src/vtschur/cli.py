@@ -75,6 +75,8 @@ def check_request(suite, cfg, large=False):
     except ValueError as exc:
         raise BadRequest(str(exc)) from None
     top = {"jparity-tilde": n - 1, "jparity-hat": n - 2}.get(suite)
+    if top is not None and top < 1:  # no m at all: the bound is on n
+        raise BadRequest("%s needs n >= %d, got n=%d" % (suite, n - top + 1, n))
     if top is not None and not 1 <= m <= top:
         raise BadRequest("%s needs 1 <= m <= %d, got m=%d" % (suite, top, m))
 

@@ -420,8 +420,9 @@ def to_json(p):
     """List of [a, b, numerator, denominator] quadruples in canonical order."""
     out = []
     for (a, b), x in p.terms():
-        f = Fraction(x)
-        out.append([a, b, f.numerator, f.denominator])
+        if type(x) is not int:  # an int is its own numerator, over 1
+            x = Fraction(x)
+        out.append([a, b, x.numerator, x.denominator])
     return out
 
 

@@ -19,17 +19,22 @@ meet, the dimension is pinned exactly.
 
 Both bounds are ranks mod p of sparse rows of Python ints, grown by the
 accumulator (also the canonical form of a subspace in flags.rref).  The
-upper bound adds the constraint rows shortest first, so the single-entry
-rows (most of them) peel their unknowns before the rest.  The lower bound
-closes the identity under left multiplication by the generators
-(`mod_span_closure`), a word being a sparse row over the N^2 entries of an
-N x N matrix.  The words and the constraints respect the weight blocks of
-tensor space, and sparse rows keep the blocks apart with no bookkeeping:
-elimination only ever combines rows that share a column.
+upper bound (`commutant_upper`) takes as unknowns only the X[i, j] whose
+indices share a Cartan class, the tuple of entries of the diagonal
+matrices at i: the diagonal matrices commute with X exactly when X is 0
+between classes, so they add no rows.  The rows of the other matrices on
+those unknowns go in shortest first, so the single-entry rows peel their
+unknowns before the rest.  The lower bound closes the identity under left
+multiplication by the generators (`mod_span_closure`), a word being a
+sparse row over the N^2 entries of an N x N matrix.  The words and the
+constraints respect the weight blocks of tensor space, and sparse rows keep
+the blocks apart with no bookkeeping: elimination only ever combines rows
+that share a column.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 CERT_PRIMES = (2000003, 2000029)
@@ -166,16 +171,21 @@ def modular_rank(rows, ncols, p):
 
 # -- commutants ------------------------------------------------------------------
 
-def commutant_constraint_rows(mats, N):
+def commutant_constraint_rows(mats, N, classes=None):
     """Sylvester rows of {X : X M = M X for every M in mats}, the nonzero ones.
 
     Each M is given by its N columns, {row: residue} dicts.  X is flattened
     row major, and constraint (i, j) of M is the row of
-    sum_k X[i, k] M[k, j] - sum_k M[i, k] X[k, j].  A single-entry row
-    forces its unknown to 0, so only the first such row of each unknown is
-    kept (most rows are single entries: of the diagonal generators, between
-    weight blocks).
+    sum_k X[i, k] M[k, j] - sum_k M[i, k] X[k, j].  With `classes` (a class
+    label per index), the unknowns are only the X[i, k] with classes[i] ==
+    classes[k], the others taken as 0 (see commutant_upper); without, every
+    X[i, k] is one.  A single-entry row forces its unknown to 0, so only the
+    first such row of each unknown is kept.
     """
+    classes = classes or [None] * N
+    members = {}
+    for k, label in enumerate(classes):
+        members.setdefault(label, []).append(k)
     out, forced = [], set()
     for cols in mats:
         rows = [{} for _ in range(N)]
@@ -183,15 +193,20 @@ def commutant_constraint_rows(mats, N):
             for i, x in col.items():
                 rows[i][k] = x
         for i, row_i in enumerate(rows):
-            for j, col_j in enumerate(cols):
-                row = {i * N + k: x for k, x in col_j.items()}
-                for k, x in row_i.items():
+            cons = {}  # j -> constraint (i, j)
+            for k in members[classes[i]]:
+                for j, x in rows[k].items():
+                    cons.setdefault(j, {})[i * N + k] = x
+            for k, y in row_i.items():
+                for j in members[classes[k]]:
+                    row = cons.setdefault(j, {})
                     c = k * N + j
-                    x = row.get(c, 0) - x
+                    x = row.get(c, 0) - y
                     if x:
                         row[c] = x
                     else:  # only at k = i, j, where M[j, j] = M[i, i]
                         del row[c]
+            for row in cons.values():
                 if len(row) > 1:
                     out.append(row)
                 elif row:
@@ -203,8 +218,22 @@ def commutant_constraint_rows(mats, N):
 
 
 def commutant_upper(mats, N, p):
-    """Nullity mod p of the commutant constraints of mats (an upper bound)."""
-    return N * N - modular_rank(commutant_constraint_rows(mats, N), N * N, p)
+    """Nullity mod p of the commutant constraints of mats (an upper bound).
+
+    A diagonal M contributes the constraints X[i, j] (M[j, j] - M[i, i]) = 0.
+    Together the diagonal matrices say only that X[i, j] = 0 unless i and j
+    have the same tuple of diagonal residues, their Cartan class.  So the
+    unknowns are the X[i, j] inside one class, the rows are those of the
+    other matrices on them, and the nullity is their number less the rank.
+    With no diagonal matrix, there is one class and the system is the full
+    one.
+    """
+    diagonal = [all(col.keys() <= {k} for k, col in enumerate(cols)) for cols in mats]
+    classes = [tuple(cols[k].get(k, 0) for cols, diag in zip(mats, diagonal) if diag)
+               for k in range(N)]
+    unknowns = sum(m * m for m in Counter(classes).values())
+    rest = [cols for cols, diag in zip(mats, diagonal) if not diag]
+    return unknowns - modular_rank(commutant_constraint_rows(rest, N, classes), unknowns, p)
 
 
 def mod_span_closure(seeds, multipliers, p, stop=None):

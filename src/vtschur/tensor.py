@@ -17,7 +17,11 @@ operator of a one-symbol word (op_word returns op_sym's own).
 The double-centralizer checks share one certificate per (n, d, v0, t0)
 (_certificate): modular nullities of the constraint systems meet the ranks
 of word span closures, at the first certification prime at which v0 and t0
-are units.
+are units.  Two facts keep both systems small.  The A_a and B_a act
+diagonally, so the quantum side's unknowns are only the matrix entries
+between sequences of one Cartan class (linalg.commutant_upper).  And an
+inverse is a polynomial in its element (Cayley-Hamilton), so the words
+need only E_i, F_i, A_a and B_a, not A_a^{-1} or B_a^{-1}.
 """
 
 from __future__ import annotations
@@ -236,13 +240,21 @@ def _certificate(n, d, v0, t0):
     For each prime of cert_points(v0, t0), the operators are evaluated mod p
     and both commutants are sandwiched:
 
-    * upper bounds: modular nullities of the two constraint systems;
+    * upper bounds: modular nullities of the two constraint systems
+      (linalg.commutant_upper).  On the quantum side the diagonal A_a, B_a
+      add no rows: they confine the unknowns to the entries between
+      sequences of one Cartan class;
     * lower bound of the Hecke action's commutant: the span of generator
       words, closed from the identity until it reaches the upper bound.  The
       words commute with the Hecke action, so this closure also certifies
       the word-image rank;
     * lower bound of the quantum action's commutant: the span of the Hecke
       words (the image of the Hecke algebra), by the same closure.
+
+    The quantum side uses E_i, F_i, A_a and B_a only.  By Cayley-Hamilton
+    the inverse of an invertible M is a polynomial in M, so dropping
+    A_a^{-1} and B_a^{-1} changes neither the span of the words nor the
+    commutant.
 
     The first prime at which both pairs meet returns; ArithmeticError if
     none does.
@@ -253,7 +265,8 @@ def _certificate(n, d, v0, t0):
     ident = {i * N + i: 1 for i in range(N)}
     bounds = "no prime of %s is usable at (v0, t0) = (%s, %s)" % (linalg.CERT_PRIMES, v0, t0)
     for p, v, t in cert_points(v0, t0):
-        u_ops = [_op_mod(op_sym(g, n, d), idx, v, t, p) for g in gens(n)]
+        # E_i, F_i, A_a, B_a: the inverses add nothing (see above)
+        u_ops = [_op_mod(op_sym(g, n, d), idx, v, t, p) for g in gens(n) if g[2:] != (-1,)]
         t_ops = [_op_mod(op_T(j, n, d), idx, v, t, p) for j in range(1, d)]
         h_upper = linalg.commutant_upper(t_ops, N, p)
         u_upper = linalg.commutant_upper(u_ops, N, p)

@@ -192,6 +192,14 @@ def test_bad_request_exit_2(args):
     assert "bad request" in err
 
 
+@pytest.mark.parametrize("suite,n,least", [("jparity-hat", 2, 3), ("jparity-tilde", 1, 2)])
+def test_jparity_without_any_m_names_the_bound_on_n(suite, n, least):
+    code, out, err = run_cli(["verify", suite, "--n", str(n), "--d", "2", "--m", "1"])
+    assert code == 2 and not out
+    assert "bad request" in err and "%s needs n >= %d, got n=%d" % (suite, least, n) in err
+    assert "<=" not in err
+
+
 @pytest.mark.parametrize("spec", ["4000064000087,3", "1/4000064000087,3"])
 def test_spec_without_a_certification_prime_exit_2(spec):
     # 4000064000087 = 2000003 * 2000029: v0 is no unit mod either certification prime

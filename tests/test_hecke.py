@@ -82,6 +82,37 @@ def test_identity_and_braid():
     assert all(ok for _, ok in hk.verify_hecke(4))
 
 
+def _plant_rising_step(monkeypatch, w, j):
+    """Make the one rising step T_w T_j = T_{w s_j} pick up a factor v."""
+    rule = hk.t_column
+
+    def planted(i, r):
+        col = rule(i, r)
+        return {x: c * laurent.V for x, c in col.items()} if (i, r) == (j, w) else col
+
+    monkeypatch.setattr(hk, "t_column", planted)
+
+
+def _only_failure(checks, name):
+    checks = dict(checks)
+    assert len(checks) == 6  # d = 4: three quadratic, two braid, one commuting
+    assert checks[name] is False
+    assert all(ok for other, ok in checks.items() if other != name)
+
+
+def test_verify_hecke_fails_a_planted_braid(monkeypatch):
+    # T_1 T_2 T_1 ends in the step from s_1 s_2 = (1, 2, 0, 3) by T_1, which
+    # T_2 T_1 T_2 never takes: the two sides differ by v
+    _plant_rising_step(monkeypatch, (1, 2, 0, 3), 1)
+    _only_failure(hk.verify_hecke(4), "braid T_1 T_2")
+
+
+def test_verify_hecke_fails_a_planted_far_commutation(monkeypatch):
+    # T_1 T_3 is the step from s_1 = (1, 0, 2, 3) by T_3; T_3 T_1 is not
+    _plant_rising_step(monkeypatch, (1, 0, 2, 3), 3)
+    _only_failure(hk.verify_hecke(4), "commute T_1 T_3")
+
+
 def test_commuting_generators_product():
     # (T_1 T_3)(T_3 T_1) for d=4: expands through the quadratic twice
     d = 4

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -177,3 +178,20 @@ def test_serialization():
     assert from_json(to_json(p)) == p
     assert to_json(ZERO) == []
     assert to_text(ZERO) == "0"
+
+
+def _to_json_via_fractions(p):
+    """to_json as it was first written: a Fraction for every coefficient."""
+    return [[a, b, Fraction(x).numerator, Fraction(x).denominator] for (a, b), x in p.terms()]
+
+
+def test_to_json_int_shortcut_keeps_the_bytes():
+    rng = random.Random(29)
+    coeffs = [3, -7, 1, Fraction(2, 3), Fraction(-5, 4), Fraction(6, 3), Fraction(-4, 1)]
+    for _ in range(80):
+        p = VTPoly({(rng.randint(-3, 3), rng.randint(-3, 3)): rng.choice(coeffs) for _ in range(5)})
+        quads = to_json(p)
+        assert json.dumps(quads) == json.dumps(_to_json_via_fractions(p))
+        assert all(type(x) is int for quad in quads for x in quad)
+        assert from_json(quads) == p
+        assert json.dumps(to_json(from_json(quads))) == json.dumps(quads)

@@ -141,6 +141,35 @@ def test_span_closure_rounds_and_stop():
     assert linalg.mod_span_closure([ident], [swap, shear], P0, stop=4) == (4, 2)
 
 
+def _full_nullity(mats, N, p):
+    return N * N - linalg.modular_rank(linalg.commutant_constraint_rows(mats, N), N * N, p)
+
+
+def test_commutant_upper_on_shared_cartan_classes():
+    # the diagonals give indices 0 and 1 the tuple (1, 5), and 3 and 4 the
+    # tuple (2, 7); index 5's 0 is an empty column
+    N = 6
+    diagonals = [[{k: x} if x else {} for k, x in enumerate(entries)]
+                 for entries in ([1, 1, 2, 2, 2, 0], [5, 5, 5, 7, 7, 7])]
+    classes = [0, 0, 1, 2, 2, 3]
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(60):
+        mats = list(diagonals)
+        for _ in range(rng.randint(0, 2)):
+            # inside the classes (the commutant stays large) or across them
+            inside = rng.random() < 0.5
+            density = rng.choice((0.2, 0.5))
+            mats.append([{i: rng.randint(1, P0 - 1) for i in range(N)
+                          if rng.random() < density and (classes[i] == classes[k] or not inside)}
+                         for k in range(N)])
+        rng.shuffle(mats)
+        upper = linalg.commutant_upper(mats, N, P0)
+        assert upper == _full_nullity(mats, N, P0)
+        seen.add(upper)
+    assert 10 in seen and len(seen) > 3  # 10 = 2^2 + 1 + 2^2 + 1, the diagonals alone
+
+
 def dense_frac_solve(matrix, rhs):
     """Reference: dense Gauss-Jordan over Q in column order, free unknowns 0."""
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]

@@ -562,6 +562,29 @@ def test_component_rank_equals_dense_rank(n, d, side):
     assert linalg.modular_rank(rows, N * N, p) == mod_rank(dense(rows, N * N), p)
 
 
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3)])
+def test_commutant_upper_equals_full_sylvester_nullity(n, d):
+    p = linalg.CERT_PRIMES[0]
+    N = n ** d
+    for mats in _mod_ops(n, d, p):
+        full = N * N - linalg.modular_rank(linalg.commutant_constraint_rows(mats, N), N * N, p)
+        assert linalg.commutant_upper(mats, N, p) == full
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("spec", [(2, 3), (5, 7)])
+def test_inverse_free_closure_matches_all_generators(n, d, spec):
+    cert = tn.certificate(n, d, *spec)
+    u, _ = _mod_ops(n, d, cert.prime, spec)
+    free = [op for g, op in zip(tn.gens(n), u) if g[2:] != (-1,)]
+    N = n ** d
+    ident = {i * N + i: 1 for i in range(N)}
+    closure = linalg.mod_span_closure([ident], u, cert.prime, stop=cert.hecke[1])
+    assert closure == (cert.hecke[0], cert.rounds)
+    assert (linalg.mod_span_closure([ident], free, cert.prime)
+            == linalg.mod_span_closure([ident], u, cert.prime))
+
+
 def test_prime_with_unusable_spec_falls_through(monkeypatch):
     p0, p1 = linalg.CERT_PRIMES
     used = []
