@@ -226,8 +226,11 @@ def commutant_upper(mats, N, p):
     unknowns are the X[i, j] inside one class, the rows are those of the
     other matrices on them, and the nullity is their number less the rank.
     With no diagonal matrix, there is one class and the system is the full
-    one.
+    one.  Entries are reduced mod p first: 7 + p falls in the class of 7,
+    and a constraint entry, a difference of two residues, is nonzero
+    exactly when it is nonzero mod p.
     """
+    mats = [[{i: r for i, x in col.items() if (r := x % p)} for col in cols] for cols in mats]
     diagonal = [all(col.keys() <= {k} for k, col in enumerate(cols)) for cols in mats]
     classes = [tuple(cols[k].get(k, 0) for cols, diag in zip(mats, diagonal) if diag)
                for k in range(N)]

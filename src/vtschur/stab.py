@@ -16,6 +16,13 @@ make the limit computable:
   [-W, W]^n; a relation with f factors is asserted only on matrices whose
   diagonals keep a margin of f - 1 from the boundary, where truncation
   provably cannot lose contributions.
+
+A window comparison reads only the matrices of reach (largest |diagonal
+entry|) at most W - margin, and a left factor of Chevalley entry r moves
+each diagonal entry by at most r.  So a product read only there needs only
+the right terms of reach at most r beyond it (_window_mul).  The generator
+transport suite cuts its products that way; the limit relation suite keeps
+full products, since its report counts the boundary terms it skips.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ def shift(A, p):
 class _Factor(dict):
     """A window element that a suite multiplies many times.  Each chev_mul
     step (schur.chev_left, schur.chev_right) is built the first time the
-    factor is used on that side and then kept, and only for that side."""
+    factor is used on that side and then kept, and only for that side.  So
+    is each cut of it (cut), with the right step of its own."""
 
     @cached_property
     def left(self):
@@ -60,6 +68,42 @@ class _Factor(dict):
     def right(self):
         return schur.chev_right(self)
 
+    @cached_property
+    def step(self):
+        """The largest Chevalley entry r among the shapes of its terms, 0 for
+        a diagonal factor: as a left factor it moves each diagonal entry of
+        the right terms by at most r."""
+        return max((shape[2] for _, shape, _, _ in self.left if shape), default=0)
+
+    @cached_property
+    def reach(self):
+        return max(map(_reach, self), default=0)
+
+    @cached_property
+    def _cuts(self):
+        return {}
+
+    def cut(self, bound):
+        """Its terms of reach <= bound, a _Factor kept per bound (itself when
+        nothing is cut)."""
+        if bound >= self.reach:
+            return self
+        out = self._cuts.get(bound)
+        if out is None:
+            out = self._cuts[bound] = _Factor(_interior(self, bound))
+        return out
+
+
+def _reach(M):
+    """The largest |diagonal entry| of M: M keeps a margin m inside the window
+    [-W, W]^n exactly when its reach is at most W - m."""
+    return max(abs(M[i][i]) for i in range(len(M)))
+
+
+def _interior(x, bound):
+    """The terms of x on matrices of reach <= bound."""
+    return {M: c for M, c in x.items() if _reach(M) <= bound}
+
 
 def stab_mul(x, y):
     """Product of limit-algebra elements with Chevalley-shaped left support;
@@ -67,6 +111,20 @@ def stab_mul(x, y):
     left = x.left if type(x) is _Factor else schur.chev_left(x)
     right = y.right if type(y) is _Factor else schur.chev_right(y)
     return schur.chev_prod(left, right, stab=True)
+
+
+def _window_mul(x, y, bound=None):
+    """stab_mul(x, y) for a window factor x; with `bound`, cut to what the
+    matrices of reach <= bound read.  Each diagonal entry of a product term
+    is within x.step of that of its right term, so only the right terms of
+    reach <= bound + x.step are multiplied: the product is exact on reach
+    <= bound when y is exact on reach <= bound + x.step, and is not to be
+    read beyond.  Left terms are never cut.  The cut goes to the right
+    operand, so every product of the suites still goes through stab_mul."""
+    if bound is not None:
+        bound += x.step
+        y = y.cut(bound) if type(y) is _Factor else _interior(y, bound)
+    return stab_mul(x, y)
 
 
 # -- the weight window -------------------------------------------------------------
@@ -131,9 +189,10 @@ def f_limit(i, window, n):
 
 class _WindowChecks:
     """Named window comparisons under the margin rule: a relation with f
-    factors is compared only on matrices that keep a margin of f - 1.  A
-    failed comparison files its witness under its name in `witnesses`, when
-    given: the first differing interior matrix and both coefficients.
+    factors is compared only on matrices that keep a margin of f - 1, those
+    of reach at most interior(f).  A failed comparison files its witness
+    under its name in `witnesses`, when given: the first differing interior
+    matrix and both coefficients.
 
     cmp compares lhs times lhs_scale with rhs times rhs_scale, each scale
     when given.  A nonzero scale keeps every key (there are no zero
@@ -145,16 +204,19 @@ class _WindowChecks:
         self.witnesses = witnesses
         self.checks = []
         self.skipped = 0  # boundary matrices excluded from the comparisons
-        # the largest |diagonal entry| of each compared matrix, taken once per
-        # matrix: M is inside a margin exactly when it is at most W - margin
-        self.reach = {}
+        self.reach = {}  # the reach of each compared matrix, taken once per matrix
+
+    def interior(self, nfactors):
+        """The largest reach compared for a relation of nfactors factors:
+        W - max(margin, nfactors - 1)."""
+        win = WeightWindow(self.window.W, max(self.window.margin, nfactors - 1))
+        return win.W - win.margin
 
     def cmp(self, name, lhs, rhs, nfactors, lhs_scale=None, rhs_scale=None):
-        win = WeightWindow(self.window.W, max(self.window.margin, nfactors - 1))
         keys = lhs.keys() | rhs.keys()
-        reach, hi = self.reach, win.W - win.margin
+        reach, hi = self.reach, self.interior(nfactors)
         for M in keys - reach.keys():
-            reach[M] = max(abs(M[i][i]) for i in range(len(M)))
+            reach[M] = _reach(M)
         inner = {M for M in keys if reach[M] <= hi}
         self.skipped += len(keys) - len(inner)
         lhs, rhs = ({M: c if s is None else c * s for M, c in x.items() if M in inner}
@@ -167,10 +229,17 @@ class _WindowChecks:
             self.witnesses[name] = {"matrix": [list(row) for row in M], "lhs": a, "rhs": b}
 
 
-def _serre(X, Y, a, b, c):
-    """a XXY - b XYX + c YXX, each product nested from the right."""
-    return elt_combo((stab_mul(X, stab_mul(X, Y)), a), (stab_mul(X, stab_mul(Y, X)), -b),
-                     (stab_mul(Y, stab_mul(X, X)), c))
+def _serre(X, Y, XY, YX, a, b, c, bound=None):
+    """a XXY - b XYX + c YXX for window factors X, Y, built as
+    X (a XY - b YX) + c Y (XX): five products where the nested form takes
+    six, and the same element (so the same support) by bilinearity.  The
+    products XY and YX are passed in, since the two Serre relations of a
+    pair both read them.  With `bound`, the outer products are cut to it
+    (_window_mul), so XY and YX must be exact to bound + X.step; XX is taken
+    to bound + Y.step."""
+    inner = None if bound is None else bound + Y.step
+    return elt_combo((_window_mul(X, elt_combo((XY, a), (YX, -b)), bound), ONE),
+                     (_window_mul(Y, _window_mul(X, X, inner), bound), c))
 
 
 VT_MID = mono(1, 1) + mono(-1, 1)
@@ -184,6 +253,11 @@ def limit_relation_suite(n, window, witnesses=None):
     witnesses in the dict `witnesses`, when given.  The weights Z and the
     Chevalley elements E, F are window factors (_Factor): each builds the
     chev_mul step of a side once, on its first product on that side.
+
+    No product here is cut to the interior (_window_mul): `skipped` counts
+    the boundary support of the full products, cancellations included, and
+    a cut product has another boundary.  The two Serre relations of a pair
+    share its products XY and YX (_serre).
     """
     suite = _WindowChecks(window, witnesses)
     jvecs = [_ev(n, 1), _ev(n, 2, -1), tuple(range(1, n + 1)), (-1,) * n]
@@ -212,12 +286,11 @@ def limit_relation_suite(n, window, witnesses=None):
                   lhs_scale=laurent.T * (mono(1, 0) - mono(-1, 0)))
     vt_mid_inv = mono(1, -1) + mono(-1, -1)
     for i in range(1, n - 1):
-        suite.cmp("serre E first i=%d" % i, _serre(E[i], E[i + 1], ONE, VT_MID, mono(0, 2)), {}, 3)
-        suite.cmp("serre E second i=%d" % i, _serre(E[i + 1], E[i], mono(0, 2), VT_MID, ONE), {}, 3)
-        suite.cmp("serre F first i=%d" % i,
-                  _serre(F[i], F[i + 1], ONE, vt_mid_inv, mono(0, -2)), {}, 3)
-        suite.cmp("serre F second i=%d" % i,
-                  _serre(F[i + 1], F[i], mono(0, -2), vt_mid_inv, ONE), {}, 3)
+        for kind, G, mid, q in (("E", E, VT_MID, mono(0, 2)), ("F", F, vt_mid_inv, mono(0, -2))):
+            X, Y = G[i], G[i + 1]
+            XY, YX = stab_mul(X, Y), stab_mul(Y, X)
+            suite.cmp("serre %s first i=%d" % (kind, i), _serre(X, Y, XY, YX, ONE, mid, q), {}, 3)
+            suite.cmp("serre %s second i=%d" % (kind, i), _serre(Y, X, YX, XY, q, mid, ONE), {}, 3)
     return suite.checks, suite.skipped
 
 
@@ -228,29 +301,37 @@ def generator_transport_suite(n, window, witnesses=None):
     The inverse relations are excluded: 0(e_a) 0(-e_a) is a genuine t-series,
     not the unit, because the completion weights carry |j| exponents.
     Failed checks file witnesses, and the generators are window factors,
-    as in limit_relation_suite.
+    as in limit_relation_suite.  Only the checks are returned, so every
+    product is cut to what its comparison reads (_window_mul): the outer
+    products to the interior of their relation, the inner products of R4 to
+    one step beyond it.  The compared coefficients are those of the full
+    products.
     """
     suite = _WindowChecks(window, witnesses)
     E = {j: _Factor(elt_scale(e_limit(j, window, n), laurent.T)) for j in range(1, n)}
     F = {j: _Factor(f_limit(j, window, n)) for j in range(1, n)}
     A = {i: _Factor(diagonal_weight(_ev(n, i), window, n)) for i in range(1, n + 1)}
     B = {i: _Factor(diagonal_weight(_ev(n, i, -1), window, n)) for i in range(1, n + 1)}
+    two, three = suite.interior(2), suite.interior(3)
     for i in range(1, n + 1):
         for j in range(1, n):
             br = pairing(n, i, j)
-            suite.cmp("R2 transport A%d E%d" % (i, j),
-                      stab_mul(A[i], E[j]), stab_mul(E[j], A[i]), 2, rhs_scale=mono(br, br))
-            suite.cmp("R2 transport B%d E%d" % (i, j),
-                      stab_mul(B[i], E[j]), stab_mul(E[j], B[i]), 2, rhs_scale=mono(-br, br))
+            suite.cmp("R2 transport A%d E%d" % (i, j), _window_mul(A[i], E[j], two),
+                      _window_mul(E[j], A[i], two), 2, rhs_scale=mono(br, br))
+            suite.cmp("R2 transport B%d E%d" % (i, j), _window_mul(B[i], E[j], two),
+                      _window_mul(E[j], B[i], two), 2, rhs_scale=mono(-br, br))
     for i in range(1, n):
         for j in range(1, n):
-            comm = elt_combo((stab_mul(E[i], F[j]), ONE), (stab_mul(F[j], E[i]), -ONE))
+            comm = elt_combo((_window_mul(E[i], F[j], two), ONE), (_window_mul(F[j], E[i], two), -ONE))
             rhs = {}
             if i == j:
-                rhs = elt_combo((stab_mul(A[i], B[i + 1]), ONE), (stab_mul(B[i], A[i + 1]), -ONE))
+                rhs = elt_combo((_window_mul(A[i], B[i + 1], two), ONE),
+                                (_window_mul(B[i], A[i + 1], two), -ONE))
             suite.cmp("R3 transport %d,%d" % (i, j), comm, rhs, 2, lhs_scale=mono(1, 0) - mono(-1, 0))
     for i in range(1, n - 1):
-        suite.cmp("R4 transport i=%d" % i, _serre(E[i], E[i + 1], ONE, VT_MID, mono(0, 2)), {}, 3)
+        X, Y = E[i], E[i + 1]
+        XY, YX = (_window_mul(*pair, three + X.step) for pair in ((X, Y), (Y, X)))
+        suite.cmp("R4 transport i=%d" % i, _serre(X, Y, XY, YX, ONE, VT_MID, mono(0, 2), three), {}, 3)
     return suite.checks
 
 

@@ -71,3 +71,17 @@ def test_descent_suite_hecke_d3():
     assert checks["hecke quadratic d=3"]
     assert checks["hecke structure constants descend d=3"]
     assert checks["hecke braid/commute d=3"]
+
+
+def test_planted_bracket_breaks_descended_r2(monkeypatch):
+    # a pairing off by one gives R2 coefficients that are still fixed by the
+    # involution (v^a t^b with a + b even) but wrong: the descended R2 checks
+    # must read the operator identity, not only the coefficient
+    from vtschur import uvt
+
+    real = uvt.pairing
+    monkeypatch.setattr(uvt, "pairing", lambda n, i, j: real(n, i, j) + 1)
+    n = 3
+    checks = dict(ga.descent_suite(n, 2))
+    r2 = {"descended R2 A%d %s%d" % (i, g, j) for i in range(1, n + 1) for j in range(1, n) for g in "EF"}
+    assert {name for name, ok in checks.items() if not ok} == r2

@@ -121,3 +121,21 @@ def test_shift_compatibility():
     assert tilde_parity_preserved_by_double_shift(2, 3, 1, 3)
     assert hat_diagonals_stay_primed(3, 2, 1, 2)
     assert hat_diagonals_stay_primed(4, 2, 2, 1)
+
+
+def test_planted_projector_breaks_partition_of_unity(monkeypatch):
+    # a J- that misses one sequence: J+ + J- is no longer the identity, and
+    # only the checks that read J- fail; each projector is still idempotent
+    # and the two are still orthogonal
+    real = jp.j_operator
+
+    def planted(variant, sign, m, n, d):
+        P = real(variant, sign, m, n, d)
+        if sign == "-":
+            del P[min(P)]
+        return P
+
+    monkeypatch.setattr(jp, "j_operator", planted)
+    checks = jp.verify_tilde_relations(2, 2, 1)
+    failed = {name for name, ok in checks if not ok and not name.startswith("expect-fail")}
+    assert failed == {"partition of unity", "J+ E_m = E_m J-", "J- E_m = E_m J+", "J+ F_m = F_m J-"}

@@ -170,6 +170,28 @@ def test_commutant_upper_on_shared_cartan_classes():
     assert 10 in seen and len(seen) > 3  # 10 = 2^2 + 1 + 2^2 + 1, the diagonals alone
 
 
+def test_commutant_upper_reduces_entries_mod_p():
+    # entries that are not residues: 7 + p is 7 mod p, so index 4 stays in
+    # the class of 3 and 5, and a shift of every entry of the other matrix
+    # by a multiple of p (its zeros as p) changes no nullity
+    N = 6
+
+    def diagonals(seven):
+        return [[{k: x} if x else {} for k, x in enumerate(entries)]
+                for entries in ([1, 1, 2, 2, 2, 0], [5, 5, 5, 7, seven, 7])]
+
+    assert linalg.commutant_upper(diagonals(7), N, P0) == 10
+    assert linalg.commutant_upper(diagonals(7 + P0), N, P0) == 10
+    rng = random.Random(8)
+    for _ in range(10):
+        other = [{i: rng.randint(0, 3) for i in range(N) if rng.random() < 0.4} for _ in range(N)]
+        lifted = [{i: x + rng.randint(1, 3) * P0 for i, x in col.items()} for col in other]
+        other = [{i: x for i, x in col.items() if x} for col in other]
+        want = linalg.commutant_upper(diagonals(7) + [other], N, P0)
+        assert want == _full_nullity(diagonals(7) + [other], N, P0)
+        assert linalg.commutant_upper(diagonals(7 + P0) + [lifted], N, P0) == want
+
+
 def dense_frac_solve(matrix, rhs):
     """Reference: dense Gauss-Jordan over Q in column order, free unknowns 0."""
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtschur import laurent, schur, stab
-from vtschur.laurent import ONE, mono
+from vtschur.laurent import ONE, elt_combo, mono
 from vtschur.matrices import (
     add as mat_add, co, diag, mat, ro, theta_matrices, unit as mat_unit, zero,
 )
@@ -420,3 +420,97 @@ def test_window_factor_products_property(case):
     for _ in range(2):  # the second product reads both kept steps
         assert stab.stab_mul(X, Y) == want
     assert stab.stab_mul(Y, X) == chev_mul_per_term(y, x, stab=True)
+
+
+def test_window_suite_products_cut_to_the_interior(monkeypatch):
+    # VTPoly products and ro calls in schur in one n=3, W=4 stab suite from
+    # cold caches, once the transport products are cut to what their
+    # comparisons read and each Serre relation takes five products, its pair
+    # sharing two: 89,334 products and 26,172 ro calls with full products
+    from vtschur import cli
+
+    real_mul, real_ro = laurent.VTPoly.__mul__, schur.ro
+    calls = {"mul": 0, "ro": 0}
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return real_mul(a, b)
+
+    def counted_ro(A):
+        calls["ro"] += 1
+        return real_ro(A)
+
+    monkeypatch.setattr(laurent.VTPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(laurent.VTPoly, "__rmul__", counted_mul)
+    monkeypatch.setattr(schur, "ro", counted_ro)
+    for memo in (schur._row_moves, schur._classify, laurent.qbinom):
+        memo.cache_clear()
+    cfg = {"n": 3, "d": 2, "m": 1, "primes": (3,), "window": 4, "spec": (2, 3)}
+    assert cli.run_suite("stab", cfg).passed
+    assert 0 < calls["mul"] <= 65_537
+    assert 0 < calls["ro"] <= 20_891
+
+
+def _reach_part(x, R):
+    return {M: c for M, c in x.items() if max(abs(M[i][i]) for i in range(len(M))) <= R}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_windows())
+def test_cut_products_match_full_products_on_their_interior(case):
+    # a left factor of Chevalley entry r (0, 1 or 2 here) reads the right
+    # terms of reach <= R + r for the product terms of reach <= R: the cut
+    # product, of a window factor or of a plain element, is exact there
+    x, y = case
+    X, Y = stab._Factor(x), stab._Factor(y)
+    shapes = {schur.chev_shape(B) for B in x}
+    assert X.step == max(r for _, _, r in shapes)
+    full = stab.stab_mul(X, Y)
+    for R in range(0, 4):
+        for right in (Y, y):
+            cut = stab._window_mul(X, right, R)
+            assert _reach_part(cut, R) == _reach_part(full, R), R
+        assert Y.cut(R + X.step) is Y.cut(R + X.step)  # kept per bound
+    assert Y.cut(3) is Y  # nothing beyond the window to cut
+
+
+@pytest.mark.parametrize("n,W", [(2, 3), (3, 3)])
+def test_cut_serre_matches_full_serre_on_the_interior(n, W):
+    # the transport form of a Serre relation (inner products one step beyond
+    # the bound, outer products at it) against the full products, with left
+    # factors of entry 1 and 2 and weighted factors
+    rng = random.Random(7 * n + W)
+    win = stab.WeightWindow(W, 1)
+    plain = _window_factors(rng, n, win)
+    plain.append(stab.completion_element(mat([[0, 2] + [0] * (n - 2)] + [[0] * n] * (n - 1)), (1,) * n, win))
+    factors = [stab._Factor(x) for x in plain]
+    assert {f.step for f in factors} == {0, 1, 2}
+    a, b, c = ONE, stab.VT_MID, mono(0, 2)
+    for X, Y in rng.sample(list(itertools.product(factors, repeat=2)), 6):
+        full = stab._serre(X, Y, stab.stab_mul(X, Y), stab.stab_mul(Y, X), a, b, c)
+        for R in range(W + 1):
+            inner = R + X.step
+            cut = stab._serre(X, Y, stab._window_mul(X, Y, inner), stab._window_mul(Y, X, inner), a, b, c, R)
+            assert _reach_part(cut, R) == _reach_part(full, R), R
+        nested = elt_combo((stab.stab_mul(X, stab.stab_mul(X, Y)), a), (stab.stab_mul(X, stab.stab_mul(Y, X)), -b),
+                           (stab.stab_mul(Y, stab.stab_mul(X, X)), c))
+        assert full == nested  # five products for six, the same element
+
+
+@pytest.mark.parametrize("kind", ["E", "F"])
+def test_row_moves_shift_each_diagonal_entry_by_at_most_r(kind):
+    # the bound the cut rests on: a factor of shape (kind, h, r) moves t in
+    # N^n with sum r from the source row to the target row, so each diagonal
+    # entry moves by at most r (negative diagonal entries included)
+    rng = random.Random(5)
+    for n in (2, 3, 4):
+        for h in range(1, n):
+            src, tgt = schur._chev_rows(kind, h)
+            for r in (1, 2, 3):
+                for _ in range(12):
+                    a_src = tuple(rng.randint(-3, 3) if u == src else rng.randint(0, 3) for u in range(n))
+                    a_tgt = tuple(rng.randint(-3, 3) if u == tgt else rng.randint(0, 3) for u in range(n))
+                    moves = schur._row_moves(kind, r, n, src, a_src, a_tgt, True)
+                    for new_tgt, new_src, _ in moves:
+                        assert 0 <= new_tgt[tgt] - a_tgt[tgt] <= r
+                        assert 0 <= a_src[src] - new_src[src] <= r

@@ -153,3 +153,17 @@ def test_unbalanced_factorial_breaks_serre():
         coeff = laurent.qbinom(2, p) * mono(0, texps[p]) * (1 if p % 2 == 0 else -1)
         combo.append((coeff, tuple([("E", i)] * pp + [("E", j)] + [("E", i)] * p)))
     assert not tensor.op_eq(tensor.op_combo(combo, n, d), {})
+
+
+def test_planted_twist_breaks_star_associativity(monkeypatch):
+    # a twist that also reads the length of the left word is not associative
+    # ((x y) z and x (y z) differ by t^|x|), and the sample must say so
+    real = uvt.star_expand
+
+    def planted(w1, w2, n):
+        c, word = real(w1, w2, n)
+        return c * mono(0, len(w1[1])), word
+
+    monkeypatch.setattr(uvt, "star_expand", planted)
+    assert uvt.star_associativity_sample(3, seed=5) is False
+    assert uvt.exponent_identity_holds(3)
