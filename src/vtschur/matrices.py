@@ -56,19 +56,9 @@ def is_stab(M):
 
 
 def theta_matrices(n, d):
-    """All n-by-n natural matrices summing to d, in lexicographic order."""
-    cells = n * n
-    out = []
-
-    def fill(idx, remaining, flat):
-        if idx == cells - 1:
-            out.append(flat + [remaining])
-            return
-        for x in range(remaining + 1):
-            fill(idx + 1, remaining - x, flat + [x])
-
-    fill(0, d, [])
-    return [tuple(tuple(f[i * n + j] for j in range(n)) for i in range(n)) for f in out]
+    """All n-by-n natural matrices summing to d, in lexicographic order: the
+    compositions of d into n * n parts, read row by row."""
+    return [tuple(f[i * n:(i + 1) * n] for i in range(n)) for f in compositions(n * n, d)]
 
 
 def compositions(n, d):

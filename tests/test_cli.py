@@ -119,13 +119,16 @@ def test_stab_fit_repeated_shifts_exit_2(tmp_path, plist):
     assert "bad request: need at least three distinct shift values" in err
 
 
-def test_failing_suite_exits_1(monkeypatch):
-    # direct invocation with a doctored check list
-    from vtschur.report import Report
-
-    rep = Report(suite="x", config={})
-    rep.add("broken", False)
-    assert not rep.passed
+def test_failing_suite_exits_1(monkeypatch, capsys):
+    # a failed check, or an expect-fail check that holds, fails the suite:
+    # verify exits 1 and the text report marks that one check FAIL
+    real = schur.verify_relations
+    for planted in (("broken", False), ("expect-fail planted", True)):
+        monkeypatch.setattr(schur, "verify_relations", lambda n, d: real(n, d) + [planted])
+        assert cli.main(["verify", "schur", "--n", "2", "--d", "2"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("suite schur: FAIL")
+        assert [line for line in out.splitlines() if "[FAIL]" in line] == ["  [FAIL] " + planted[0]]
 
 
 def test_guard_exceeded_exit_2():
@@ -292,6 +295,11 @@ def test_mult_bad_sizes_exit_2(tmp_path, algebra, doc):
 PINNED_REPORTS = [
     ("schur", {"n": 3, "d": 3},
      "2f60adb46733a7aa8f1e0c9af9c1563b5a3f1124e1e1642b43cdd7a514a9ea0b"),
+    # n >= 4 reaches the distant R4 "EE"/"FF" commutations
+    ("schur", {"n": 4, "d": 2},
+     "dbf737cd7212502dcf59ae4220599b38a9a04034f4f3f89621db066702f05003"),
+    ("schur", {"n": 5, "d": 3},
+     "bd0a18cb4dc9f56e91059e62a836e4ecc1cd14120c26d5de82490936d2ff8517"),
     ("hecke", {"d": 3, "primes": (3,)},
      "b685239a35c030c82265dee464fda20490b18f764ef67785de6afeb69d107d87"),
     ("duality", {},
@@ -306,6 +314,8 @@ PINNED_REPORTS = [
      "555628a6d4fe1584d3bddbbec3d9a11a51bfb170c8c78ceabfb50a0e02a574f8"),
     ("jparity-tilde", {"n": 3, "d": 3, "m": 2},
      "feec49a26ac30566d4a958c7a7b5f01ff544ec92b822dc3ac8edc523ad7c9a73"),
+    ("jparity-tilde", {"n": 4, "d": 3, "m": 1},
+     "b1439085bce7e627abbd1bc340f8a161c936b34781ad8762f8596f0bc2ea0450"),
     ("jparity-hat", {"n": 3},
      "3ce0465c60af012344d779de62fc8190a3c3116fdfda1d4edaa1ee825b7542c9"),
     ("descend", {"n": 3},

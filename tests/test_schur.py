@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from vtschur import laurent, schur as sc, tensor
+from vtschur import jparity, laurent, schur as sc, tensor, uvt
 from vtschur.laurent import ONE, mono
 from vtschur.matrices import (
     add as mat_add, co, compositions, diag, dminusr, mat, ro, theta_matrices, unit as mat_unit,
@@ -364,6 +364,28 @@ def test_relation_suite(n, d):
     assert printed and not any(printed)
 
 
+def test_relation_catalogs_read_one_transcription(monkeypatch):
+    # the braced-element catalog and the projector catalog read R1-R4 from
+    # uvt.relation_instances: doubling the right side of R3 at i = j = 1
+    # flips exactly the checks built from that instance
+    def run():
+        return sc.verify_relations(3, 2), jparity.verify_tilde_relations(3, 2, 1)
+
+    before = run()
+    real = uvt.relation_instances
+
+    def planted(rel, n, **kw):
+        return [(name, lhs, [(c * 2, w) for c, w in rhs] if name == "R3 1,1" else rhs)
+                for name, lhs, rhs in real(rel, n, **kw)]
+
+    monkeypatch.setattr(uvt, "relation_instances", planted)
+    flipped = []
+    for old, new in zip(before, run()):
+        assert [name for name, _ in old] == [name for name, _ in new]
+        flipped.append([name for (name, a), (_, b) in zip(old, new) if a != b])
+    assert flipped == [["R3 i=1 j=1"], ["base R3 1,1", "model cartan denominator i=1"]]
+
+
 def test_expand_word_cases():
     # [E_1, F_1] on (2,1) reproduces the balanced Cartan combination
     n, d = 2, 1
@@ -390,6 +412,18 @@ def test_preceq():
         for Y in thetas:
             if sc.preceq(X, Y) and sc.preceq(Y, X):
                 assert X == Y
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 5) for d in range(4)]
+                         + [(1, d) for d in range(5)])
+def test_theta_matrices_match_brute_force(n, d):
+    # every natural n x n matrix summing to d, each once, in lexicographic
+    # order: d units dropped into the n * n cells, each multiset of cells once
+    want = []
+    for cells in itertools.product(range(n * n), repeat=d):
+        if list(cells) == sorted(cells):
+            want.append(tuple(tuple(cells.count(i * n + j) for j in range(n)) for i in range(n)))
+    assert theta_matrices(n, d) == sorted(want)
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])

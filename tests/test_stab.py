@@ -295,14 +295,17 @@ def test_fit_rejects_repeated_shifts(plist):
 
 
 def test_window_products_pay_per_term_costs_once(monkeypatch):
-    # VTPoly products in one n=3, W=4 stab suite: 210,311 when each term paid
-    # for its own left coefficient and a diagonal factor multiplied by ONE,
-    # 148,648 when every scaled side was scaled whole and a unit right
-    # coefficient was multiplied in, 89,334 now (cold caches); and no
-    # diagonal factor reaches _row_moves
+    # VTPoly products in one n=3, W=4 stab suite from cold caches: 210,311
+    # when each term paid for its own left coefficient and a diagonal factor
+    # multiplied by ONE, 148,648 when every scaled side was scaled whole and a
+    # unit right coefficient was multiplied in, 89,334 before the transport
+    # products were cut to their interiors, 65,537 since; and no diagonal
+    # factor reaches _row_moves
     from vtschur import cli
 
     real_mul, real_moves = laurent.VTPoly.__mul__, schur._row_moves
+    for memo in (schur._row_moves, schur._classify, laurent.qbinom):
+        memo.cache_clear()
     calls, kinds = [0], set()
 
     def counted(a, b):
