@@ -242,3 +242,47 @@ def op_to_elt(P, n, d):
     if rest:
         raise laurent.InexactDivision("operator is not in the image of the algebra")
     return out
+
+
+# -- coassociativity by whole sides, as it was before the formal difference ----
+
+def hopf_checks_whole_sides(n, d):
+    """uvt.hopf_checks with coassociativity compared side against side: on
+    each split, every distinct leg triple's operator is built once, the
+    (Delta x id) Delta(g) and (id x Delta) Delta(g) expansions are each
+    summed, and the two sums are compared with op_eq."""
+    results = []
+    for g in tensor.gens(n):
+        legs = tensor.coproduct_legs(g)
+        for d1 in range(d + 1):
+            for d2 in range(d - d1 + 1):
+                split = (d1, d2, d - d1 - d2)
+                built = {}
+
+                def leg_op(*words):
+                    key = tuple(map(tuple, words))
+                    if key not in built:
+                        built[key] = tensor.tensor_word_op(key, n, split)
+                    return built[key]
+
+                left = {}
+                right = {}
+                for l, r in legs:
+                    for l1, l2 in tensor.coproduct_word(l):
+                        tensor.op_add_into(left, leg_op(l1, l2, r))
+                    for r1, r2 in tensor.coproduct_word(r):
+                        tensor.op_add_into(right, leg_op(l, r1, r2))
+                results.append(("coassoc %r %d+%d+%d" % ((g,) + split), tensor.op_eq(left, right)))
+        g_op = tensor.op_sym(g, n, d)
+        unit = tensor.op_combo([(uvt.counit(g), ())], n, d)
+        sides = [
+            ("counit-left", [(uvt._word_counit(l), r) for l, r in legs], g_op),
+            ("counit-right", [(uvt._word_counit(r), l) for l, r in legs], g_op),
+            ("antipode-left", [(c, w + tuple(r)) for l, r in legs
+                               for c, w in uvt._word_antipode(l)], unit),
+            ("antipode-right", [(c, tuple(l) + w) for l, r in legs
+                                for c, w in uvt._word_antipode(r)], unit),
+        ]
+        for name, combo, want in sides:
+            results.append(("%s %r" % (name, g), tensor.op_eq(tensor.op_combo(combo, n, d), want)))
+    return results

@@ -1,9 +1,9 @@
 import pytest
 
-from vtschur import laurent, tensor, uvt
+from vtschur import cli, laurent, tensor, uvt
 from vtschur.laurent import ONE, mono
 
-from references import printed_word_antipode
+from references import hopf_checks_whole_sides, printed_word_antipode
 
 
 def test_cartan_forms():
@@ -108,9 +108,35 @@ def test_hopf_printed_antipode_fails():
     assert all(ok for _, ok in uvt.hopf_checks(n, d))
 
 
-def test_hopf_leg_operators_built_once(monkeypatch):
-    # the two coassociativity expansions share leg triples: 340 distinct
-    # triples over the splits of hopf_checks(4, 3), out of 680 expanded
+def _extra_e_leg(legs):
+    """coproduct_legs with an extra E x 1 leg on every E generator."""
+    return lambda sym: legs(sym) + ([([sym], [])] if sym[0] == "E" else [])
+
+
+def _dropped_e_leg(legs):
+    """coproduct_legs without the leg E x A B of every E generator."""
+    return lambda sym: legs(sym)[1:] if sym[0] == "E" else legs(sym)
+
+
+def _doubled_e_leg(legs):
+    """coproduct_legs with the leg 1 x E of every E generator made 1 x E E."""
+    return lambda sym: [(l, r * 2 if not l else r) for l, r in legs(sym)] if sym[0] == "E" else legs(sym)
+
+
+@pytest.mark.parametrize("plant", [None, _extra_e_leg, _dropped_e_leg, _doubled_e_leg])
+@pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])
+def test_hopf_checks_match_whole_side_reference(monkeypatch, plant, n, d):
+    # the formal difference of the two coassociativity expansions decides
+    # every check as the side-against-side comparison does, planted or not
+    if plant is not None:
+        monkeypatch.setattr(tensor, "coproduct_legs", plant(tensor.coproduct_legs))
+    assert uvt.hopf_checks(n, d) == hopf_checks_whole_sides(n, d)
+
+
+def test_hopf_builds_only_the_differing_leg_operators(monkeypatch):
+    # the two coassociativity expansions of the true coproduct have the same
+    # leg triples, so no leg operator is built at (4, 3); an extra E x 1 leg
+    # at (2, 2) makes two triples differ, built once on each of the 6 splits
     calls = []
     build = tensor.tensor_word_op
 
@@ -120,8 +146,21 @@ def test_hopf_leg_operators_built_once(monkeypatch):
 
     monkeypatch.setattr(tensor, "tensor_word_op", counted)
     assert all(ok for _, ok in uvt.hopf_checks(4, 3))
-    assert len(calls) == 340
-    assert len(set(calls)) == 340
+    assert calls == []
+    monkeypatch.setattr(tensor, "coproduct_legs", _extra_e_leg(tensor.coproduct_legs))
+    uvt.hopf_checks(2, 2)
+    assert len(calls) == 12
+    assert len(set(calls)) == 12
+
+
+def test_hopf_doubled_e_leg_breaks_the_counit(monkeypatch):
+    # the leg 1 x E of E_1 made 1 x E E at n = 2, d = 2: only the split that
+    # puts both tensor positions on the third leg sees the coassociativity
+    # gap, and counit-left reads the doubled leg itself
+    monkeypatch.setattr(tensor, "coproduct_legs", _doubled_e_leg(tensor.coproduct_legs))
+    fails = [name for name, ok in uvt.hopf_checks(2, 2) if not ok]
+    assert fails == ["coassoc ('E', 1) 0+0+2", "counit-left ('E', 1)",
+                     "antipode-left ('E', 1)", "antipode-right ('E', 1)"]
 
 
 def test_hopf_planted_leg_breaks_coassociativity(monkeypatch):
@@ -137,6 +176,44 @@ def test_hopf_planted_leg_breaks_coassociativity(monkeypatch):
     fails = [name for name, ok in uvt.hopf_checks(2, 2) if not ok]
     assert fails == ["coassoc ('E', 1) 1+0+1", "coassoc ('E', 1) 1+1+0", "coassoc ('E', 1) 2+0+0",
                      "counit-right ('E', 1)", "antipode-left ('E', 1)", "antipode-right ('E', 1)"]
+
+
+def test_t1_specialization_sees_one_scaled_coefficient(monkeypatch):
+    # the starred R2 AE 2,1 with its right side written 2 v^{-1} E_1 instead
+    # of v^{-1} E_1: that instance, and no other, leaves the t = 1 scheme
+    real = uvt.relation_instances
+
+    def planted(rel, n, star=False, fold=True):
+        out = real(rel, n, star=star, fold=fold)
+        return [(name, lhs, [(c * 2, w) for c, w in rhs] if name == "R*2 AE 2,1" else rhs)
+                for name, lhs, rhs in out]
+
+    monkeypatch.setattr(uvt, "relation_instances", planted)
+    fails = [name for name, ok in uvt.t1_specialization_check(3) if not ok]
+    assert fails == ["R2 AE 2,1"]
+
+
+def test_exponent_identity_sees_one_shifted_degree(monkeypatch):
+    # |A_2| shifted by (w, w), w = e_1 - e_2 + e_3, and |A_2^{-1}| left as it
+    # is.  In the starred catalog every E_j and F_j that meets A_2 stands
+    # right of it, where the shift adds [w, e_j] = 0 (j < 3) to the twist,
+    # and against a grouplike degree (u, u) it adds [w, u] - [w, u] = 0.  So
+    # no twist moves and every operator check of the star suite still
+    # passes, while [e_1, w] = 1 breaks the exponent identity at (2, 1)
+    real = uvt.sym_degree
+    shift = uvt._wvec(3, 1)
+
+    def planted(sym, n):
+        d1, d2 = real(sym, n)
+        if sym == ("A", 2, 1):
+            return tuple(map(sum, zip(d1, shift))), tuple(map(sum, zip(d2, shift)))
+        return d1, d2
+
+    monkeypatch.setattr(uvt, "sym_degree", planted)
+    assert uvt.exponent_identity_holds(3) is False
+    cfg = {"n": 3, "d": 2, "m": 1, "primes": (3, 5, 7), "window": 4, "spec": (2, 3)}
+    rep = cli.run_suite("star", cfg)
+    assert [name for name, ok, _ in rep.checks if not ok] == ["twist exponent identity n=3"]
 
 
 def test_unbalanced_factorial_breaks_serre():
