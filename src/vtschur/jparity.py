@@ -69,6 +69,8 @@ def verify_tilde_relations(n, d, m):
     The underlying Chevalley/Cartan relations are rechecked alongside (no
     interference), including the catalog's printed Cartan-commutator
     denominator, which fails on the model and is recorded as expect-fail.
+    Those word identities are read at the sorted sequences
+    (tensor.combo_columns), the projector identities on whole operators.
     """
     checks = []
     Jp = j_operator("tilde", "+", m, n, d)
@@ -102,7 +104,7 @@ def verify_tilde_relations(n, d, m):
     # side exactly at i = j.
     cartan = [(lhs, rhs) for _, lhs, rhs in uvt.relation_instances("R3", n) if rhs]
     for i, (lhs, rhs) in enumerate(cartan, 1):
-        model, num = tensor.op_combo(lhs, n, d), tensor.op_combo(rhs, n, d)
+        model, num = tensor.combo_columns(lhs, n, d), tensor.combo_columns(rhs, n, d)
         checks.append(("expect-fail printed cartan denominator i=%d" % i,
                        tensor.op_eq(tensor.op_scale(model, T), num)))
         checks.append(("model cartan denominator i=%d" % i, tensor.op_eq(model, num)))

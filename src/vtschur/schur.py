@@ -460,8 +460,7 @@ def _column_plan(n, d):
     s_mu's value b holding the rows of column b of C in increasing order.
     """
     plan = {}
-    for mu in compositions(n, d):
-        s_mu = tuple(b + 1 for b, m in enumerate(mu) for _ in range(m))
+    for mu, s_mu in tensor.sorted_seqs(n, d).items():
         seen, steps, frontier = {s_mu}, [], [s_mu]
         for q in frontier:
             for j in range(1, d):

@@ -3,8 +3,10 @@
 Basis vectors are sequences r = (r_1, ..., r_d) with entries in [1, n];
 elements are dicts {seq: VTPoly}.  Operators (LinOp) are column-sparse dicts
 {basis seq: element}, the common arena where every relation of the presented
-algebras is verified exactly.  The right action of T_j (op_T) is the Hecke
-algebra's own basis rule, read on sequences (hecke.t_column).
+algebras is verified exactly (identities between word combinations on their
+columns at the sorted sequences, combo_columns).  The right action of T_j
+(op_T) is the Hecke algebra's own basis rule, read on sequences
+(hecke.t_column).
 
 Operators are clean by construction: no op_* result holds a zero entry or
 an empty column.  Sums, products and scalings are accumulated in place,
@@ -33,6 +35,7 @@ from typing import NamedTuple
 
 from . import hecke, laurent, linalg
 from .laurent import elt_add_into, mono
+from .matrices import compositions
 
 # -- elements ----------------------------------------------------------------
 
@@ -147,12 +150,38 @@ def op_word(word, n, d):
     return P
 
 
-def op_combo(combo, n, d):
-    """Operator of a linear combination [(poly, word), ...]."""
+@lru_cache(maxsize=64)
+def sorted_seqs(n, d):
+    """{mu: s_mu} over compositions(n, d): s_mu is the sorted sequence of
+    content mu, mu_1 entries 1, then mu_2 entries 2, and so on.  Shared;
+    read-only."""
+    return {mu: tuple(b + 1 for b, m in enumerate(mu) for _ in range(m)) for mu in compositions(n, d)}
+
+
+def combo_columns(combo, n, d):
+    """The columns at the sorted sequences s_mu, one per content mu, of the
+    operator of a linear combination [(poly, word), ...] of generator words.
+    Each word starts from its last symbol's cached op_sym columns there and
+    composes the rest; the empty word starts from the unit columns.
+
+    Two combinations are equal exactly when these columns are.  Every word
+    commutes with each T_j (commute_check), so the difference does too, and
+    the s_mu generate V^{(x)d} over the Hecke algebra (Dipper-James): the
+    difference is zero once it vanishes at every s_mu.
+    """
+    seqs = sorted_seqs(n, d).values()
     out = {}
     for poly, word in combo:
-        if poly:
-            op_add_into(out, op_word(word, n, d), poly)
+        if not poly:
+            continue
+        if word:
+            last = op_sym(word[-1], n, d)
+            P = {s: last[s] for s in seqs if s in last}
+        else:
+            P = {s: {s: laurent.ONE} for s in seqs}
+        for sym in reversed(word[:-1]):
+            P = op_compose(op_sym(sym, n, d), P)
+        op_add_into(out, P, poly)
     return out
 
 

@@ -3,8 +3,9 @@
 Everything is verified inside the faithful-enough tensor representation: a
 relation is expanded into generator words, each word is mapped to the exact
 operator it induces, and the two sides are compared coefficient by
-coefficient.  The representation factors through the defining relations, so
-a failure here falsifies a transcription, never the model.
+coefficient on their columns at the sorted sequences, which decide it
+(tensor.combo_columns).  The representation factors through the defining
+relations, so a failure here falsifies a transcription, never the model.
 """
 
 from __future__ import annotations
@@ -219,12 +220,10 @@ def relation_instances(rel, n, star=False, fold=True):
 
 
 def verify_relation(rel, n, d, star=False):
-    """Check one relation catalog as exact operator identities."""
-    results = []
-    for name, lhs, rhs in relation_instances(rel, n, star=star):
-        ok = tensor.op_eq(tensor.op_combo(lhs, n, d), tensor.op_combo(rhs, n, d))
-        results.append((name, ok))
-    return results
+    """Check one relation catalog as exact operator identities, each side
+    read at the sorted sequences (tensor.combo_columns)."""
+    return [(name, tensor.op_eq(tensor.combo_columns(lhs, n, d), tensor.combo_columns(rhs, n, d)))
+            for name, lhs, rhs in relation_instances(rel, n, star=star)]
 
 
 def verify_all(n, d, star=False):
@@ -297,7 +296,8 @@ def antipode(sym):
 def hopf_checks(n, d):
     """Coassociativity, counit and antipode axioms on every generator.
 
-    Counit and antipode run as operator identities on V^{tensor d}.
+    Counit and antipode run as operator identities on V^{tensor d}, both
+    sides read at the sorted sequences (tensor.combo_columns).
     Coassociativity on a split d1 + d2 + d3 = d compares the formal
     difference of the two expansions: each leg triple (l1, l2, r) of
     (Delta x id) Delta(g) counts +1 and each (l, r1, r2) of (id x Delta)
@@ -324,18 +324,18 @@ def hopf_checks(n, d):
                 results.append(("coassoc %r %d+%d+%d" % ((g,) + split), tensor.op_eq(gap, {})))
         # (eps x id) Delta(g) = g = (id x eps) Delta(g), and
         # m(S x id) Delta(g) = eps(g) 1 = m(id x S) Delta(g)
-        g_op = tensor.op_sym(g, n, d)
-        unit = tensor.op_combo([(counit(g), ())], n, d)
+        g_cols = tensor.combo_columns([(ONE, (g,))], n, d)
+        unit = tensor.combo_columns([(counit(g), ())], n, d)
         sides = [
-            ("counit-left", [(_word_counit(l), r) for l, r in legs], g_op),
-            ("counit-right", [(_word_counit(r), l) for l, r in legs], g_op),
+            ("counit-left", [(_word_counit(l), r) for l, r in legs], g_cols),
+            ("counit-right", [(_word_counit(r), l) for l, r in legs], g_cols),
             ("antipode-left", [(c, w + tuple(r)) for l, r in legs
                                for c, w in _word_antipode(l)], unit),
             ("antipode-right", [(c, tuple(l) + w) for l, r in legs
                                 for c, w in _word_antipode(r)], unit),
         ]
         for name, combo, want in sides:
-            results.append(("%s %r" % (name, g), tensor.op_eq(tensor.op_combo(combo, n, d), want)))
+            results.append(("%s %r" % (name, g), tensor.op_eq(tensor.combo_columns(combo, n, d), want)))
     return results
 
 

@@ -244,13 +244,31 @@ def op_to_elt(P, n, d):
     return out
 
 
-# -- coassociativity by whole sides, as it was before the formal difference ----
+# -- the relation catalogs and Hopf axioms by whole operators ---------------------
+# as they were before the comparisons moved to the columns at the sorted
+# sequences (tensor.combo_columns)
+
+def op_combo(combo, n, d):
+    """The whole operator of a linear combination [(poly, word), ...]."""
+    out = {}
+    for poly, word in combo:
+        if poly:
+            tensor.op_add_into(out, tensor.op_word(word, n, d), poly)
+    return out
+
+
+def verify_all_whole(n, d, star=False):
+    """uvt.verify_all with both sides of each instance built as whole operators."""
+    return [(name, tensor.op_eq(op_combo(lhs, n, d), op_combo(rhs, n, d)))
+            for rel in ("R1", "R2", "R3", "R4")
+            for name, lhs, rhs in uvt.relation_instances(rel, n, star=star)]
+
 
 def hopf_checks_whole_sides(n, d):
-    """uvt.hopf_checks with coassociativity compared side against side: on
-    each split, every distinct leg triple's operator is built once, the
-    (Delta x id) Delta(g) and (id x Delta) Delta(g) expansions are each
-    summed, and the two sums are compared with op_eq."""
+    """uvt.hopf_checks by whole operators: on each split, every distinct leg
+    triple's operator is built once, the (Delta x id) Delta(g) and
+    (id x Delta) Delta(g) expansions are each summed, and the two sums are
+    compared with op_eq; the counit and antipode sides are whole operators."""
     results = []
     for g in tensor.gens(n):
         legs = tensor.coproduct_legs(g)
@@ -274,7 +292,7 @@ def hopf_checks_whole_sides(n, d):
                         tensor.op_add_into(right, leg_op(l, r1, r2))
                 results.append(("coassoc %r %d+%d+%d" % ((g,) + split), tensor.op_eq(left, right)))
         g_op = tensor.op_sym(g, n, d)
-        unit = tensor.op_combo([(uvt.counit(g), ())], n, d)
+        unit = op_combo([(uvt.counit(g), ())], n, d)
         sides = [
             ("counit-left", [(uvt._word_counit(l), r) for l, r in legs], g_op),
             ("counit-right", [(uvt._word_counit(r), l) for l, r in legs], g_op),
@@ -284,5 +302,5 @@ def hopf_checks_whole_sides(n, d):
                                 for c, w in uvt._word_antipode(r)], unit),
         ]
         for name, combo, want in sides:
-            results.append(("%s %r" % (name, g), tensor.op_eq(tensor.op_combo(combo, n, d), want)))
+            results.append(("%s %r" % (name, g), tensor.op_eq(op_combo(combo, n, d), want)))
     return results

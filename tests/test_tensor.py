@@ -10,7 +10,7 @@ from vtschur import cli, galois, laurent, linalg, schur as sc, stab, tensor as t
 from vtschur.laurent import ONE, T, V, VTPoly, mono
 from vtschur.matrices import theta_matrices
 
-from references import dense, frac_rank, mod_rank, op_to_elt
+from references import dense, frac_rank, mod_rank, op_combo, op_to_elt
 
 
 def _col(sym, r, n=2):
@@ -160,6 +160,27 @@ def test_hecke_relations_as_operators():
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 3)])
 def test_commute_check(n, d):
     assert all(ok for _, ok in tn.commute_check(n, d))
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (5, 4)])
+def test_commute_check_past_the_guard(n, d):
+    # every word commutes with the Hecke action: the premise that lets the
+    # relation catalogs read only the columns at the sorted sequences, here
+    # at the largest sizes whose catalogs README records
+    assert all(ok for _, ok in tn.commute_check(n, d, allow_large=True))
+
+
+def test_commute_check_sees_a_planted_generator_column():
+    # E_1 at (3, 2) with its column at the unsorted (2, 1) scaled by 2: only
+    # E_1 stops commuting with T_1
+    tn.op_sym.cache_clear()
+    try:
+        P = tn.op_sym(("E", 1), 3, 2)
+        P[(2, 1)] = {s: c * 2 for s, c in P[(2, 1)].items()}
+        fails = [name for name, ok in tn.commute_check(3, 2) if not ok]
+    finally:
+        tn.op_sym.cache_clear()
+    assert fails == ["('E', 1) with T_1"]
 
 
 def test_centralizer_dims_small():
@@ -393,9 +414,13 @@ def test_op_word_and_combo_match_reference(combo, d):
     before = [_layout(P) for P in cached]
     for _poly, word in combo:
         assert _layout(tn.op_word(word, n, d)) == _layout(reference_op_word(word, n, d))
-    got = tn.op_combo(combo, n, d)
+    got = op_combo(combo, n, d)
     assert _layout(got) == _layout(reference_op_combo(combo, n, d))
     assert _is_clean(got) and not _shared_columns(got, *cached)
+    # the columns at the sorted sequences are those of the whole operator
+    cols = tn.combo_columns(combo, n, d)
+    assert cols == {s: col for s, col in got.items() if s == tuple(sorted(s))}
+    assert _is_clean(cols) and not _shared_columns(cols, *cached)
     assert [_layout(P) for P in cached] == before
 
 

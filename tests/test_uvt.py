@@ -1,9 +1,9 @@
 import pytest
 
-from vtschur import cli, laurent, tensor, uvt
+from vtschur import cli, jparity, laurent, tensor, uvt
 from vtschur.laurent import ONE, mono
 
-from references import hopf_checks_whole_sides, printed_word_antipode
+from references import hopf_checks_whole_sides, op_combo, printed_word_antipode, verify_all_whole
 
 
 def test_cartan_forms():
@@ -102,7 +102,7 @@ def test_hopf_printed_antipode_fails():
     fails = set()
     for g in tensor.gens(n):
         combo = [(c, w + tuple(r)) for l, r in tensor.coproduct_legs(g) for c, w in printed_word_antipode(l)]
-        if not tensor.op_eq(tensor.op_combo(combo, n, d), tensor.op_combo([(uvt.counit(g), ())], n, d)):
+        if not tensor.op_eq(tensor.combo_columns(combo, n, d), tensor.combo_columns([(uvt.counit(g), ())], n, d)):
             fails.add(g)
     assert fails == {("E", 1), ("F", 1)}
     assert all(ok for _, ok in uvt.hopf_checks(n, d))
@@ -124,13 +124,72 @@ def _doubled_e_leg(legs):
 
 
 @pytest.mark.parametrize("plant", [None, _extra_e_leg, _dropped_e_leg, _doubled_e_leg])
-@pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 0), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])
 def test_hopf_checks_match_whole_side_reference(monkeypatch, plant, n, d):
-    # the formal difference of the two coassociativity expansions decides
-    # every check as the side-against-side comparison does, planted or not
+    # the formal difference of the two coassociativity expansions, and the
+    # counit and antipode sides read at the sorted sequences, decide every
+    # check as the whole operators do, planted or not
     if plant is not None:
         monkeypatch.setattr(tensor, "coproduct_legs", plant(tensor.coproduct_legs))
     assert uvt.hopf_checks(n, d) == hopf_checks_whole_sides(n, d)
+
+
+@pytest.mark.parametrize("star", [False, True])
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 0), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)])
+def test_catalogs_match_whole_operator_reference(n, d, star):
+    # the columns at the sorted sequences decide each instance as the whole
+    # operators do; (2, 0) has the one sorted sequence ()
+    assert uvt.verify_all(n, d, star=star) == verify_all_whole(n, d, star=star)
+
+
+def _doubled_r3_rhs(real):
+    """relation_instances with the right side of R3 1,1 doubled."""
+    return lambda rel, n, **kw: [(name, lhs, [(c * 2, w) for c, w in rhs] if name == "R3 1,1" else rhs)
+                                 for name, lhs, rhs in real(rel, n, **kw)]
+
+
+@pytest.mark.parametrize("plant", [None, _doubled_r3_rhs])
+def test_jparity_word_checks_match_whole_operator_reference(monkeypatch, plant):
+    # jparity's base catalog and Cartan-denominator pair at (3, 2, 1) and
+    # (3, 3, 2), against the same suite with every combination built as a
+    # whole operator; with the doubled R3 side, "base R3 1,1" and "model
+    # cartan denominator i=1" fail on both
+    if plant is not None:
+        monkeypatch.setattr(uvt, "relation_instances", plant(uvt.relation_instances))
+    got = [jparity.verify_tilde_relations(3, 2, 1), jparity.verify_tilde_relations(3, 3, 2)]
+    assert uvt.verify_all(3, 2) == verify_all_whole(3, 2)
+    monkeypatch.setattr(tensor, "combo_columns", op_combo)
+    assert got == [jparity.verify_tilde_relations(3, 2, 1), jparity.verify_tilde_relations(3, 3, 2)]
+    fails = {name for name, ok in got[0] if not ok and not name.startswith("expect-fail")}
+    assert fails == (set() if plant is None else {"base R3 1,1", "model cartan denominator i=1"})
+
+
+def test_word_checks_apply_only_at_the_sorted_sequences(monkeypatch):
+    # the catalogs, the Hopf counit and antipode sides and jparity's word
+    # checks compose columns only at the sorted sequences; whole operators
+    # take 14,258, 4,472 and 4,011 op_apply calls here
+    calls = []
+    columns = []
+    apply, build = tensor.op_apply, tensor.combo_columns
+
+    def counted_apply(P, x):
+        calls.append(1)
+        return apply(P, x)
+
+    def recorded(combo, n, d):
+        out = build(combo, n, d)
+        columns.extend(out)
+        return out
+
+    monkeypatch.setattr(tensor, "op_apply", counted_apply)
+    monkeypatch.setattr(tensor, "combo_columns", recorded)
+    for run, count in [(lambda: uvt.verify_all(4, 3), 4284), (lambda: uvt.hopf_checks(4, 3), 1360),
+                       (lambda: jparity.verify_tilde_relations(3, 3, 2), 1719)]:
+        calls.clear()
+        checks = run()
+        assert len(calls) == count
+        assert all(ok for name, ok in checks if not name.startswith("expect-fail"))
+    assert columns and all(s == tuple(sorted(s)) for s in columns)
 
 
 def test_hopf_builds_only_the_differing_leg_operators(monkeypatch):
@@ -229,7 +288,7 @@ def test_unbalanced_factorial_breaks_serre():
         pp = 2 - p
         coeff = laurent.qbinom(2, p) * mono(0, texps[p]) * (1 if p % 2 == 0 else -1)
         combo.append((coeff, tuple([("E", i)] * pp + [("E", j)] + [("E", i)] * p)))
-    assert not tensor.op_eq(tensor.op_combo(combo, n, d), {})
+    assert not tensor.op_eq(tensor.combo_columns(combo, n, d), {})
 
 
 def test_planted_twist_breaks_star_associativity(monkeypatch):
