@@ -23,13 +23,16 @@ upper bound (`commutant_upper`) takes as unknowns only the X[i, j] whose
 indices share a Cartan class, the tuple of entries of the diagonal
 matrices at i: the diagonal matrices commute with X exactly when X is 0
 between classes, so they add no rows.  The rows of the other matrices on
-those unknowns go in shortest first, so the single-entry rows peel their
-unknowns before the rest.  The lower bound closes the identity under left
-multiplication by the generators (`mod_span_closure`), a word being a
-sparse row over the N^2 entries of an N x N matrix.  The words and the
-constraints respect the weight blocks of tensor space, and sparse rows keep
-the blocks apart with no bookkeeping: elimination only ever combines rows
-that share a column.
+those unknowns go in by descending largest column (see `modular_rank`).
+`eigen_nullity` is the dimension of a common eigenspace, on N unknowns,
+for upper bounds that a module argument reduces to eigenvectors.  The
+lower bound closes seed words under left multiplication by the generators
+(`mod_span_closure`), a word being a sparse row over the N^2 entries of an
+N x N matrix; left multiplication keeps each column in its column, so
+seeds that are columns of the identity close only those columns.  The
+words and the constraints respect the weight blocks of tensor space, and
+sparse rows keep the blocks apart with no bookkeeping: elimination only
+ever combines rows that share a column.
 """
 
 from __future__ import annotations
@@ -160,16 +163,28 @@ def frac_solve(rows, rhs):
 def modular_rank(rows, ncols, p):
     """Rank mod p of a sequence of sparse integer rows over ncols columns.
 
-    The rows are added shortest first: a single-entry row forces its unknown
-    to 0, and every later row drops that column in one step.
+    Rank does not depend on the order of the rows, but fill-in does.  A new
+    pivot is cleared from every basis row with an entry in its column, and
+    basis rows have entries only right of their pivots.  The rows go in by
+    descending largest column, from the last columns back, so a new pivot
+    mostly lies left of every earlier row and clears nothing.
     """
     acc = ModIncrementalRank(p)
-    for row in sorted(rows, key=len):
+    for row in sorted(rows, key=lambda row: max(row, default=-1), reverse=True):
         acc.add(row)
     return acc.rank
 
 
 # -- commutants ------------------------------------------------------------------
+
+def _rows_of(cols):
+    """The rows, {column: entry} dicts, of a square matrix given by its columns."""
+    rows = [{} for _ in cols]
+    for k, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][k] = x
+    return rows
+
 
 def commutant_constraint_rows(mats, N, classes=None):
     """Sylvester rows of {X : X M = M X for every M in mats}, the nonzero ones.
@@ -188,10 +203,7 @@ def commutant_constraint_rows(mats, N, classes=None):
         members.setdefault(label, []).append(k)
     out, forced = [], set()
     for cols in mats:
-        rows = [{} for _ in range(N)]
-        for k, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][k] = x
+        rows = _rows_of(cols)
         for i, row_i in enumerate(rows):
             cons = {}  # j -> constraint (i, j)
             for k in members[classes[i]]:
@@ -237,6 +249,23 @@ def commutant_upper(mats, N, p):
     unknowns = sum(m * m for m in Counter(classes).values())
     rest = [cols for cols, diag in zip(mats, diagonal) if not diag]
     return unknowns - modular_rank(commutant_constraint_rows(rest, N, classes), unknowns, p)
+
+
+def eigen_nullity(mats, N, root, p):
+    """Dimension mod p of {w : M w = root w for every M in mats}.
+
+    Each M is given by its N columns, {row: residue} dicts.  The rows of
+    every M - root go to modular_rank; the dimension is N less their rank.
+    """
+    rows = []
+    for cols in mats:
+        for i, row in enumerate(_rows_of(cols)):
+            x = (row.pop(i, 0) - root) % p
+            if x:
+                row[i] = x
+            if row:
+                rows.append(row)
+    return N - modular_rank(rows, N, p)
 
 
 def mod_span_closure(seeds, multipliers, p, stop=None):

@@ -17,18 +17,23 @@ cached generator operators (op_sym, op_T) are shared, and so is the
 operator of a one-symbol word (op_word returns op_sym's own).
 
 The double-centralizer checks share one certificate per (n, d, v0, t0)
-(_certificate): modular nullities of the constraint systems meet the ranks
-of word span closures, at the first certification prime at which v0 and t0
-are units.  Two facts keep both systems small.  The A_a and B_a act
-diagonally, so the quantum side's unknowns are only the matrix entries
-between sequences of one Cartan class (linalg.commutant_upper).  And an
-inverse is a polynomial in its element (Cayley-Hamilton), so the words
-need only E_i, F_i, A_a and B_a, not A_a^{-1} or B_a^{-1}.
+(_certificate): modular upper bounds meet the ranks of word span closures,
+at the first certification prime at which v0 and t0 are units.  Three facts
+keep the systems small.  The s_mu generate tensor space over the Hecke
+algebra by rising swaps of coefficient 1, so the Hecke side needs only the
+columns at the s_mu: its lower bound closes those columns of the words,
+and its upper bound is a sum of eigenspace dimensions on N unknowns each,
+not a Sylvester system on N^2.  The A_a and B_a act diagonally, so the
+quantum side's unknowns are only the matrix entries between sequences of
+one Cartan class (linalg.commutant_upper).  And an inverse is a polynomial
+in its element (Cayley-Hamilton), so the words need only E_i, F_i, A_a and
+B_a, not A_a^{-1} or B_a^{-1}.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -262,6 +267,37 @@ class Certificate(NamedTuple):
     rounds: int
 
 
+def _hecke_upper(t_ops, idx, n, d, root, p):
+    """Upper bound mod p of the Hecke action's commutant, from eigenspaces.
+
+    An X that commutes with every T_j is fixed by its columns X(s_mu) (the
+    generation lemma, see _certificate), and T_j s_mu = vt s_mu for each j
+    in J(mu) = {j : s_mu[j-1] = s_mu[j]}, so X(s_mu) lies in the common
+    eigenspace of those T_j for the root vt.  The bound is the sum over mu of
+    the eigenspaces' dimensions: one nullity on N unknowns per distinct
+    J(mu), weighted by the number of contents that share it.
+
+    ArithmeticError if a T_j breaks a rule the bound rests on: column r is
+    the swap of r with coefficient 1 where r rises at j, and vt r where
+    r[j-1] = r[j].
+    """
+    for j, cols in enumerate(t_ops, 1):
+        for r, i in idx.items():
+            a, b = r[j - 1], r[j]
+            if a < b:
+                want = {idx[r[:j - 1] + (b, a) + r[j + 1:]]: 1}
+            elif a == b:
+                want = {i: root}
+            else:
+                continue
+            if cols[i] != want:
+                raise ArithmeticError("T_%d breaks the generation lemma at column %r" % (j, r))
+    shapes = Counter(tuple(j for j in range(1, d) if s[j - 1] == s[j])
+                     for s in sorted_seqs(n, d).values())
+    return sum(m * linalg.eigen_nullity([t_ops[j - 1] for j in J], len(idx), root, p)
+               for J, m in shapes.items())
+
+
 @lru_cache(maxsize=4)
 def _certificate(n, d, v0, t0):
     """The Certificate of the two commutants at (v0, t0).
@@ -269,16 +305,33 @@ def _certificate(n, d, v0, t0):
     For each prime of cert_points(v0, t0), the operators are evaluated mod p
     and both commutants are sandwiched:
 
-    * upper bounds: modular nullities of the two constraint systems
-      (linalg.commutant_upper).  On the quantum side the diagonal A_a, B_a
+    * upper bound of the Hecke action's commutant: the eigenspace bound of
+      _hecke_upper, N unknowns per distinct J(mu);
+    * upper bound of the quantum action's commutant: the modular nullity of
+      its constraint system (linalg.commutant_upper).  The diagonal A_a, B_a
       add no rows: they confine the unknowns to the entries between
       sequences of one Cartan class;
     * lower bound of the Hecke action's commutant: the span of generator
-      words, closed from the identity until it reaches the upper bound.  The
-      words commute with the Hecke action, so this closure also certifies
-      the word-image rank;
+      words, restricted to the columns at the sorted sequences s_mu and
+      closed from those columns of the identity until it reaches the upper
+      bound.  A restriction can only lower a rank, so this is a lower bound;
+      the words commute with the Hecke action, so it also certifies the
+      word-image rank;
     * lower bound of the quantum action's commutant: the span of the Hecke
-      words (the image of the Hecke algebra), by the same closure.
+      words (the image of the Hecke algebra), closed from the identity.
+
+    The generation lemma makes the restricted bounds meet.  Every sequence r
+    of content mu is r = s_mu T_{j_1} ... T_{j_k}, each T_j applied to a
+    sequence that rises at j: undo the bubble sort of r.  And T_j maps a
+    sequence that rises at j to its swap with coefficient 1
+    (hecke.t_column).  So an X that commutes with every T_j has
+    X(r) = X(s_mu) T_{j_1} ... T_{j_k}: X is fixed by its columns at the
+    s_mu, and restricting to them is injective on the commutant.  Hence the
+    restricted word closure has the rank, and the rounds, of the whole one.
+    The eigenspace bound is the commutant's dimension, not only a bound: the
+    span of the sequences of content mu is the module induced from vt on the
+    parabolic subalgebra of J(mu) (Dipper-James), so any eigenvectors
+    X(s_mu) extend to an X that commutes with every T_j.
 
     The quantum side uses E_i, F_i, A_a and B_a only.  By Cayley-Hamilton
     the inverse of an invertible M is a polynomial in M, so dropping
@@ -286,20 +339,21 @@ def _certificate(n, d, v0, t0):
     commutant.
 
     The first prime at which both pairs meet returns; ArithmeticError if
-    none does.
+    none does, or if the T_j break the generation lemma.
     """
     seqs = all_seqs(n, d)
     idx = {r: i for i, r in enumerate(seqs)}
     N = len(seqs)
     ident = {i * N + i: 1 for i in range(N)}
+    columns = [{idx[s] * N + idx[s]: 1} for s in sorted_seqs(n, d).values()]
     bounds = "no prime of %s is usable at (v0, t0) = (%s, %s)" % (linalg.CERT_PRIMES, v0, t0)
     for p, v, t in cert_points(v0, t0):
         # E_i, F_i, A_a, B_a: the inverses add nothing (see above)
         u_ops = [_op_mod(op_sym(g, n, d), idx, v, t, p) for g in gens(n) if g[2:] != (-1,)]
         t_ops = [_op_mod(op_T(j, n, d), idx, v, t, p) for j in range(1, d)]
-        h_upper = linalg.commutant_upper(t_ops, N, p)
+        h_upper = _hecke_upper(t_ops, idx, n, d, v * t % p, p)
         u_upper = linalg.commutant_upper(u_ops, N, p)
-        h_lower, rounds = linalg.mod_span_closure([ident], u_ops, p, stop=h_upper)
+        h_lower, rounds = linalg.mod_span_closure(columns, u_ops, p, stop=h_upper)
         u_lower, _ = linalg.mod_span_closure([ident], t_ops, p, stop=u_upper)
         if (h_lower, u_lower) == (h_upper, u_upper):
             return Certificate(p, (h_lower, h_upper), (u_lower, u_upper), rounds)
@@ -333,10 +387,11 @@ def centralizer_dim(side, n, d, v0=2, t0=3):
 def surjectivity_rank(n, d, v0=2, t0=3):
     """Rank of the span of generator-word operator images.
 
-    The word-length cap starts at 2d and doubles at most twice; a span that
-    needs longer words raises.  The rank is the closure of the shared
-    certificate, which meets the Hecke-commutant dimension (an upper bound,
-    since the image commutes with the Hecke action).
+    The rank is the closure of the shared certificate: the rank of the
+    words restricted to their columns at the s_mu, a lower bound of the
+    whole rank that meets the Hecke-commutant dimension (an upper bound,
+    since the image commutes with the Hecke action).  A closure that needed
+    words longer than 8d (more than 8d rounds) raises.
     """
     cert = certificate(n, d, v0, t0)
     if cert.rounds > 8 * d:

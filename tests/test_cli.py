@@ -304,6 +304,10 @@ PINNED_REPORTS = [
      "b685239a35c030c82265dee464fda20490b18f764ef67785de6afeb69d107d87"),
     ("duality", {},
      "4475bb486583b21c457f4e0eff7bb215e57005aa9ead6d5affc11e67dc174437"),
+    ("duality", {"n": 3, "d": 3},
+     "6638f2008096845fa2f4551da5681127f013af3d5d63fd4f4a065615107776a1"),
+    ("duality", {"n": 4, "d": 3},
+     "02418c8ab03d620bcb8f9186a7dc0bac856056c7d565cdc69aa6f66e760000fb"),
     ("uvt", {"n": 2, "d": 3},
      "bc44be223dfb69076f7668754160a7b41efb60c1ebccdd2d89fa76b25134ce58"),
     ("star", {"n": 3},
@@ -338,6 +342,20 @@ def test_default_report_json_bytes_pinned():
     text = cli.run_suite("duality", default_config()).to_json()
     code, out, _ = run_cli(["verify", "duality", "--spec", "2,3", "--format", "json"])
     assert code == 0 and out == text
+
+
+# past the commutation guard, where the certificate's column bounds matter most
+LARGE_DUALITY_REPORTS = [
+    ({"n": 5, "d": 3}, "1cbb8f4a201cc61de49e4de76abf703c2b746fbb17056a96044dc20467a33180"),
+    ({"n": 4, "d": 4}, "48455a2559393a8e10d609483afac90b3e99f7b3ccadb2c6a982ae5db7a71624"),
+]
+
+
+def test_large_duality_report_json_bytes_pinned(monkeypatch):
+    monkeypatch.setenv("VTSCHUR_ALLOW_LARGE", "1")
+    for over, digest in LARGE_DUALITY_REPORTS:
+        text = cli.run_suite("duality", dict(default_config(), **over)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, over
 
 
 @pytest.mark.parametrize("suite,over", [

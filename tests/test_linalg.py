@@ -45,8 +45,8 @@ def block_systems(draw):
 @PROPS
 @given(block_systems())
 def test_component_rank_equals_dense_rank(system):
-    """A block-diagonal system with single-entry rows, ranked shortest rows
-    first, against plain dense elimination."""
+    """A block-diagonal system with single-entry rows, ranked in
+    modular_rank's order, against plain dense elimination."""
     p, ncols, rows = system
     want = mod_rank(dense(rows, ncols), p)
     assert linalg.modular_rank(rows, ncols, p) == want
@@ -58,8 +58,8 @@ def test_component_rank_equals_dense_rank(system):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 4))
 def test_modular_ranks_equal_rational_rank(seed, nrows, ncols):
     """Entries in [-9, 9] and at most 4 columns keep every minor below the
-    certification primes, so the modular and rational ranks agree, shortest
-    rows first and in the given order."""
+    certification primes, so the modular and rational ranks agree, in
+    modular_rank's order and in the given order."""
     rng = random.Random(seed)
     rows = [{c: rng.randint(-9, 9) for c in range(ncols) if rng.random() < 0.5}
             for _ in range(nrows)]
@@ -190,6 +190,30 @@ def test_commutant_upper_reduces_entries_mod_p():
         want = linalg.commutant_upper(diagonals(7) + [other], N, P0)
         assert want == _full_nullity(diagonals(7) + [other], N, P0)
         assert linalg.commutant_upper(diagonals(7 + P0) + [lifted], N, P0) == want
+
+
+def test_eigen_nullity_equals_dense_nullity():
+    # matrices with planted common eigenvectors e_k for the root, so the
+    # common eigenspace takes many dimensions
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(60):
+        N, p = rng.randint(1, 6), rng.choice((7, P0))
+        root = rng.randint(1, p - 1)
+        planted = rng.sample(range(N), rng.randint(0, N))
+        mats = []
+        for _ in range(rng.randint(1, 3)):
+            M = [[rng.randint(0, 2) * (rng.random() < 0.4) for _ in range(N)] for _ in range(N)]
+            for k in planted:  # column k becomes root e_k
+                for i in range(N):
+                    M[i][k] = root * (i == k)
+            mats.append([{i: M[i][k] % p for i in range(N) if M[i][k] % p} for k in range(N)])
+        rows = [[M_cols[k].get(i, 0) - root * (i == k) for k in range(N)]
+                for M_cols in mats for i in range(N)]
+        want = N - mod_rank(rows, p)
+        assert linalg.eigen_nullity(mats, N, root, p) == want
+        seen.add(want)
+    assert len(seen) > 3
 
 
 def dense_frac_solve(matrix, rhs):

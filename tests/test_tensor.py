@@ -639,3 +639,87 @@ def test_planted_bound_disagreement_raises(monkeypatch):
             tn.surjectivity_rank(2, 2)
     finally:
         tn._certificate.cache_clear()
+
+
+@pytest.mark.parametrize("n,d,spec", [
+    *((n, d, spec) for n, d in [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (4, 3)]
+      for spec in [(2, 3), (5, 7)]),
+    (4, 4, (2, 3)),
+])
+def test_column_bounds_match_whole_matrix_references(n, d, spec):
+    """The Hecke side's bounds on the s_mu columns against the whole-matrix
+    ones: the eigenspace bound is the full Sylvester nullity of the T_j, and
+    the closure of the words from the columns of the identity at the s_mu has
+    the rank and rounds of the closure from the whole identity."""
+    cert = tn.certificate(n, d, *spec)
+    p, N = cert.prime, n ** d
+    u, h = _mod_ops(n, d, p, spec)
+    assert cert.hecke[1] == linalg.commutant_upper(h, N, p)
+    free = [op for g, op in zip(tn.gens(n), u) if g[2:] != (-1,)]
+    ident = {i * N + i: 1 for i in range(N)}
+    assert (linalg.mod_span_closure([ident], free, p, stop=cert.hecke[1])
+            == (cert.hecke[0], cert.rounds))
+
+
+@pytest.mark.parametrize("at", ["rising", "equal"])
+def test_planted_T_column_raises(monkeypatch, at):
+    """A doubled rising column of T_1 breaks the generation lemma, and a
+    doubled column at equal entries the eigenvalue vt, that the eigenspace
+    bound rests on.  Unchecked, the closure would stop at the lowered bound
+    and certify a wrong dimension; the certificate raises."""
+    op_T = tn.op_T
+
+    def planted(j, n, d):
+        T = op_T(j, n, d)
+        if j != 1:
+            return T
+        r = next(r for r in T if (r[0] < r[1] if at == "rising" else r[0] == r[1]))
+        ((s, x),) = T[r].items()
+        return {**T, r: {s: x + x}}
+
+    monkeypatch.setattr(tn, "op_T", planted)
+    tn._certificate.cache_clear()
+    try:
+        for n, d in [(2, 2), (3, 3)]:
+            with pytest.raises(ArithmeticError, match="generation lemma"):
+                tn.certificate(n, d)
+    finally:
+        tn._certificate.cache_clear()
+
+
+def test_planted_missing_seed_raises(monkeypatch):
+    """Closed without one s_mu column, the words miss the projection onto
+    that content's weight space, so the lower bound cannot meet the upper."""
+    closure = linalg.mod_span_closure
+
+    def drop_one(seeds, *args, **kwargs):
+        # the Hecke side's closure is the one with a seed per content
+        return closure(seeds[1:] if len(seeds) > 1 else seeds, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "mod_span_closure", drop_one)
+    tn._certificate.cache_clear()
+    try:
+        for n, d in [(2, 2), (3, 3)]:
+            with pytest.raises(ArithmeticError, match="disagree"):
+                tn.certificate(n, d)
+    finally:
+        tn._certificate.cache_clear()
+
+
+def test_certificate_adds_few_entries(monkeypatch):
+    """A cold certificate(4, 3) passes at most 30,000 nonzero entries to the
+    accumulator: 20,221 on the s_mu columns, against 182,320 when both
+    Hecke-side bounds took the whole N x N matrix."""
+    add, entries = linalg.ModIncrementalRank.add, []
+
+    def spy(self, row):
+        entries.append(sum(1 for x in row.values() if x % self.p))
+        return add(self, row)
+
+    monkeypatch.setattr(linalg.ModIncrementalRank, "add", spy)
+    tn._certificate.cache_clear()
+    try:
+        assert tn.certificate(4, 3).hecke == (816, 816)
+    finally:
+        tn._certificate.cache_clear()
+    assert sum(entries) <= 30_000
