@@ -37,20 +37,13 @@ def _over_guard(suite, cfg):
     if suite == "duality":
         return tensor.commute_guard(n, d)
     if suite == "stab":
-        base, size = 2 * cfg["window"] + 1, 1
-        for _ in range(n):  # stops once over: a large n makes the power itself slow
-            size *= base
-            if size > stab.MAX_DIAGONALS:
-                digits = n * math.log10(base)
-                shown = "%d" % base ** n if digits < 18 else "about 10^%d" % digits
-                return "stab guard: (2 window + 1)^n = %d^%d = %s diagonals, over %d" % (
-                    base, n, shown, stab.MAX_DIAGONALS)
+        return stab.over_guard(n, cfg["window"])
 
 
 def check_request(suite, cfg, large=False):
-    """Raise BadRequest when a suite's parameters are out of its domain, and,
-    unless large, GuardExceeded beyond its guard (judged before any primality test)."""
-    n, d, m = cfg["n"], cfg["d"], cfg["m"]
+    """The guards' only judge: raise BadRequest when a suite's parameters are out
+    of its domain, and, unless large, GuardExceeded past its guard (before any primality test)."""
+    n, d = cfg["n"], cfg["d"]
     if n < 1 or d < 0:
         raise BadRequest("need n >= 1 and d >= 0, got n=%d d=%d" % (n, d))
     if suite == "stab" and cfg["window"] < 3:
@@ -72,29 +65,25 @@ def check_request(suite, cfg, large=False):
             if not tensor.cert_points(*point):
                 raise ValueError("(v0, t0) = (%s, %s) is not a pair of units mod any "
                                  "certification prime of %s" % (*point, linalg.CERT_PRIMES))
+        if suite in ("jparity-tilde", "jparity-hat"):
+            jparity.check_cut(suite, cfg["m"], n, 2 if suite == "jparity-hat" else 1)
     except ValueError as exc:
         raise BadRequest(str(exc)) from None
-    top = {"jparity-tilde": n - 1, "jparity-hat": n - 2}.get(suite)
-    if top is not None and top < 1:  # no m at all: the bound is on n
-        raise BadRequest("%s needs n >= %d, got n=%d" % (suite, n - top + 1, n))
-    if top is not None and not 1 <= m <= top:
-        raise BadRequest("%s needs 1 <= m <= %d, got m=%d" % (suite, top, m))
 
 
 def run_suite(suite, cfg):
     n, d, m = cfg["n"], cfg["d"], cfg["m"]
-    large = os.environ.get("VTSCHUR_ALLOW_LARGE", "") == "1"
-    check_request(suite, cfg, large)
+    check_request(suite, cfg, os.environ.get("VTSCHUR_ALLOW_LARGE", "") == "1")
     rep = Report(suite=suite, config=cfg)
     t0 = time.time()
     if suite == "schur":
         rep.extend(schur.verify_relations(n, d))
     elif suite == "hecke":
         rep.extend(hecke.verify_hecke(d))
-        for w, u, ok in hecke.geometric_structure_match(d, cfg["primes"][0], large):
+        for w, u, ok in hecke.geometric_structure_match(d, cfg["primes"][0]):
             rep.add("geometric %r %r at p=%d" % (w, u, cfg["primes"][0]), ok)
     elif suite == "duality":
-        rep.extend(tensor.commute_check(n, d, large))
+        rep.extend(tensor.commute_check(n, d))
         v0, t0s = cfg["spec"]
         if n >= d:
             cert = tensor.certificate(n, d, v0, t0s)
@@ -136,11 +125,11 @@ def run_suite(suite, cfg):
         cert = "T^2 %r T %r 1 %r" % (rs["T^2"], rs["T"], rs["1"])
         rep.add("hecke quadratic certificate (r,s) coefficients: %s" % cert, not _elt)
     elif suite == "oracle":
-        for B, A, ok in schur.oracle_compare(n, d, tuple(cfg["primes"]), large):
+        for B, A, ok in schur.oracle_compare(n, d, tuple(cfg["primes"])):
             rep.add("pair B=%r A=%r" % (B, A), ok)
         for p in cfg["primes"][:2]:
-            xy = flags.orbit_types(p, d, n, ("X", "Y"), large)
-            yy = flags.orbit_types(p, d, n, ("Y", "Y"), large)
+            xy = flags.orbit_types(p, d, n, ("X", "Y"))
+            yy = flags.orbit_types(p, d, n, ("Y", "Y"))
             rep.add("orbit count X*Y = n^d at p=%d" % p, len(xy) == n ** d)
             rep.add("orbit count Y*Y = d! at p=%d" % p, len(yy) == math.factorial(d))
     else:

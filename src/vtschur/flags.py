@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import warnings
 from collections import Counter
 from functools import lru_cache
 
@@ -46,7 +45,7 @@ SUBSPACE_MAX_D = 4
 
 
 class GuardExceeded(ValueError):
-    """Enumeration request beyond the configured desk-scale guards."""
+    """A request beyond the desk-scale guards, judged by cli.check_request."""
 
 
 def check_prime(p):
@@ -56,19 +55,11 @@ def check_prime(p):
 
 
 def over_guard(p, d, n=1):
-    """The desk-scale limit that (p, d, n) exceeds, as text; None within it."""
+    """The CLI's desk-scale limit that (p, d, n) exceeds, as text; None within it."""
     if d > MAX_D or p > MAX_P or n > MAX_N:
         return "enumeration guard: d<=%d, p<=%d, n<=%d (got d=%d p=%d n=%d)" % (MAX_D, MAX_P, MAX_N, d, p, n)
-
-
-def _guard(p, d, n=1, allow_large=False):
-    over = over_guard(p, d, n)  # judged first: trial division is slow on a large p
-    if over and not allow_large:
-        raise GuardExceeded(over + "; pass allow_large=True to override at your own expense")
-    if over:
-        warnings.warn("enumerating beyond the desk-scale guards (d=%d p=%d n=%d); expect combinatorial cost"
-                      % (d, p, n), stacklevel=3)
-    check_prime(p)
+    if d > SUBSPACE_MAX_D:  # the table of _subspace_index
+        return "subspace enumeration guard d <= %d" % SUBSPACE_MAX_D
 
 
 def rref(rows, p):
@@ -101,14 +92,11 @@ def full_space(d):
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
-def enum_subspaces(p, d, k, allow_large=False):
+def enum_subspaces(p, d, k):
     """All k-dimensional subspaces of F_p^d as canonical RREF tuples."""
     check_prime(p)
     if not 0 <= k <= d:
         raise ValueError("need 0 <= k <= d")
-    if d > SUBSPACE_MAX_D and not allow_large:
-        raise GuardExceeded("subspace enumeration guard d <= %d; pass allow_large=True to override"
-                            % SUBSPACE_MAX_D)
     if k == 0:
         return [()]
     out = []
@@ -140,7 +128,7 @@ def _chains(p, d, dims):
     """All flags V_1 <= V_2 <= ... of F_p^d with dim V_i = dims[i], grown a step at a time."""
     chains = [()]
     for k in dims:
-        subs = enum_subspaces(p, d, k, allow_large=True)
+        subs = enum_subspaces(p, d, k)
         chains = [c + (s,) for c in chains for s in subs if not c or contains(s, c[-1], p)]
     return chains
 
@@ -149,30 +137,30 @@ def _family(kind, p, d, n):
     return [F for dims in _dim_vectors(kind, d, n) for F in _chains(p, d, dims)]
 
 
-def enum_flags_X(p, d, n, allow_large=False):
+def enum_flags_X(p, d, n):
     """All n-step flags 0 = V_0 <= V_1 <= ... <= V_n = F_p^d."""
-    _guard(p, d, n, allow_large)
+    check_prime(p)
     return _family("X", p, d, n)
 
 
-def enum_flags_Y(p, d, allow_large=False):
+def enum_flags_Y(p, d):
     """All complete flags (F_1, ..., F_d) with dim F_i = i."""
-    _guard(p, d, 1, allow_large)
+    check_prime(p)
     return _family("Y", p, d, 1)
 
 
 @lru_cache(maxsize=32)
-def _subspace_index(p, d, allow_large=False):
+def _subspace_index(p, d):
     """Ids of all subspaces of F_p^d and the table of their sum dimensions.
 
     Returns ({subspace: id}, T) with T[a][b] = dim(a + b); the zero space
     has id 0.  Each subspace is stored as the bitmask of its p^k vectors, so
     p^dim(a cap b) is the popcount of mask_a & mask_b and
     dim(a + b) = dim a + dim b - dim(a cap b).  The table has one entry per
-    pair of subspaces, so d > SUBSPACE_MAX_D raises GuardExceeded unless
-    allow_large.
+    pair of subspaces: 7.1e6 at (3, 5), past the CLI's guard
+    d <= SUBSPACE_MAX_D (over_guard).
     """
-    subs = [s for k in range(d + 1) for s in enum_subspaces(p, d, k, allow_large)]
+    subs = [s for k in range(d + 1) for s in enum_subspaces(p, d, k)]
     weights = [p ** j for j in range(d)]
     masks = []
     for s in subs:
@@ -226,8 +214,8 @@ def orbit_matrix(V, W, p):
     S(i-1, j) - S(i, j) - S(i-1, j-1) + S(i, j-1) of the sum dimensions
     S(i, j) = dim(V_i + W_j), read from the (p, d) table by subspace id.
     A subspace given by spanning rows that are not its canonical RREF is
-    brought to it first.  Flags in F_p^d with d > SUBSPACE_MAX_D raise
-    GuardExceeded.
+    brought to it first.  The first pair in F_p^d builds the (p, d) table,
+    which grows fast past d = SUBSPACE_MAX_D (see _subspace_index).
     """
     return _orbit(_flag_code(V, p)[0], _flag_code(W, p)[1])
 
@@ -266,7 +254,7 @@ def _type_counts(v_rows, mid, right, columns, pick):
 
 
 @lru_cache(maxsize=4)
-def _products(p, d, n, kinds, allow_large=False):
+def _products(p, d, n, kinds):
     """{(B, A): {C: count}} over every output type C, for the flag families
     kinds = (left, middle, right).  Memoized: the tables are shared and
     read-only by convention.
@@ -278,7 +266,7 @@ def _products(p, d, n, kinds, allow_large=False):
     the column of orbit matrices against each representative right flag is
     built once and shared by every left flag that picks it.
     """
-    ids, table = _subspace_index(p, d, allow_large)
+    ids, table = _subspace_index(p, d)
     mid = _encoded(ids, table, _family(kinds[1], p, d, n))
     right = mid if kinds[2] == kinds[1] else _encoded(ids, table, _family(kinds[2], p, d, n))
     full = full_space(d)
@@ -305,22 +293,22 @@ def _products(p, d, n, kinds, allow_large=False):
     return out
 
 
-def orbit_types(p, d, n, kinds, allow_large=False):
+def orbit_types(p, d, n, kinds):
     """The orbit matrices of all pairs (V, W) with V in the kinds[0] family
     and W in the kinds[1] family, as a set.
 
     By transitivity the standard flag of each left dimension vector meets
     every type, so only those are paired with every right flag.
     """
-    _guard(p, d, n, allow_large)
-    ids, table = _subspace_index(p, d, allow_large)
+    check_prime(p)
+    ids, table = _subspace_index(p, d)
     full = full_space(d)
     left = _encoded(ids, table, [tuple(full[:k] for k in dims) for dims in _dim_vectors(kinds[0], d, n)])
     right = _encoded(ids, table, _family(kinds[1], p, d, n))
     return {_orbit(rows, cols) for rows, _ in left for _, cols in right}
 
 
-def convolve_count(B, A, p, d, n, allow_large=False):
+def convolve_count(B, A, p, d, n):
     """Counting convolution of n-step flags: for each output type C, the
     number of middle flags U with orbit(V, U) = B and orbit(U, W) = A, on a
     representative pair (V, W) of type C.
@@ -329,17 +317,17 @@ def convolve_count(B, A, p, d, n, allow_large=False):
     check_matrix(A, n, d)
     if co(B) != ro(A):
         raise ValueError("co(B) = %r must equal ro(A) = %r" % (co(B), ro(A)))
-    _guard(p, d, n, allow_large)
-    return _products(p, d, n, ("X", "X", "X"), allow_large).get((mat(B), mat(A)), {})
+    check_prime(p)
+    return _products(p, d, n, ("X", "X", "X")).get((mat(B), mat(A)), {})
 
 
-def conv_table(p, d, n, kinds=("X", "X", "X"), allow_large=False):
+def conv_table(p, d, n, kinds=("X", "X", "X")):
     """Full table of counting products for the given flag families (left,
     middle, right): {(B, A): {C: count}} over every orbit type pair with a
     nonzero product.
     """
-    _guard(p, d, n, allow_large)
-    return _products(p, d, n, tuple(kinds), allow_large)
+    check_prime(p)
+    return _products(p, d, n, tuple(kinds))
 
 
 def counts_match(prod, counts, p):

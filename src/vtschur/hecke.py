@@ -149,7 +149,7 @@ def perm_matrix(w):
     return tuple(tuple(1 if w[j] == i else 0 for j in range(d)) for i in range(d))
 
 
-def geometric_structure_match(d, p, allow_large=False):
+def geometric_structure_match(d, p):
     """Compare algebraic products against complete-flag convolution counts.
 
     T_w is the braced element {perm_matrix(w)} = (v^{-1} t)^{l(w)} e_{sigma_w}:
@@ -158,7 +158,7 @@ def geometric_structure_match(d, p, allow_large=False):
     flags.braced_counts_match compares every product T_w T_u with the
     counting structure constants at v^2 = p.  Returns a list of (w, u, ok).
     """
-    tables = {p: flags.conv_table(p, d, d, kinds=("Y", "Y", "Y"), allow_large=allow_large)}
+    tables = {p: flags.conv_table(p, d, d, kinds=("Y", "Y", "Y"))}
     out = []
     for w in all_perms(d):
         for u in all_perms(d):

@@ -20,14 +20,23 @@ VARIANTS = ("tilde", "hat")
 SIGNS = ("+", "-", "0")
 
 
+def check_cut(name, m, n, room=1):
+    """ValueError unless 1 <= m <= n - room: room 1 for the projectors and the
+    plain catalog, 2 for the refined one, which also reads E_{m+1}."""
+    top = n - room
+    if top < 1:  # no m at all: the bound is on n
+        raise ValueError("%s needs n >= %d, got n=%d" % (name, room + 1, n))
+    if not 1 <= m <= top:
+        raise ValueError("%s needs 1 <= m <= %d, got m=%d" % (name, top, m))
+
+
 def _check_request(variant, sign, m, n):
     """ValueError unless (variant, sign, m) names one of the projectors at n."""
     if variant not in VARIANTS:
         raise ValueError("variant must be tilde or hat")
     if sign not in SIGNS or (sign == "0" and variant != "hat"):
         raise ValueError("sign must be +, - or (hat only) 0")
-    if not 1 <= m <= n - 1:
-        raise ValueError("cut index m out of range")
+    check_cut("the %s projector" % variant, m, n)
 
 
 def _keep(variant, sign, d, low, mid):
@@ -113,8 +122,7 @@ def verify_tilde_relations(n, d, m):
 
 def verify_hat_relations(n, d, m):
     """The refined-projector catalog (r1)-(r7) as operator identities."""
-    if not 1 <= m <= n - 2:
-        raise ValueError("the refined catalog needs m + 2 <= n")
+    check_cut("jparity-hat", m, n, room=2)
     checks = []
     J = {s: j_operator("hat", s, m, n, d) for s in SIGNS}
     ident = tensor.op_identity(n, d)

@@ -566,14 +566,14 @@ def product_via_operators(x, y, n, d):
 
 # -- oracle comparison ----------------------------------------------------------------
 
-def oracle_compare(n, d, primes=(3, 5, 7), allow_large=False):
+def oracle_compare(n, d, primes=(3, 5, 7)):
     """Check every admissible Chevalley product against flag counting.
 
     For each left factor {B} of E or F shape and each compatible A, the
     closed-form product {B}{A} must match the oracle's counts at every prime
     (flags.braced_counts_match).  Returns a list of (B, A, ok).
     """
-    tables = {p: flags.conv_table(p, d, n, allow_large=allow_large) for p in primes}
+    tables = {p: flags.conv_table(p, d, n) for p in primes}
     thetas = theta_matrices(n, d)
     results = []
     for B in thetas:

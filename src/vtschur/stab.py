@@ -28,6 +28,7 @@ full products, since its report counts the boundary terms it skips.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -130,6 +131,18 @@ def _window_mul(x, y, bound=None):
 # -- the weight window -------------------------------------------------------------
 
 MAX_DIAGONALS = 2401  # `verify stab` guard on (2W + 1)^n, the diagonals of a window element
+
+
+def over_guard(n, W):
+    """The CLI's limit that a window of half-width W exceeds at n, as text, or None."""
+    base, size = 2 * W + 1, 1
+    for _ in range(n):  # stops once over: a large n makes the power itself slow
+        size *= base
+        if size > MAX_DIAGONALS:
+            digits = n * math.log10(base)
+            shown = "%d" % base ** n if digits < 18 else "about 10^%d" % digits
+            return "stab guard: (2 window + 1)^n = %d^%d = %s diagonals, over %d" % (
+                base, n, shown, MAX_DIAGONALS)
 
 
 @dataclass(frozen=True)

@@ -198,17 +198,12 @@ def op_T(j, n, d):
 # -- duality checks --------------------------------------------------------------
 
 def commute_guard(n, d):
-    """The limit that (n, d) exceeds in commute_check, as text, or None."""
+    """The CLI's limit that (n, d) exceeds in commute_check, as text, or None."""
     return "commutation guard n<=4, d<=3 (got n=%d d=%d)" % (n, d) if n > 4 or d > 3 else None
 
 
-def commute_check(n, d, allow_large=False):
+def commute_check(n, d):
     """Each generator operator commutes with each T_j: list of (label, ok)."""
-    over = commute_guard(n, d)
-    if over and not allow_large:
-        from .flags import GuardExceeded
-
-        raise GuardExceeded(over + "; pass allow_large=True")
     out = []
     for g in gens(n):
         G = op_sym(g, n, d)
@@ -267,7 +262,7 @@ class Certificate(NamedTuple):
     rounds: int
 
 
-def _hecke_upper(t_ops, idx, n, d, root, p):
+def _hecke_upper(t_ops, idx, n, d, v, t, p):
     """Upper bound mod p of the Hecke action's commutant, from eigenspaces.
 
     An X that commutes with every T_j is fixed by its columns X(s_mu) (the
@@ -277,21 +272,26 @@ def _hecke_upper(t_ops, idx, n, d, root, p):
     the eigenspaces' dimensions: one nullity on N unknowns per distinct
     J(mu), weighted by the number of contents that share it.
 
-    ArithmeticError if a T_j breaks a rule the bound rests on: column r is
-    the swap of r with coefficient 1 where r rises at j, and vt r where
-    r[j-1] = r[j].
+    ArithmeticError if a column of a T_j is not hecke.t_column mod p: the
+    bound rests on the rising and equal-entry rules, and a wrong falling
+    column would shrink the eigenspaces to a bound that the word closure,
+    stopped there, meets.
     """
+    root = v * t % p
+    lin = (root - pow(v, -1, p) * t) % p
     for j, cols in enumerate(t_ops, 1):
         for r, i in idx.items():
             a, b = r[j - 1], r[j]
+            swap = idx[r[:j - 1] + (b, a) + r[j + 1:]]
             if a < b:
-                want = {idx[r[:j - 1] + (b, a) + r[j + 1:]]: 1}
+                want = {swap: 1}
             elif a == b:
                 want = {i: root}
             else:
-                continue
+                want = {k: x for k, x in ((i, lin), (swap, t * t % p)) if x}
             if cols[i] != want:
-                raise ArithmeticError("T_%d breaks the generation lemma at column %r" % (j, r))
+                rule = "the quadratic rule" if a > b else "the generation lemma"
+                raise ArithmeticError("T_%d breaks %s at column %r" % (j, rule, r))
     shapes = Counter(tuple(j for j in range(1, d) if s[j - 1] == s[j])
                      for s in sorted_seqs(n, d).values())
     return sum(m * linalg.eigen_nullity([t_ops[j - 1] for j in J], len(idx), root, p)
@@ -339,7 +339,7 @@ def _certificate(n, d, v0, t0):
     commutant.
 
     The first prime at which both pairs meet returns; ArithmeticError if
-    none does, or if the T_j break the generation lemma.
+    none does, or if a column of a T_j breaks its rule (_hecke_upper).
     """
     seqs = all_seqs(n, d)
     idx = {r: i for i, r in enumerate(seqs)}
@@ -351,7 +351,7 @@ def _certificate(n, d, v0, t0):
         # E_i, F_i, A_a, B_a: the inverses add nothing (see above)
         u_ops = [_op_mod(op_sym(g, n, d), idx, v, t, p) for g in gens(n) if g[2:] != (-1,)]
         t_ops = [_op_mod(op_T(j, n, d), idx, v, t, p) for j in range(1, d)]
-        h_upper = _hecke_upper(t_ops, idx, n, d, v * t % p, p)
+        h_upper = _hecke_upper(t_ops, idx, n, d, v, t, p)
         u_upper = linalg.commutant_upper(u_ops, N, p)
         h_lower, rounds = linalg.mod_span_closure(columns, u_ops, p, stop=h_upper)
         u_lower, _ = linalg.mod_span_closure([ident], t_ops, p, stop=u_upper)

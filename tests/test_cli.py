@@ -3,7 +3,6 @@ import json
 import subprocess
 import sys
 import time
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -152,6 +151,8 @@ def test_large_prime_meets_the_guard_before_the_primality_test(suite):
     ["verify", "oracle", "--d", "4"],
     ["verify", "hecke", "--d", "4"],
     ["verify", "duality", "--n", "5"],
+    ["verify", "stab", "--n", "5"],
+    ["verify", "oracle", "--n", "5"],
 ])
 def test_guard_messages_name_the_environment_switch(args):
     code, out, err = run_cli(args)
@@ -370,9 +371,7 @@ def test_allow_large_lifts_the_guards(monkeypatch, suite, over):
     with pytest.raises(flags.GuardExceeded):
         cli.run_suite(suite, cfg)
     monkeypatch.setenv("VTSCHUR_ALLOW_LARGE", "1")
-    with warnings.catch_warnings(record=True):  # lifted flag guards warn
-        warnings.simplefilter("always")
-        assert cli.run_suite(suite, cfg).passed
+    assert cli.run_suite(suite, cfg).passed
 
 
 def test_allow_large_lifts_the_subspace_table_guard(monkeypatch, capsys):

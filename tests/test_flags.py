@@ -58,12 +58,11 @@ def test_flag_counts():
 
 
 def test_guards():
-    with pytest.raises(fl.GuardExceeded):
-        fl.enum_flags_Y(11, 2)
+    # the desk-scale guards are the CLI's (test_cli); the library takes any
+    # prime, and only an odd one
     with pytest.raises(ValueError):
         fl.enum_flags_Y(4, 2)
-    with pytest.warns(UserWarning, match="desk-scale guards"):
-        assert len(fl.enum_flags_Y(11, 2, allow_large=True)) == 12
+    assert len(fl.enum_flags_Y(11, 2)) == 12
 
 
 def test_orbit_matrix_diagonal():
@@ -198,12 +197,8 @@ def test_sum_dimension_table_matches_rref(p, d):
 
 def test_orbit_matrix_guards_subspace_table():
     # the (p, d) table has one entry per pair of subspaces: 7.1e6 at (3, 5)
-    # and 1.8e9 at (5, 5), so one pair beyond d = 4 raises instead
-    full = fl.full_space(5)
-    V = (full[:2], full)
-    W = (full[3:], full)
-    with pytest.raises(fl.GuardExceeded, match="subspace enumeration guard"):
-        fl.orbit_matrix(V, W, 3)
+    # and 1.8e9 at (5, 5), so the CLI guards d <= 4
+    # (test_allow_large_lifts_the_subspace_table_guard)
     full4 = fl.full_space(4)
     assert fl.orbit_matrix((full4[:2], full4), (full4[2:], full4), 3) == ((0, 2), (2, 0))
 

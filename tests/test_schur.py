@@ -506,8 +506,7 @@ def test_oracle_equivalence_small(n, d):
 
 def test_oracle_equivalence_d4():
     # the first count of Chevalley factors with r = 4 (E_12^(4), F_21^(4))
-    with pytest.warns(UserWarning, match="desk-scale guards"):
-        results = sc.oracle_compare(2, 4, primes=(3,), allow_large=True)
+    results = sc.oracle_compare(2, 4, primes=(3,))
     assert len(results) == 140 and all(ok for _, _, ok in results)
     assert any(sc.chev_shape(B)[2] == 4 for B, _, _ in results)
 

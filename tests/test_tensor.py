@@ -1,5 +1,6 @@
 import collections
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -167,7 +168,7 @@ def test_commute_check_past_the_guard(n, d):
     # every word commutes with the Hecke action: the premise that lets the
     # relation catalogs read only the columns at the sorted sequences, here
     # at the largest sizes whose catalogs README records
-    assert all(ok for _, ok in tn.commute_check(n, d, allow_large=True))
+    assert all(ok for _, ok in tn.commute_check(n, d))
 
 
 def test_commute_check_sees_a_planted_generator_column():
@@ -661,27 +662,30 @@ def test_column_bounds_match_whole_matrix_references(n, d, spec):
             == (cert.hecke[0], cert.rounds))
 
 
-@pytest.mark.parametrize("at", ["rising", "equal"])
+@pytest.mark.parametrize("at", ["rising", "equal", "falling"])
 def test_planted_T_column_raises(monkeypatch, at):
     """A doubled rising column of T_1 breaks the generation lemma, and a
     doubled column at equal entries the eigenvalue vt, that the eigenspace
-    bound rests on.  Unchecked, the closure would stop at the lowered bound
-    and certify a wrong dimension; the certificate raises."""
+    bound rests on; a doubled t^2 entry of a falling column breaks the
+    quadratic rule and shrinks the eigenspaces.  Unchecked, the closure
+    would stop at the lowered bound and certify a wrong dimension
+    (hecke=(8, 8) at (2, 2) for the falling one); the certificate raises."""
     op_T = tn.op_T
 
     def planted(j, n, d):
         T = op_T(j, n, d)
         if j != 1:
             return T
-        r = next(r for r in T if (r[0] < r[1] if at == "rising" else r[0] == r[1]))
-        ((s, x),) = T[r].items()
-        return {**T, r: {s: x + x}}
+        at_j = {"rising": operator.lt, "equal": operator.eq, "falling": operator.gt}[at]
+        r = next(r for r in T if at_j(r[0], r[1]))
+        s = r[1::-1] + r[2:]  # the swap, r itself at equal entries
+        return {**T, r: {**T[r], s: T[r][s] + T[r][s]}}
 
     monkeypatch.setattr(tn, "op_T", planted)
     tn._certificate.cache_clear()
     try:
         for n, d in [(2, 2), (3, 3)]:
-            with pytest.raises(ArithmeticError, match="generation lemma"):
+            with pytest.raises(ArithmeticError, match="quadratic rule" if at == "falling" else "generation lemma"):
                 tn.certificate(n, d)
     finally:
         tn._certificate.cache_clear()
