@@ -21,9 +21,10 @@ algebra is therefore fixed by its columns at the s_mu, and the column of
 3. normalization: alpha_s = 1 where s decreases on every block of s_mu.
 
 So alpha_s = (v^{-1} t)^{asc(s)}, asc(s) counting the pairs p < q in one
-block with s_p < s_q.  braced_op writes that column down and fills the rest
-by the Hecke action; product_via_operators reads a product off one column
-per content.  Neither composes whole operators.
+block with s_p < s_q.  _sorted_column writes that column down, once per
+matrix, and braced_op fills the rest by the Hecke action; products read the
+right factor's terms and their outputs off these columns, one per content,
+so only left factors build operators.  Nothing composes whole operators.
 """
 
 from __future__ import annotations
@@ -476,21 +477,45 @@ def _column_plan(n, d):
     return {mu: (s_mu, steps, tuple(reads)) for mu, (s_mu, steps, reads) in plan.items()}
 
 
+@lru_cache(maxsize=1024)
+def _arrangements(column):
+    """((p, asc(p)), ...) over the arrangements p of the rows of one column
+    of a matrix (row i + 1 repeated column[i] times), in the order of
+    set(itertools.permutations(...)); asc(p) counts the pairs k < l with
+    p_k < p_l.  maxsize 1024 holds every column at n = 5, d <= 6."""
+    block = [i + 1 for i, m in enumerate(column) for _ in range(m)]
+    return tuple((p, sum(x < y for k, x in enumerate(p) for y in p[k + 1:]))
+                 for p in set(itertools.permutations(block)))
+
+
+@lru_cache(maxsize=4096)
+def _sorted_column(A, n, d):
+    """The column {A} s_mu, mu = co(A), of braced_op(A, n, d) in closed form
+    (module docstring): (v^{-1} t)^{asc(s)}, one shared unit monomial per
+    ascent count, at each s of position matrix A ({s_mu: 1} for a diagonal
+    A).  A that is not n x n natural summing to d raises ValueError.
+    maxsize 4096 holds every matrix at (4, 4) (3,876)."""
+    check_matrix(A, n, d)
+    asc = {(): 0}  # the sequences on the blocks so far: their ascents inside blocks
+    for column in zip(*A):
+        asc = {s + p: a + k for s, a in asc.items() for p, k in _arrangements(column)}
+    units = {a: mono(-a, a) for a in set(asc.values())}
+    return {s: units[a] for s, a in asc.items()}
+
+
 @lru_cache(maxsize=2048)
 def braced_op(A, n, d):
     """Tensor-space operator of a single braced basis element (n >= d unless
     A is diagonal: a diagonal element acts as a content projector for all n).
+    maxsize 2048 holds every matrix at (4, 3) (816).
 
     A non-diagonal {A} vanishes off the sequences of content mu = co(A), so
-    it is built from its one column at the sorted sequence s_mu, in closed
-    form (module docstring): (v^{-1} t)^{asc(s)} at each sequence s of
-    position matrix A, where the block of s_mu's value b holds an
-    arrangement of the rows of column b of A.
-
-    {A} commutes with the Hecke action, and e_r = e_q T_j when q rises at j
-    and r = q s_j, so column r is T_j applied to column q; the columns are
-    filled from s_mu along _column_plan's rising swaps.  A that is not an
-    n x n natural matrix summing to d raises ValueError.
+    it is built from its one column at the sorted sequence s_mu, the closed
+    form of _sorted_column.  {A} commutes with the Hecke action, and
+    e_r = e_q T_j when q rises at j and r = q s_j, so column r is T_j
+    applied to column q; the columns are filled from s_mu along
+    _column_plan's rising swaps.  A that is not an n x n natural matrix
+    summing to d raises ValueError.
     """
     check_matrix(A, n, d)
     shape = chev_shape(A)
@@ -499,13 +524,7 @@ def braced_op(A, n, d):
     if n < d:
         raise ValueError("the operator model is faithful only for n >= d")
     s_mu, steps, _ = _column_plan(n, d)[co(A)]
-    asc = {(): 0}  # the sequences on the blocks so far: their ascents inside blocks
-    for b in range(n):
-        block = [i + 1 for i in range(n) for _ in range(A[i][b])]
-        arrangements = {p: sum(x < y for k, x in enumerate(p) for y in p[k + 1:])
-                        for p in set(itertools.permutations(block))}
-        asc = {s + p: a + k for s, a in asc.items() for p, k in arrangements.items()}
-    P = {s_mu: {s: mono(-a, a) for s, a in asc.items()}}
+    P = {s_mu: _sorted_column(A, n, d)}
     for r, q, j in steps:
         P[r] = tensor.op_apply(tensor.op_T(j, n, d), P[q])
     return P
@@ -523,12 +542,14 @@ def product_via_operators(x, y, n, d):
     off one column per content.
 
     For each content mu among the co(A) of y's terms, the column
-    (x y) s_mu = x (y s_mu) is built from the columns of braced_op at s_mu.
+    (x y) s_mu = x (y s_mu) is the whole operators of x's terms applied to
+    y s_mu, which sums the closed-form columns _sorted_column of y's terms.
     {C} s_mu with co(C) = mu is supported exactly on the sequences of
     position matrix C, with a unit monomial at each, so c_C is the entry at
     the canonical position-C sequence of _column_plan divided by that
-    monomial.  c_C {C} s_mu is subtracted for each C, and a nonzero
-    remainder raises InexactDivision.
+    monomial.  c_C {C} s_mu (again _sorted_column) is subtracted for each C,
+    and a nonzero remainder raises InexactDivision.  Only the left factor's
+    terms build operators; a malformed term raises ValueError.
 
     That check is as strong as comparing whole operators: x y - sum c_C {C}
     commutes with every T_j, and the s_mu generate the tensor space over the
@@ -543,10 +564,10 @@ def product_via_operators(x, y, n, d):
         by_co.setdefault(co(A), []).append((A, c))
     out = {}
     for mu, terms in by_co.items():
-        s_mu, _, reads = plan[mu]
         w = {}
         for A, c in terms:
-            elt_add_into(w, braced_op(A, n, d)[s_mu], c)
+            elt_add_into(w, _sorted_column(A, n, d), c)
+        s_mu, _, reads = plan[mu]
         col = {}
         for B, c in x.items():
             P = braced_op(B, n, d)
@@ -556,7 +577,7 @@ def product_via_operators(x, y, n, d):
         for C, s in reads:
             entry = col.get(s)
             if entry:
-                first = braced_op(C, n, d)[s_mu]
+                first = _sorted_column(C, n, d)
                 out[C] = c = laurent.exact_div(entry, first[s])
                 elt_add_into(col, first, -c)
         if col:

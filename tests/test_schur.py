@@ -682,23 +682,21 @@ def _sorted_seq(mu):
 
 def test_product_via_operators_rejects_a_planted_residue(monkeypatch):
     # {diag(2, 0)}, a term of E F that neither factor holds, gains the entry
-    # (2, 1) in its column at (1, 1).  The canonical sequence of that
-    # entry's position matrix is (1, 2), so the product never reads at
-    # (2, 1): subtracting c {diag(2, 0)} leaves a residue that no braced
-    # element explains
+    # (2, 1) in its closed-form column at (1, 1), the column the read-off
+    # subtracts.  The canonical sequence of that entry's position matrix is
+    # (1, 2), so the product never reads at (2, 1): subtracting
+    # c {diag(2, 0)} leaves a residue that no braced element explains
     n = d = 2
     x, y = sc.gen_elt(("E", 1), n, d), sc.gen_elt(("F", 1), n, d)
     C = diag((2, 0))
     assert C in sc.product_via_operators(x, y, n, d) and C not in x and C not in y
-    real = sc.braced_op
+    real = sc._sorted_column
 
     def planted(A, n, d):
-        P = real(A, n, d)
-        if A != C:
-            return P
-        return {**P, (1, 1): {**P[(1, 1)], (2, 1): ONE}}
+        col = real(A, n, d)
+        return {**col, (2, 1): ONE} if A == C else col
 
-    monkeypatch.setattr(sc, "braced_op", planted)
+    monkeypatch.setattr(sc, "_sorted_column", planted)
     with pytest.raises(laurent.InexactDivision):
         sc.product_via_operators(x, y, n, d)
 
@@ -745,6 +743,57 @@ def test_product_via_operators_matches_whole_operator_reference(n, d):
         assert sc.product_via_operators(x, y, n, d) == want, (x, y)
         zeros += not want
     assert zeros >= 2
+
+
+@pytest.mark.parametrize("n,d", SIZES)
+def test_sorted_column_matches_whole_operator_reference(n, d):
+    # the memoized closed form that products read is the whole-operator
+    # column at s_mu; a diagonal A, whose operator is a content projector,
+    # has the column {s_mu: 1}
+    sc._sorted_column.cache_clear()
+    for A in theta_matrices(n, d):
+        s_mu = _sorted_seq(co(A))
+        col = sc._sorted_column(A, n, d)
+        assert col == reference_braced_op(A, n, d)[s_mu], A
+        if A == diag(co(A)):
+            assert col == {s_mu: ONE}, A
+    assert sc._sorted_column.cache_info().misses == len(theta_matrices(n, d))
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3)])
+def test_products_build_operators_only_for_left_factors(monkeypatch, n, d):
+    # from cold memos, on the cases of the whole-operator product test:
+    # braced_op is built only for terms of left factors, and each
+    # closed-form column is computed once, only for terms of either factor
+    # and for outputs
+    for memo in (sc.braced_op, sc._sorted_column, sc._arrangements):
+        memo.cache_clear()
+    built, computed, left, seen = [], [], set(), set()
+    real_op, real_column, real_product = sc.braced_op, sc._sorted_column, sc.product_via_operators
+
+    def op(A, n, d):
+        built.append(A)
+        return real_op(A, n, d)
+
+    def column(A, n, d):
+        misses = real_column.cache_info().misses
+        col = real_column(A, n, d)
+        if real_column.cache_info().misses > misses:
+            computed.append(A)
+        return col
+
+    def product(x, y, n, d):
+        left.update(x)
+        out = real_product(x, y, n, d)
+        seen.update(x, y, out)
+        return out
+
+    monkeypatch.setattr(sc, "braced_op", op)
+    monkeypatch.setattr(sc, "_sorted_column", column)
+    monkeypatch.setattr(sc, "product_via_operators", product)
+    test_product_via_operators_matches_whole_operator_reference(n, d)
+    assert built and set(built) <= left
+    assert computed and len(computed) == len(set(computed)) and set(computed) <= seen
 
 
 # -- the support fact and the Hecke equivariance the column build rests on ----------
@@ -839,14 +888,25 @@ def test_builds_take_no_powers_factors_or_divisions(monkeypatch, n, d):
     assert not calls, calls
 
 
-@pytest.mark.parametrize("A", [
+MALFORMED_3_3 = [
     ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),  # 4 x 3
     ((1, 0), (0, 2)),                              # 2 x 2
     ((1, 0, 0), (0, 1), (0, 0, 1)),                # a short row
     ((1, 1, 0), (0, 1, 0), (0, 0, 1)),             # sums to 4
     ((2, 1, 0), (0, -1, 0), (0, 0, 1)),            # a negative entry
     ((0, 1, 0), (0, 1, 0), (0, 0, 0)),             # sums to 2
-])
+]
+
+
+@pytest.mark.parametrize("A", MALFORMED_3_3)
 def test_braced_op_rejects_a_matrix_of_the_wrong_size(A):
     with pytest.raises(ValueError, match="not 3 x 3 natural summing to 3"):
         sc.braced_op(A, 3, 3)
+
+
+@pytest.mark.parametrize("A", MALFORMED_3_3)
+def test_product_via_operators_rejects_a_malformed_right_term(A):
+    # a right term enters by its closed-form column alone, which checks it
+    x = sc.gen_elt(("E", 1), 3, 3)
+    with pytest.raises(ValueError, match="not 3 x 3 natural summing to 3"):
+        sc.product_via_operators(x, {A: ONE}, 3, 3)
