@@ -1,9 +1,11 @@
 """Command-line front end: verification suites, products, oracle runs.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-schema errors or an --out path that cannot be written (argparse errors
-already exit with 2).  Set VTSCHUR_ALLOW_LARGE=1 to lift every guard of
-every suite, at your own expense.
+schema errors, parameters outside a suite's domain or past its guard, or an
+--out path that cannot be written.  The commands raise those as UsageError
+or GuardExceeded, and main alone prints the message and exits 2 (argparse
+errors already exit with 2).  Set VTSCHUR_ALLOW_LARGE=1 to lift every guard
+of every suite, at your own expense.
 """
 
 from __future__ import annotations
@@ -24,65 +26,55 @@ SUITES = (
 )
 
 
-class BadRequest(ValueError):
-    """Parameters outside a suite's domain: a usage error, exit code 2."""
+class UsageError(ValueError):
+    """A usage or schema error, parameters outside a suite's domain, or an
+    --out path that cannot be written: main prints it on stderr and exits 2."""
 
 
-def _over_guard(suite, cfg):
-    """The guard limit that a suite's parameters exceed, as text, or None."""
-    n, d = cfg["n"], cfg["d"]
-    if suite in ("oracle", "hecke"):  # every listed prime, before any primality test
-        steps = n if suite == "oracle" else d
-        return next(filter(None, (flags.over_guard(p, d, steps) for p in cfg["primes"])), None)
-    if suite == "duality":
-        return tensor.commute_guard(n, d)
-    if suite == "stab":
-        return stab.over_guard(n, cfg["window"])
+def _guard(*limits):
+    """GuardExceeded at the first limit text given, unless VTSCHUR_ALLOW_LARGE=1."""
+    over = next(filter(None, limits), None)
+    if over and os.environ.get("VTSCHUR_ALLOW_LARGE", "") != "1":
+        raise flags.GuardExceeded("guard exceeded: %s; set VTSCHUR_ALLOW_LARGE=1 to lift it" % over)
 
 
-def check_request(suite, cfg, large=False):
-    """The guards' only judge: raise BadRequest when a suite's parameters are out
-    of its domain, and, unless large, GuardExceeded past its guard (before any primality test)."""
-    n, d = cfg["n"], cfg["d"]
+def _rule(check, *args):
+    """check(*args), its ValueError raised as a bad request."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError("bad request: %s" % exc) from None
+
+
+def run_suite(suite, cfg):
+    """Run one suite.  Each branch judges its rules before any work: its
+    guard before any primality test, then the domain rules of its library."""
+    n, d, m = cfg["n"], cfg["d"], cfg["m"]
     if n < 1 or d < 0:
-        raise BadRequest("need n >= 1 and d >= 0, got n=%d d=%d" % (n, d))
-    if suite == "stab" and cfg["window"] < 3:
-        raise BadRequest("stab needs window >= 3, got %d" % cfg["window"])
-    over = None if large else _over_guard(suite, cfg)
-    if over:
-        raise flags.GuardExceeded(over + "; set VTSCHUR_ALLOW_LARGE=1 to lift it")
+        raise UsageError("bad request: need n >= 1 and d >= 0, got n=%d d=%d" % (n, d))
     # below these degrees the printed variants hold trivially, so their
     # expect-fail checks could not be refuted
     low = {"schur": 1, "jparity-tilde": 1, "jparity-hat": 2}.get(suite, 0)
     if d < low:
-        raise BadRequest("%s needs d >= %d, got d=%d" % (suite, low, d))
-    try:
-        if suite in ("hecke", "oracle"):
-            for p in cfg["primes"]:
-                flags.check_prime(p)
-        if suite == "duality":
-            point = tensor.check_point(*cfg["spec"])
-            if not tensor.cert_points(*point):
-                raise ValueError("(v0, t0) = (%s, %s) is not a pair of units mod any "
-                                 "certification prime of %s" % (*point, linalg.CERT_PRIMES))
-        if suite in ("jparity-tilde", "jparity-hat"):
-            jparity.check_cut(suite, cfg["m"], n, 2 if suite == "jparity-hat" else 1)
-    except ValueError as exc:
-        raise BadRequest(str(exc)) from None
-
-
-def run_suite(suite, cfg):
-    n, d, m = cfg["n"], cfg["d"], cfg["m"]
-    check_request(suite, cfg, os.environ.get("VTSCHUR_ALLOW_LARGE", "") == "1")
+        raise UsageError("bad request: %s needs d >= %d, got d=%d" % (suite, low, d))
     rep = Report(suite=suite, config=cfg)
     t0 = time.time()
     if suite == "schur":
+        _guard(tensor.catalog_guard(n, d))
         rep.extend(schur.verify_relations(n, d))
     elif suite == "hecke":
+        _guard(*(flags.over_guard(p, d, d) for p in cfg["primes"]))
+        for p in cfg["primes"]:
+            _rule(flags.check_prime, p)
         rep.extend(hecke.verify_hecke(d))
         for w, u, ok in hecke.geometric_structure_match(d, cfg["primes"][0]):
             rep.add("geometric %r %r at p=%d" % (w, u, cfg["primes"][0]), ok)
     elif suite == "duality":
+        _guard(tensor.commute_guard(n, d))
+        point = _rule(tensor.check_point, *cfg["spec"])
+        if not tensor.cert_points(*point):
+            raise UsageError("bad request: (v0, t0) = (%s, %s) is not a pair of units "
+                             "mod any certification prime of %s" % (*point, linalg.CERT_PRIMES))
         rep.extend(tensor.commute_check(n, d))
         v0, t0s = cfg["spec"]
         if n >= d:
@@ -100,24 +92,34 @@ def run_suite(suite, cfg):
             rep.add("generator-word image rank %d" % rank, rank == expect)
             rep.note("word closure: %d rounds" % cert.rounds)
     elif suite == "uvt":
+        _guard(tensor.catalog_guard(n, d))
         rep.extend(uvt.verify_all(n, d, star=False))
         rep.extend(uvt.t1_specialization_check(n))
         rep.extend(uvt.hopf_checks(n, min(d, 3)))
     elif suite == "star":
+        _guard(tensor.catalog_guard(n, d))
         rep.extend(uvt.verify_all(n, d, star=True))
         rep.add("twist exponent identity n=%d" % n, uvt.exponent_identity_holds(n))
         rep.add("star associativity sample", uvt.star_associativity_sample(n))
     elif suite == "stab":
+        if cfg["window"] < 3:
+            raise UsageError("bad request: stab needs window >= 3, got %d" % cfg["window"])
+        _guard(stab.over_guard(n, cfg["window"]))
         window, witnesses = stab.WeightWindow(cfg["window"], 2), {}
         checks, skipped = stab.limit_relation_suite(n, window, witnesses)
         rep.extend(checks, witnesses)
         rep.add("boundary terms skipped: %d" % skipped, True)
         rep.extend(stab.generator_transport_suite(n, window, witnesses), witnesses)
     elif suite == "jparity-tilde":
+        _guard(tensor.catalog_guard(n, d))
+        _rule(jparity.check_cut, suite, m, n)
         rep.extend(jparity.verify_tilde_relations(n, d, m))
     elif suite == "jparity-hat":
+        _guard(tensor.catalog_guard(n, d))
+        _rule(jparity.check_cut, suite, m, n, 2)
         rep.extend(jparity.verify_hat_relations(n, d, m))
     elif suite == "descend":
+        _guard(tensor.catalog_guard(n, d), galois.descent_guard(d))
         rep.add("sigma involutive", galois.sigma_involutive(n, d))
         rep.extend(galois.equivariance_check(n, d))
         rep.extend(galois.descent_suite(n, d))
@@ -125,6 +127,9 @@ def run_suite(suite, cfg):
         cert = "T^2 %r T %r 1 %r" % (rs["T^2"], rs["T"], rs["1"])
         rep.add("hecke quadratic certificate (r,s) coefficients: %s" % cert, not _elt)
     elif suite == "oracle":
+        _guard(*(flags.over_guard(p, d, n) for p in cfg["primes"]))
+        for p in cfg["primes"]:
+            _rule(flags.check_prime, p)
         for B, A, ok in schur.oracle_compare(n, d, tuple(cfg["primes"])):
             rep.add("pair B=%r A=%r" % (B, A), ok)
         for p in cfg["primes"][:2]:
@@ -147,33 +152,22 @@ def cmd_verify(args):
         "window": args.window,
         "spec": args.spec,
     }
-    try:
-        rep = run_suite(args.suite, cfg)
-    except flags.GuardExceeded as exc:
-        print("guard exceeded: %s" % exc, file=sys.stderr)
-        return 2
-    except BadRequest as exc:
-        print("bad request: %s" % exc, file=sys.stderr)
-        return 2
-    text = rep.to_json() if args.format == "json" else rep.to_text()
-    if not _emit(text, args.out):
-        return 2
+    rep = run_suite(args.suite, cfg)
+    _emit(rep.to_json() if args.format == "json" else rep.to_text(), args.out)
     return 0 if rep.passed else 1
 
 
 def _emit(text, path):
-    """Write text to path, or to stdout without one; False, with the reason
-    on stderr, when path cannot be written."""
+    """Write text to path, or to stdout without one; UsageError when path
+    cannot be written."""
     if not path:
         sys.stdout.write(text)
-        return True
+        return
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print("cannot write %s: %s" % (path, exc.strerror or exc), file=sys.stderr)
-        return False
-    return True
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
 def _load_json(path):
@@ -190,29 +184,25 @@ def cmd_mult(args):
     try:
         lhs, rhs = read(_load_json(args.lhs)), read(_load_json(args.rhs))
     except SCHEMA_ERRORS as exc:
-        print("schema error: %s" % exc, file=sys.stderr)
-        return 2
+        raise UsageError("schema error: %s" % exc) from None
     if args.algebra == "hecke":
         (x, dx), (y, dy) = lhs, rhs
         if dx != dy:
-            print("degree mismatch: %d vs %d" % (dx, dy), file=sys.stderr)
-            return 2
+            raise UsageError("degree mismatch: %d vs %d" % (dx, dy))
         out = hecke.to_json(hecke.hecke_mul(x, y), dx)
     else:
         (x, n, d), (y, n2, d2) = lhs, rhs
         if (n, d) != (n2, d2):
-            print("size mismatch: %r vs %r" % ((n, d), (n2, d2)), file=sys.stderr)
-            return 2
+            raise UsageError("size mismatch: %r vs %r" % ((n, d), (n2, d2)))
         try:
             prod = schur.chev_mul(x, y)
         except ValueError:
             if n < d:
-                print("bad request: general products need n >= d", file=sys.stderr)
-                return 2
+                raise UsageError("bad request: general products need n >= d") from None
             prod = schur.product_via_operators(x, y, n, d)
         out = schur.to_json(prod, n, d)
-    text = json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
-    return 0 if _emit(text, args.out) else 2
+    _emit(json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+    return 0
 
 
 def cmd_stab_fit(args):
@@ -222,16 +212,12 @@ def cmd_stab_fit(args):
         if not A1 or len(A2) != len(A1) or any(len(row) != len(A1) for row in A1 + A2):
             raise ValueError("A1 and A2 must be square matrices of one size")
     except SCHEMA_ERRORS as exc:
-        print("schema error: %s" % exc, file=sys.stderr)
-        return 2
+        raise UsageError("schema error: %s" % exc) from None
     try:
-        fit = stab.stabilization_check(A1, A2, tuple(args.plist))
+        fit = _rule(stab.stabilization_check, A1, A2, tuple(args.plist))
     except stab.FitInconsistent as exc:
         print("fit inconsistent: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print("bad request: %s" % exc, file=sys.stderr)
-        return 2
     out = {
         "schema": 1,
         "plist": list(args.plist),
@@ -304,7 +290,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, flags.GuardExceeded) as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ SUBSPACE_MAX_D = 4
 
 
 class GuardExceeded(ValueError):
-    """A request beyond the desk-scale guards, judged by cli.check_request."""
+    """A request beyond a desk-scale guard, raised by cli.run_suite."""
 
 
 def check_prime(p):

@@ -91,6 +91,11 @@ def twisted_generator_ops(n, d):
     return out
 
 
+def descent_guard(d):
+    """The CLI's limit that d exceeds in descent_suite's (d!)^2 Hecke products, as text, or None."""
+    return "descent guard d<=5 (got d=%d)" % d if d > 5 else None
+
+
 def descent_suite(n, d):
     """The four-part computable content of the descent statement."""
     from . import uvt

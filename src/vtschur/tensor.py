@@ -202,6 +202,14 @@ def commute_guard(n, d):
     return "commutation guard n<=4, d<=3 (got n=%d d=%d)" % (n, d) if n > 4 or d > 3 else None
 
 
+def catalog_guard(n, d):
+    """The CLI's limit that (n, d) exceeds in the relation catalogs of schur,
+    uvt, star, jparity-* and descend, as text, or None (n and d are bounded
+    before n ** d is computed: at a large d the power itself is slow)."""
+    if n > 8 or d > 12 or n ** d > 4096:
+        return "catalog guard n<=8, d<=12, n^d<=4096 (got n=%d d=%d)" % (n, d)
+
+
 def commute_check(n, d):
     """Each generator operator commutes with each T_j: list of (label, ok)."""
     out = []

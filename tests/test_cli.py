@@ -1,5 +1,7 @@
 import hashlib
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -7,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from vtschur import cli, flags, hecke, laurent, schur
+from vtschur import cli, flags, galois, hecke, jparity, laurent, schur, stab, tensor, uvt
 
 
 def run_cli(args):
@@ -423,3 +425,97 @@ def test_stab_fit_negative_off_diagonal_exit_2(tmp_path, key):
     code, out, err = run_cli(["stab-fit", "--pair", str(pair)])
     assert code == 2 and not out
     assert "bad request: %s = " % key in err and "negative off-diagonal entry" in err
+
+
+# the library call that starts each suite's work
+SUITE_ENTRY_POINTS = [
+    (schur, "verify_relations"), (hecke, "verify_hecke"), (tensor, "commute_check"),
+    (uvt, "verify_all"), (stab, "limit_relation_suite"), (jparity, "verify_tilde_relations"),
+    (jparity, "verify_hat_relations"), (galois, "sigma_involutive"), (schur, "oracle_compare"),
+]
+
+
+def _no_work(monkeypatch):
+    """Make every suite's entry point fail the test if it is called."""
+    def started(*args, **kwargs):
+        raise AssertionError("the suite started work before its rules rejected the request")
+
+    for module, name in SUITE_ENTRY_POINTS:
+        monkeypatch.setattr(module, name, started)
+    monkeypatch.delenv("VTSCHUR_ALLOW_LARGE", raising=False)
+
+
+ALL = " ".join(cli.SUITES)
+SIZED = "schur duality uvt star stab jparity-tilde jparity-hat descend oracle"  # hecke reads no n
+BIG_PRIME = "1000000000000000003"
+
+# the rejected `verify` argv of tests/cli_battery.py, with the suites that
+# reject each (argv that argparse rejects are left out)
+REJECTED = [
+    ("", "jparity-hat"),
+    ("--format json", "jparity-hat"),
+    ("--n 0", ALL), ("--n -1", ALL), ("--d -1", ALL),
+    ("--d 0", "schur jparity-tilde jparity-hat"),
+    ("--d 1", "jparity-hat"),
+    ("--n 1", "jparity-tilde jparity-hat"),
+    ("--n 1 --d 1", "jparity-tilde jparity-hat"),
+    ("--n 4 --d 3", "stab"),
+    ("--n 5", "duality stab oracle"),
+    ("--n 9", SIZED), ("--n 5000", SIZED),
+    ("--d 4", "hecke duality jparity-hat oracle"),
+    ("--d 6", "hecke duality jparity-hat descend oracle"),
+    ("--d 13", "schur hecke duality uvt star jparity-tilde jparity-hat descend oracle"),
+    ("--m 0", "jparity-tilde jparity-hat"),
+    ("--m -1", "jparity-tilde jparity-hat"),
+    ("--m 2", "jparity-tilde jparity-hat"),
+    ("--n 3 --m 2", "jparity-hat"),
+    ("--n 4 --m 2", "stab"),
+    ("--n 4 --d 3 --m 3", "stab jparity-hat"),
+    ("--window 0", "stab jparity-hat"),
+    ("--window 2", "stab jparity-hat"),
+    ("--window -5", "stab jparity-hat"),
+    ("--window 3", "jparity-hat"),
+    ("--n 5 --window 4", "duality stab oracle"),
+    ("--n 1 --window 1201", "stab jparity-tilde jparity-hat"),
+    ("--spec 1,1", "duality jparity-hat"),
+    ("--spec 0,3", "duality jparity-hat"),
+    ("--spec 4000064000087,3", "duality jparity-hat"),
+    ("--spec 1/2,3", "jparity-hat"),
+    *(("--primes " + p, "hecke jparity-hat oracle")
+      for p in ("4", "2", "1", "9,3", "11", "3,11", BIG_PRIME, "3," + BIG_PRIME)),
+    ("--n 0 --window 0", ALL),
+    ("--n 5 --window 2", "duality stab oracle"),
+    ("--n 9 --d 0", SIZED),
+    ("--n 5000 --m 0", SIZED),
+    ("--d 0 --primes 4", "schur hecke jparity-tilde jparity-hat oracle"),
+    ("--d 9 --primes 4", "hecke duality jparity-hat descend oracle"),
+    ("--n 4 --spec 1,1", "duality stab"),
+]
+
+
+@pytest.mark.parametrize("argv,suites", REJECTED, ids=[argv or "defaults" for argv, _ in REJECTED])
+def test_rules_are_judged_before_any_work(monkeypatch, capsys, argv, suites):
+    _no_work(monkeypatch)
+    for suite in suites.split():
+        assert cli.main(["verify", suite, *argv.split()]) == 2, suite
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1, (suite, err)
+        assert err.startswith(("bad request: ", "guard exceeded: ")), (suite, err)
+
+
+def _readme_guard_table():
+    """(suite, limit, first argv past it) of each row of README's guard table."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Guards and scale\n")[1].split("\n## ")[0]
+    return re.findall(r"^\| `([\w-]+)` \| `([^`]+)` \| `([^`]+)` \|", section, flags=re.M)
+
+
+def test_readme_guard_table_matches_the_guards(monkeypatch, capsys):
+    rows = _readme_guard_table()
+    assert sorted({suite for suite, _, _ in rows}) == sorted(cli.SUITES)
+    _no_work(monkeypatch)
+    for suite, limit, argv in rows:
+        assert cli.main(["verify", suite, *argv.split()]) == 2, suite
+        err = capsys.readouterr().err
+        assert err.startswith("guard exceeded: " + limit), (suite, err)
+        assert "VTSCHUR_ALLOW_LARGE=1" in err, suite
