@@ -5,7 +5,8 @@ schema errors, parameters outside a suite's domain or past its guard, or an
 --out path that cannot be written.  The commands raise those as UsageError
 or GuardExceeded, and main alone prints the message and exits 2 (argparse
 errors already exit with 2).  Set VTSCHUR_ALLOW_LARGE=1 to lift every guard
-of every suite, at your own expense.
+of every suite, at your own expense.  Without --n, verify runs a suite at
+the least n its rules accept at the default --m 1 (DEFAULT_N).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ SUITES = (
     "schur", "hecke", "duality", "uvt", "star", "stab",
     "jparity-tilde", "jparity-hat", "descend", "oracle",
 )
+# verify's --n when none is given: the least n each suite's rules accept at
+# the default --m 1 (jparity-hat also reads E_{m+1}, so it needs n >= 3)
+DEFAULT_N = {"jparity-hat": 3}
 
 
 class UsageError(ValueError):
@@ -143,16 +147,21 @@ def run_suite(suite, cfg):
     return rep
 
 
-def cmd_verify(args):
-    cfg = {
-        "n": args.n,
+def verify_config(args):
+    """The run_suite configuration of parsed `verify` arguments, with the
+    suite's DEFAULT_N (2 if it has none) when --n is not given."""
+    return {
+        "n": DEFAULT_N.get(args.suite, 2) if args.n is None else args.n,
         "d": args.d,
         "m": args.m,
         "primes": args.primes,
         "window": args.window,
         "spec": args.spec,
     }
-    rep = run_suite(args.suite, cfg)
+
+
+def cmd_verify(args):
+    rep = run_suite(args.suite, verify_config(args))
     _emit(rep.to_json() if args.format == "json" else rep.to_text(), args.out)
     return 0 if rep.passed else 1
 
@@ -259,7 +268,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--n", type=int)
         p.add_argument("--d", type=int, default=2)
         p.add_argument("--m", type=int, default=1)
         p.add_argument("--primes", type=parse_primes, default=(3, 5, 7))

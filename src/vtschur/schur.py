@@ -25,6 +25,10 @@ block with s_p < s_q.  _sorted_column writes that column down, once per
 matrix, and braced_op fills the rest by the Hecke action; products read the
 right factor's terms and their outputs off these columns, one per content,
 so only left factors build operators.  Nothing composes whole operators.
+The supports of the columns {C} s_mu, co(C) = mu, partition the sequences
+(support fact 1), so a product's coefficients are read off by shifting one
+entry each, and its residue check compares entries and counts them: no
+division and no subtraction.
 """
 
 from __future__ import annotations
@@ -539,17 +543,23 @@ def elt_op(x, n, d):
 
 def product_via_operators(x, y, n, d):
     """General product through the faithful operator model (n >= d), read
-    off one column per content.
+    off one column per content by comparison.
 
     For each content mu among the co(A) of y's terms, the column
     (x y) s_mu = x (y s_mu) is the whole operators of x's terms applied to
     y s_mu, which sums the closed-form columns _sorted_column of y's terms.
-    {C} s_mu with co(C) = mu is supported exactly on the sequences of
-    position matrix C, with a unit monomial at each, so c_C is the entry at
-    the canonical position-C sequence of _column_plan divided by that
-    monomial.  c_C {C} s_mu (again _sorted_column) is subtracted for each C,
-    and a nonzero remainder raises InexactDivision.  Only the left factor's
-    terms build operators; a malformed term raises ValueError.
+    Only the left factor's terms build operators; a malformed term raises
+    ValueError.
+
+    Every sequence has one position matrix C against s_mu, and co(C) = mu,
+    so the supports of the {C} s_mu with co(C) = mu partition the sequences,
+    and {C} s_mu holds a unit monomial with coefficient 1 at each sequence
+    of its support.  So c_C is the entry at the canonical position-C
+    sequence of _column_plan shifted by the inverse monomial, and the column
+    equals sum c_C {C} s_mu exactly when (a) each support read carries c_C
+    times its monomials, entry for entry, and (b) the column has no entries
+    besides those, that is, as many entries as the supports read hold.
+    Otherwise the product leaves a residue, and InexactDivision is raised.
 
     That check is as strong as comparing whole operators: x y - sum c_C {C}
     commutes with every T_j, and the s_mu generate the tensor space over the
@@ -574,13 +584,20 @@ def product_via_operators(x, y, n, d):
             for r, cr in w.items():
                 if r in P:
                     elt_add_into(col, P[r], c * cr)
+        matched = supports = 0
         for C, s in reads:
             entry = col.get(s)
             if entry:
-                first = _sorted_column(C, n, d)
-                out[C] = c = laurent.exact_div(entry, first[s])
-                elt_add_into(col, first, -c)
-        if col:
+                column = _sorted_column(C, n, d)
+                (a, b), = column[s].c
+                out[C] = c = entry.shift(-a, -b)
+                supports += len(column)
+                for r, unit in column.items():
+                    (a, b), = unit.c
+                    got = col.get(r)
+                    if got is not None and got.c == c.shift(a, b).c:
+                        matched += 1
+        if not matched == supports == len(col):
             raise laurent.InexactDivision("the product leaves a residue in the column of %r" % (s_mu,))
     return out
 

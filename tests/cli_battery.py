@@ -87,6 +87,29 @@ def write_inputs(tmp):
                              "terms": [{"matrix": [[1, 1], [1, 0]], "poly": one}]},
         "schur_general_33": {"schema": 1, "algebra": "schur", "n": 3, "d": 3,
                              "terms": [{"matrix": [[1, 1, 0], [0, 0, 1], [0, 0, 0]], "poly": one}]},
+        # general products whose read-off meets Fraction coefficients, n = 4,
+        # and (E_12 + E_21 + E_33 at t, plus v^-1 t^2, times a vector that E_1
+        # and F_1 kill) terms that cancel to zero
+        "schur_frac_33_lhs": {"schema": 1, "algebra": "schur", "n": 3, "d": 3, "terms": [
+            {"matrix": [[1, 1, 0], [0, 0, 1], [0, 0, 0]], "poly": [[0, 0, 1, 2], [1, -1, -2, 3]]},
+            {"matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "poly": [[0, 1, 3, 1]]}]},
+        "schur_frac_33_rhs": {"schema": 1, "algebra": "schur", "n": 3, "d": 3, "terms": [
+            {"matrix": [[0, 0, 1], [1, 0, 0], [0, 1, 0]], "poly": [[1, 0, -1, 4]]},
+            {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "poly": [[0, 0, 5, 7], [-1, 1, 1, 1]]},
+            {"matrix": [[0, 1, 0], [0, 0, 1], [0, 0, 1]], "poly": one}]},
+        "schur_43_lhs": {"schema": 1, "algebra": "schur", "n": 4, "d": 3, "terms": [
+            {"matrix": [[0, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]], "poly": one},
+            {"matrix": [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], "poly": [[1, 0, -1, 2]]}]},
+        "schur_43_rhs": {"schema": 1, "algebra": "schur", "n": 4, "d": 3, "terms": [
+            {"matrix": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]], "poly": [[0, 0, 1, 1], [0, 1, 2, 1]]},
+            {"matrix": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]], "poly": [[0, -1, -3, 1]]},
+            {"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], "poly": one}]},
+        "schur_cancel_33_lhs": {"schema": 1, "algebra": "schur", "n": 3, "d": 3, "terms": [
+            {"matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "poly": [[0, 1, 1, 1]]},
+            {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "poly": [[-1, 2, 1, 1]]}]},
+        "schur_cancel_33_rhs": {"schema": 1, "algebra": "schur", "n": 3, "d": 3, "terms": [
+            {"matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 1]], "poly": [[0, 0, 2, 3]]},
+            {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "poly": [[1, 1, -2, 3]]}]},
         "hecke_t1": {"schema": 1, "algebra": "hecke", "d": 2, "terms": [{"perm": [1, 0], "poly": one}]},
         "hecke_t1_d3": {"schema": 1, "algebra": "hecke", "d": 3, "terms": [{"perm": [1, 0, 2], "poly": one}]},
         "malformed": {"schema": 1, "algebra": "schur", "n": 2, "d": 2, "terms": 5},
@@ -114,6 +137,9 @@ def other_runs(tmp):
         mult("schur_general_33", "schur_general_33"),
         mult("schur_general_23", "schur_general_23"),
         mult("schur_e", "schur_general_23"),
+        mult("schur_frac_33_lhs", "schur_frac_33_rhs"),
+        mult("schur_43_lhs", "schur_43_rhs"),
+        mult("schur_cancel_33_lhs", "schur_cancel_33_rhs"),
         mult("schur_e", "malformed"),
         mult("schur_e", "missing"),
         mult("schur_e", "schur_e", "--out", os.path.join(tmp, "missing", "out")),

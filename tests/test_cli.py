@@ -206,6 +206,18 @@ def test_jparity_without_any_m_names_the_bound_on_n(suite, n, least):
     assert "<=" not in err
 
 
+def test_verify_defaults_to_the_least_n_each_suite_accepts():
+    # jparity-hat needs n >= m + 2 = 3 at the default --m 1; every other
+    # suite runs at n = 2
+    code, out, err = run_cli(["verify", "jparity-hat"])
+    assert code == 0 and "PASS" in out and not err
+    code, out, err = run_cli(["verify", "jparity-hat", "--format", "json"])
+    assert code == 0 and json.loads(out)["config"]["n"] == 3
+    assert out == run_cli(["verify", "jparity-hat", "--n", "3", "--format", "json"])[1]
+    code, out, err = run_cli(["verify", "jparity-tilde", "--format", "json"])
+    assert code == 0 and json.loads(out)["config"]["n"] == 2
+
+
 @pytest.mark.parametrize("spec", ["4000064000087,3", "1/4000064000087,3"])
 def test_spec_without_a_certification_prime_exit_2(spec):
     # 4000064000087 = 2000003 * 2000029: v0 is no unit mod either certification prime
@@ -333,8 +345,7 @@ PINNED_REPORTS = [
 
 
 def default_config(suite="duality"):
-    args = cli.build_parser().parse_args(["verify", suite])
-    return {k: getattr(args, k) for k in ("n", "d", "m", "primes", "window", "spec")}
+    return cli.verify_config(cli.build_parser().parse_args(["verify", suite]))
 
 
 def test_default_report_json_bytes_pinned():
@@ -452,8 +463,6 @@ BIG_PRIME = "1000000000000000003"
 # the rejected `verify` argv of tests/cli_battery.py, with the suites that
 # reject each (argv that argparse rejects are left out)
 REJECTED = [
-    ("", "jparity-hat"),
-    ("--format json", "jparity-hat"),
     ("--n 0", ALL), ("--n -1", ALL), ("--d -1", ALL),
     ("--d 0", "schur jparity-tilde jparity-hat"),
     ("--d 1", "jparity-hat"),
@@ -462,8 +471,8 @@ REJECTED = [
     ("--n 4 --d 3", "stab"),
     ("--n 5", "duality stab oracle"),
     ("--n 9", SIZED), ("--n 5000", SIZED),
-    ("--d 4", "hecke duality jparity-hat oracle"),
-    ("--d 6", "hecke duality jparity-hat descend oracle"),
+    ("--d 4", "hecke duality oracle"),
+    ("--d 6", "hecke duality descend oracle"),
     ("--d 13", "schur hecke duality uvt star jparity-tilde jparity-hat descend oracle"),
     ("--m 0", "jparity-tilde jparity-hat"),
     ("--m -1", "jparity-tilde jparity-hat"),
@@ -471,17 +480,15 @@ REJECTED = [
     ("--n 3 --m 2", "jparity-hat"),
     ("--n 4 --m 2", "stab"),
     ("--n 4 --d 3 --m 3", "stab jparity-hat"),
-    ("--window 0", "stab jparity-hat"),
-    ("--window 2", "stab jparity-hat"),
-    ("--window -5", "stab jparity-hat"),
-    ("--window 3", "jparity-hat"),
+    ("--window 0", "stab"),
+    ("--window 2", "stab"),
+    ("--window -5", "stab"),
     ("--n 5 --window 4", "duality stab oracle"),
     ("--n 1 --window 1201", "stab jparity-tilde jparity-hat"),
-    ("--spec 1,1", "duality jparity-hat"),
-    ("--spec 0,3", "duality jparity-hat"),
-    ("--spec 4000064000087,3", "duality jparity-hat"),
-    ("--spec 1/2,3", "jparity-hat"),
-    *(("--primes " + p, "hecke jparity-hat oracle")
+    ("--spec 1,1", "duality"),
+    ("--spec 0,3", "duality"),
+    ("--spec 4000064000087,3", "duality"),
+    *(("--primes " + p, "hecke oracle")
       for p in ("4", "2", "1", "9,3", "11", "3,11", BIG_PRIME, "3," + BIG_PRIME)),
     ("--n 0 --window 0", ALL),
     ("--n 5 --window 2", "duality stab oracle"),

@@ -1,7 +1,10 @@
 import collections
+import hashlib
 import itertools
+import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -701,6 +704,109 @@ def test_product_via_operators_rejects_a_planted_residue(monkeypatch):
         sc.product_via_operators(x, y, n, d)
 
 
+def _seeded_products(n, d, seed, count):
+    """count seeded (x, y) at (n, d), three terms a side.  Each coefficient
+    is a sum of two monomials with int or Fraction coefficients of either
+    sign; x's terms have column sums among the row sums of y's, so the
+    products are seldom zero by content alone."""
+    rng = random.Random(seed)
+    thetas = theta_matrices(n, d)
+    by_co = collections.defaultdict(list)
+    for A in thetas:
+        by_co[co(A)].append(A)
+
+    def poly():
+        return sum((mono(rng.randint(-2, 2), rng.randint(-1, 1),
+                         rng.choice((-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)))) for _ in range(2)),
+                   laurent.ZERO)
+
+    cases = []
+    for _ in range(count):
+        y = laurent.clean({A: poly() for A in rng.sample(thetas, 3)})
+        x = laurent.clean({rng.choice(by_co[ro(rng.choice(list(y)))]): poly() for _ in range(3)})
+        cases.append((x, y))
+    return cases
+
+
+def _cancelling_products(n, d):
+    """(x, y) whose product is zero only because the terms of E_1 y (and
+    F_1 y) cancel: y = 2/3 ({A} - vt {B}), A = E_12 + E_21 + (d - 2) E_nn
+    and B its rows 1 and 2 swapped, spans a vector that E_1 and F_1 kill."""
+    rest = mat_unit(n, n, n, d - 2)
+    A = mat_add(mat_add(mat_unit(n, 1, 2), mat_unit(n, 2, 1)), rest)
+    B = mat_add(mat_add(mat_unit(n, 1, 1), mat_unit(n, 2, 2)), rest)
+    y = {A: Fraction(2, 3) * ONE, B: mono(1, 1, Fraction(-2, 3))}
+    return [(sc.gen_elt((kind, 1), n, d), y) for kind in "EF"]
+
+
+# sha256 of the canonical JSON of schur.to_json for the five products of
+# _seeded_products(n, d, 100 n + d, 5), recorded before products were read
+# off the closed-form columns by comparison
+PRODUCT_JSON_SHA256 = {
+    (2, 2): "89d2307f01aae701f172177bc536349058e6e633f5b126b849a5596bdafeafc1",
+    (3, 2): "bb89733da62987a2839e52cdb4b33c2cfd748a7d5b8af252ddcbb6e7e90ef42e",
+    (3, 3): "083c950df123eda870b5e5fa65456435156163c6d9dea86441a683ae97aa9430",
+    (4, 3): "f93e9faa780f818cabf40d0e992dd8f9833d6c96e624326bd85e7a2bbb03b77f",
+}
+
+
+def test_product_json_bytes_pinned():
+    for n, d in SIZES:
+        docs = [sc.to_json(sc.product_via_operators(x, y, n, d), n, d)
+                for x, y in _seeded_products(n, d, 100 * n + d, 5)]
+        text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+        # Fraction coefficients reach the outputs: a quadruple over a denominator
+        assert any(q[3] != 1 for doc in docs for term in doc["terms"] for q in term["poly"]), (n, d)
+        assert hashlib.sha256(text.encode()).hexdigest() == PRODUCT_JSON_SHA256[(n, d)], (n, d)
+
+
+def test_product_via_operators_rejects_a_wrong_entry_in_a_read_support(monkeypatch):
+    # {C}, a term of E F that neither factor holds, is read at its canonical
+    # sequence s; its planted column carries v times the true monomial at
+    # another sequence r of its support.  The count of entries is unchanged,
+    # so only the entrywise match sees the residue at r
+    n = d = 3
+    x, y = sc.gen_elt(("E", 1), n, d), sc.gen_elt(("F", 1), n, d)
+    real = sc._sorted_column
+    C = next(C for C in sc.product_via_operators(x, y, n, d)
+             if C not in x and C not in y and len(real(C, n, d)) > 1)
+    s = dict(sc._column_plan(n, d)[co(C)][2])[C]
+    r = next(r for r in real(C, n, d) if r != s)
+
+    def planted(A, n, d):
+        col = real(A, n, d)
+        return {**col, r: col[r] * laurent.V} if A == C else col
+
+    monkeypatch.setattr(sc, "_sorted_column", planted)
+    with pytest.raises(laurent.InexactDivision, match="residue in the column of"):
+        sc.product_via_operators(x, y, n, d)
+
+
+def test_product_via_operators_rejects_an_entry_off_every_read_support(monkeypatch):
+    # {B}{diag(mu)} = {B}, mu = co(B).  The operator of {B} gains an entry at
+    # the column s_mu, at a sequence r of the support of a {C} that the
+    # product does not hold, and not at C's canonical sequence: no read
+    # looks at r, so only the count of entries against the supports read
+    # sees the residue
+    n = d = 3
+    B = mat_add(mat_unit(n, 1, 2), diag((0, 1, 1)))
+    mu = co(B)
+    x, y = {B: ONE}, {diag(mu): ONE}
+    assert sc.product_via_operators(x, y, n, d) == x
+    s_mu, _, reads = sc._column_plan(n, d)[mu]
+    C, s = next((C, s) for C, s in reads if C != B and len(sc._sorted_column(C, n, d)) > 1)
+    r = next(r for r in sc._sorted_column(C, n, d) if r != s)
+    real = sc.braced_op
+
+    def planted(A, n, d):
+        P = real(A, n, d)
+        return {**P, s_mu: {**P[s_mu], r: ONE}} if A == B else P
+
+    monkeypatch.setattr(sc, "braced_op", planted)
+    with pytest.raises(laurent.InexactDivision, match="residue in the column of"):
+        sc.product_via_operators(x, y, n, d)
+
+
 # -- the column build against the whole-operator construction ------------------------
 
 def _reference_elt_op(x, n, d):
@@ -736,13 +842,16 @@ def test_product_via_operators_matches_whole_operator_reference(n, d):
     # (E + F)(F - E): the terms of E F and F E cancel inside one product
     E, F = sc.gen_elt(("E", 1), n, d), sc.gen_elt(("F", 1), n, d)
     cases.append((sc.elt_add(E, F), sc.elt_add(F, sc.elt_scale(E, -ONE))))
+    # coefficients that sum monomials over negative and Fraction
+    # coefficients, and products that cancel to zero
+    cases += _seeded_products(n, d, 7 * n + d, 4) + _cancelling_products(n, d)
     zeros = 0
     for x, y in cases:
         composed = tensor.op_compose(_reference_elt_op(x, n, d), _reference_elt_op(y, n, d))
         want = op_to_elt(composed, n, d)
         assert sc.product_via_operators(x, y, n, d) == want, (x, y)
         zeros += not want
-    assert zeros >= 2
+    assert zeros >= 4
 
 
 @pytest.mark.parametrize("n,d", SIZES)
@@ -846,15 +955,15 @@ def test_braced_op_commutes_with_the_hecke_action():
 
 def test_products_and_builds_compose_no_operators(monkeypatch):
     # the column build and the product read one column per content; no
-    # whole operators are composed
+    # whole operators are composed, and the coefficients are read off by
+    # shifts, with no exact division
     calls = collections.Counter()
-    compose = tensor.op_compose
+    for mod, name in [(tensor, "op_compose"), (laurent, "exact_div")]:
+        def counted(*args, _name=name, _real=getattr(mod, name)):
+            calls[_name] += 1
+            return _real(*args)
 
-    def counted(P, Q):
-        calls["op_compose"] += 1
-        return compose(P, Q)
-
-    monkeypatch.setattr(tensor, "op_compose", counted)
+        monkeypatch.setattr(mod, name, counted)
     sc.braced_op.cache_clear()
     n = d = 3
     thetas = theta_matrices(n, d)
@@ -865,7 +974,7 @@ def test_products_and_builds_compose_no_operators(monkeypatch):
         x, y = ({A: mono(rng.randint(-1, 1), rng.randint(-1, 1)) for A in rng.sample(thetas, 3)}
                 for _ in range(2))
         sc.product_via_operators(x, y, n, d)
-    assert calls["op_compose"] == 0
+    assert calls["op_compose"] == 0 and calls["exact_div"] == 0
 
 
 @pytest.mark.parametrize("n,d", [(3, 3), (4, 3)])
