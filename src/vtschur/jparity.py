@@ -56,13 +56,9 @@ def _moves(P, X, Q):
 
 
 def j_operator(variant, sign, m, n, d):
-    """The diagonal projector as a tensor-space operator."""
-    _check_request(variant, sign, m, n)
-    return {
-        r: {r: ONE}
-        for r in tensor.all_seqs(n, d)
-        if _keep(variant, sign, d, sum(x <= m for x in r), r.count(m + 1))
-    }
+    """The diagonal projector as a tensor-space operator: the sum of the
+    content projectors of its braced element."""
+    return schur.elt_op(j_schur_element(variant, sign, m, n, d), n, d)
 
 
 def j_schur_element(variant, sign, m, n, d):

@@ -447,10 +447,19 @@ def _content(r, n):
     return tuple(r.count(a) for a in range(1, n + 1))
 
 
+@lru_cache(maxsize=64)
+def _content_groups(n, d):
+    """{lam: sequences of content lam} over tensor.all_seqs(n, d), in its
+    order.  Shared; read-only."""
+    groups = {}
+    for r in tensor.all_seqs(n, d):
+        groups.setdefault(_content(r, n), []).append(r)
+    return groups
+
+
 def content_projector(lam, n, d):
     """Tensor-space projector onto sequences whose value counts are lam."""
-    lam = tuple(lam)
-    return {r: {r: laurent.ONE} for r in tensor.all_seqs(n, d) if _content(r, n) == lam}
+    return {r: {r: laurent.ONE} for r in _content_groups(n, d).get(tuple(lam), ())}
 
 
 @lru_cache(maxsize=64)

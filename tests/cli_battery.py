@@ -72,6 +72,7 @@ LARGE = [
     ["verify", "schur", "--n", "9"],
     ["verify", "uvt", "--n", "9"],
     ["verify", "jparity-tilde", "--n", "9"],
+    ["verify", "descend", "--d", "9"],
 ]
 
 

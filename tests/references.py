@@ -2,7 +2,7 @@
 
 import functools
 
-from vtschur import flags, laurent, linalg, schur, tensor, uvt
+from vtschur import flags, jparity, laurent, linalg, schur, tensor, uvt
 from vtschur.matrices import co, diag_of, ro, theta_matrices
 
 
@@ -304,3 +304,16 @@ def hopf_checks_whole_sides(n, d):
         for name, combo, want in sides:
             results.append(("%s %r" % (name, g), tensor.op_eq(op_combo(combo, n, d), want)))
     return results
+
+
+# -- the parity projectors, one sequence at a time ------------------------------
+
+def j_operator_by_sequence(variant, sign, m, n, d):
+    """jparity.j_operator as it was built before the content grouping: the
+    membership rule read on each sequence's own entries."""
+    jparity._check_request(variant, sign, m, n)
+    return {
+        r: {r: laurent.ONE}
+        for r in tensor.all_seqs(n, d)
+        if jparity._keep(variant, sign, d, sum(x <= m for x in r), r.count(m + 1))
+    }

@@ -18,9 +18,9 @@ def test_every_lru_cache_is_bounded():
             if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == mod.__name__:
                 caches["%s.%s" % (info.name, attr)] = obj.cache_info().maxsize
     assert {"flags._products", "flags._flag_code", "schur.braced_op", "schur._row_moves",
-            "schur._column_plan", "schur._classify", "schur._diagonals", "schur._sorted_column",
-            "schur._arrangements", "tensor.op_sym", "tensor.op_T", "tensor.cartan_weight",
-            "tensor.sorted_seqs"} <= set(caches)
+            "schur._column_plan", "schur._classify", "schur._content_groups", "schur._diagonals",
+            "schur._sorted_column", "schur._arrangements", "tensor.op_sym", "tensor.op_T",
+            "tensor.cartan_weight", "tensor.sorted_seqs"} <= set(caches)
     assert not [name for name, size in caches.items() if size is None]
 
 

@@ -337,8 +337,17 @@ PINNED_REPORTS = [
      "b1439085bce7e627abbd1bc340f8a161c936b34781ad8762f8596f0bc2ea0450"),
     ("jparity-hat", {"n": 3},
      "3ce0465c60af012344d779de62fc8190a3c3116fdfda1d4edaa1ee825b7542c9"),
+    ("jparity-hat", {"n": 5, "d": 4, "m": 2},
+     "a9d88c901c090f612cc25ee853affd1c6a3fda5a124f4f5469b1d4aeac191c16"),
     ("descend", {"n": 3},
      "0f34e120839e63a2bcaa41415498c45c69912ef278a0af21173c0996751dc5a4"),
+    # d >= 4 reaches the Hecke generator rows past the generators themselves
+    ("descend", {"n": 2, "d": 5},
+     "ef489e7d33b2f9aaa1448c4f9ecc513f71d1c52f6a21671163d5dc23c9e7738b"),
+    ("descend", {"n": 3, "d": 5},
+     "5d527686d07d39d3e6915b06c32ae92b5c76a3cac889abf34ee8eaa54594f55e"),
+    ("descend", {"n": 2, "d": 6},
+     "a8fdbdf2ec3e8946c628412c3448714998483906119280c01e38609657fe0860"),
     ("oracle", {"n": 3, "primes": (3,)},
      "f585cf64e883518c3894137daa9812086a6e485c8d4aabfd51ac631d5b1dd7c6"),
 ]
@@ -472,7 +481,7 @@ REJECTED = [
     ("--n 5", "duality stab oracle"),
     ("--n 9", SIZED), ("--n 5000", SIZED),
     ("--d 4", "hecke duality oracle"),
-    ("--d 6", "hecke duality descend oracle"),
+    ("--d 6", "hecke duality oracle"),
     ("--d 13", "schur hecke duality uvt star jparity-tilde jparity-hat descend oracle"),
     ("--m 0", "jparity-tilde jparity-hat"),
     ("--m -1", "jparity-tilde jparity-hat"),
@@ -526,3 +535,10 @@ def test_readme_guard_table_matches_the_guards(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("guard exceeded: " + limit), (suite, err)
         assert "VTSCHUR_ALLOW_LARGE=1" in err, suite
+
+
+def test_descent_guard_admits_d_8(monkeypatch, capsys):
+    # the last d within the descent guard: d!(d - 1) = 282,240 generator rows
+    monkeypatch.delenv("VTSCHUR_ALLOW_LARGE", raising=False)
+    assert cli.main(["verify", "descend", "--d", "8"]) == 0
+    assert "suite descend: PASS" in capsys.readouterr().out

@@ -4,6 +4,8 @@ from vtschur import jparity as jp, schur, stab, tensor
 from vtschur.laurent import ONE
 from vtschur.matrices import add as mat_add, compositions, diag
 
+from references import j_operator_by_sequence
+
 
 def test_tilde_projector_small():
     # n=2, m=1, d=2: the even-parity projector keeps 11 and 22
@@ -68,16 +70,18 @@ def test_hat_needs_room():
 
 
 def test_j_schur_element_matches_operator():
+    # j_operator is the operator of j_schur_element; the reference keeps or
+    # drops each sequence by its own entries
     for variant, signs, (n, d, m) in [
         ("tilde", ("+", "-"), (3, 2, 1)),
         ("hat", ("+", "-", "0"), (3, 2, 1)),
         ("tilde", ("+", "-"), (2, 2, 1)),
+        ("hat", ("+", "-", "0"), (4, 3, 1)),
+        ("hat", ("+", "-", "0"), (3, 4, 1)),
     ]:
         for s in signs:
-            assert tensor.op_eq(
-                schur.elt_op(jp.j_schur_element(variant, s, m, n, d), n, d),
-                jp.j_operator(variant, s, m, n, d),
-            )
+            assert tensor.op_eq(jp.j_operator(variant, s, m, n, d),
+                                j_operator_by_sequence(variant, s, m, n, d))
 
 
 def test_hat_s0_excludes_nonzero_slot():
@@ -139,3 +143,24 @@ def test_planted_projector_breaks_partition_of_unity(monkeypatch):
     checks = jp.verify_tilde_relations(2, 2, 1)
     failed = {name for name, ok in checks if not ok and not name.startswith("expect-fail")}
     assert failed == {"partition of unity", "J+ E_m = E_m J-", "J- E_m = E_m J+", "J+ F_m = F_m J-"}
+
+
+def test_planted_content_grouping_breaks_partition_of_unity(monkeypatch):
+    # a content grouping that drops one sequence: no projector keeps it, so
+    # the three no longer sum to the identity.  The diagonal braced operators
+    # are memoized on the grouping, so they are rebuilt on each side
+    real = schur._content_groups
+
+    def planted(n, d):
+        groups = dict(real(n, d))
+        groups[(1, 1, 1, 0)] = groups[(1, 1, 1, 0)][1:]
+        return groups
+
+    schur.braced_op.cache_clear()
+    monkeypatch.setattr(schur, "_content_groups", planted)
+    try:
+        checks = jp.verify_hat_relations(4, 3, 1)
+    finally:
+        schur.braced_op.cache_clear()
+    failed = {name for name, ok in checks if not ok and not name.startswith("expect-fail")}
+    assert "r1 partition of unity" in failed

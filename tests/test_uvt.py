@@ -1,6 +1,6 @@
 import pytest
 
-from vtschur import cli, jparity, laurent, tensor, uvt
+from vtschur import cli, galois, jparity, laurent, tensor, uvt
 from vtschur.laurent import ONE, mono
 
 from references import hopf_checks_whole_sides, op_combo, printed_word_antipode, verify_all_whole
@@ -165,9 +165,10 @@ def test_jparity_word_checks_match_whole_operator_reference(monkeypatch, plant):
 
 
 def test_word_checks_apply_only_at_the_sorted_sequences(monkeypatch):
-    # the catalogs, the Hopf counit and antipode sides and jparity's word
-    # checks compose columns only at the sorted sequences; whole operators
-    # take 14,258, 4,472 and 4,011 op_apply calls here
+    # the catalogs, the Hopf counit and antipode sides, jparity's word
+    # checks and the descended relations compose columns only at the sorted
+    # sequences; whole operators take 14,258, 4,472, 4,011 and 4,362
+    # op_apply calls here
     calls = []
     columns = []
     apply, build = tensor.op_apply, tensor.combo_columns
@@ -184,7 +185,8 @@ def test_word_checks_apply_only_at_the_sorted_sequences(monkeypatch):
     monkeypatch.setattr(tensor, "op_apply", counted_apply)
     monkeypatch.setattr(tensor, "combo_columns", recorded)
     for run, count in [(lambda: uvt.verify_all(4, 3), 4284), (lambda: uvt.hopf_checks(4, 3), 1360),
-                       (lambda: jparity.verify_tilde_relations(3, 3, 2), 1719)]:
+                       (lambda: jparity.verify_tilde_relations(3, 3, 2), 1719),
+                       (lambda: galois.descent_suite(4, 3), 1212)]:
         calls.clear()
         checks = run()
         assert len(calls) == count
