@@ -110,16 +110,8 @@ def op_add_into(out, Q, c=None):
     return out
 
 
-def op_add(P, Q):
-    return op_add_into(op_add_into({}, P), Q)
-
-
 def op_scale(P, poly):
     return op_add_into({}, P, poly)
-
-
-def op_sub(P, Q):
-    return op_add_into(op_add_into({}, P), Q, -1)
 
 
 def op_apply(P, x):

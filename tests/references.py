@@ -317,3 +317,118 @@ def j_operator_by_sequence(variant, sign, m, n, d):
         for r in tensor.all_seqs(n, d)
         if jparity._keep(variant, sign, d, sum(x <= m for x in r), r.count(m + 1))
     }
+
+
+# -- the parity catalogs by whole operators, as they were before the columns ------
+
+def _op_sum(*terms):
+    """The sum of c P over the (P, c) pairs, as one clean operator."""
+    out = {}
+    for P, c in terms:
+        tensor.op_add_into(out, P, c)
+    return out
+
+
+def _moves_whole(P, X, Q):
+    """Does P X = X Q hold as whole operators?"""
+    return tensor.op_eq(tensor.op_compose(P, X), tensor.op_compose(X, Q))
+
+
+def verify_tilde_relations_whole(n, d, m):
+    """jparity.verify_tilde_relations with each projector identity composed
+    from whole N x N operators (the word checks read combo_columns, as
+    jparity's do)."""
+    checks = []
+    Jp = jparity.j_operator("tilde", "+", m, n, d)
+    Jm = jparity.j_operator("tilde", "-", m, n, d)
+    ident = tensor.op_identity(n, d)
+    checks.append(("partition of unity", tensor.op_eq(_op_sum((Jp, None), (Jm, None)), ident)))
+    for s1, P in (("+", Jp), ("-", Jm)):
+        for s2, Q in (("+", Jp), ("-", Jm)):
+            want = P if s1 == s2 else {}
+            checks.append(("orthogonality J%s J%s" % (s1, s2),
+                           tensor.op_eq(tensor.op_compose(P, Q), want)))
+    for a in range(1, n + 1):
+        for sym in (("A", a, 1), ("B", a, 1)):
+            G = tensor.op_sym(sym, n, d)
+            checks.append(("J commutes with %r" % (sym,), _moves_whole(Jp, G, Jp)))
+    for i in range(1, n):
+        Ei = tensor.op_sym(("E", i), n, d)
+        Fi = tensor.op_sym(("F", i), n, d)
+        if i == m:
+            checks.append(("J+ E_m = E_m J-", _moves_whole(Jp, Ei, Jm)))
+            checks.append(("J- E_m = E_m J+", _moves_whole(Jm, Ei, Jp)))
+            checks.append(("J+ F_m = F_m J-", _moves_whole(Jp, Fi, Jm)))
+        else:
+            checks.append(("J+ E_%d commutes" % i, _moves_whole(Jp, Ei, Jp)))
+            checks.append(("J+ F_%d commutes" % i, _moves_whole(Jp, Fi, Jp)))
+    for rel in ("R1", "R2", "R3", "R4"):
+        for name, ok in uvt.verify_relation(rel, n, d):
+            checks.append(("base " + name, ok))
+    cartan = [(lhs, rhs) for _, lhs, rhs in uvt.relation_instances("R3", n) if rhs]
+    for i, (lhs, rhs) in enumerate(cartan, 1):
+        model, num = tensor.combo_columns(lhs, n, d), tensor.combo_columns(rhs, n, d)
+        checks.append(("expect-fail printed cartan denominator i=%d" % i,
+                       tensor.op_eq(tensor.op_scale(model, laurent.T), num)))
+        checks.append(("model cartan denominator i=%d" % i, tensor.op_eq(model, num)))
+    return checks
+
+
+def verify_hat_relations_whole(n, d, m):
+    """jparity.verify_hat_relations with every identity composed from whole
+    N x N operators."""
+    jparity.check_cut("jparity-hat", m, n, room=2)
+    checks = []
+    J = {s: jparity.j_operator("hat", s, m, n, d) for s in jparity.SIGNS}
+    ident = tensor.op_identity(n, d)
+    total = _op_sum((J["+"], None), (J["0"], None), (J["-"], None))
+    checks.append(("r1 partition of unity", tensor.op_eq(total, ident)))
+    for s1 in jparity.SIGNS:
+        for s2 in jparity.SIGNS:
+            want = J[s1] if s1 == s2 else {}
+            checks.append(("r1 orthogonality J%s J%s" % (s1, s2),
+                           tensor.op_eq(tensor.op_compose(J[s1], J[s2]), want)))
+    for a in range(1, n + 1):
+        for sym in (("A", a, 1), ("B", a, 1)):
+            G = tensor.op_sym(sym, n, d)
+            for s in jparity.SIGNS:
+                checks.append(("r1 J%s commutes with %r" % (s, sym), _moves_whole(J[s], G, J[s])))
+    zero = {}
+    for i in range(1, n):
+        Ei = tensor.op_sym(("E", i), n, d)
+        Fi = tensor.op_sym(("F", i), n, d)
+        for s in ("+", "-"):
+            if i == m:
+                checks.append(("r2 E_m J%s = 0" % s, tensor.op_eq(tensor.op_compose(Ei, J[s]), zero)))
+                checks.append(("r3 J%s F_m = 0" % s, tensor.op_eq(tensor.op_compose(J[s], Fi), zero)))
+            elif i == m + 1:
+                checks.append(("r2 J%s E_{m+1} = 0" % s, tensor.op_eq(tensor.op_compose(J[s], Ei), zero)))
+                checks.append(("r3 F_{m+1} J%s = 0" % s, tensor.op_eq(tensor.op_compose(Fi, J[s]), zero)))
+            else:
+                checks.append(("r2 J%s E_%d commutes" % (s, i), _moves_whole(J[s], Ei, J[s])))
+                checks.append(("r3 J%s F_%d commutes" % (s, i), _moves_whole(J[s], Fi, J[s])))
+    Em = tensor.op_sym(("E", m), n, d)
+    Em1 = tensor.op_sym(("E", m + 1), n, d)
+    Fm = tensor.op_sym(("F", m), n, d)
+    Fm1 = tensor.op_sym(("F", m + 1), n, d)
+    EmEm1 = tensor.op_compose(Em, Em1)
+    Fm1Fm = tensor.op_compose(Fm1, Fm)
+    for s, o in (("+", "-"), ("-", "+")):
+        checks.append(("r4 J%s E_m E_{m+1}" % s, _moves_whole(J[s], EmEm1, J[o])))
+        checks.append(("r5 J%s F_{m+1} F_m" % s, _moves_whole(J[s], Fm1Fm, J[o])))
+    EmFm = tensor.op_compose(Em, Fm)
+    Fm1Em1 = tensor.op_compose(Fm1, Em1)
+    # diag (A_i B_{i+1} - B_i A_{i+1})/(v - v^{-1}) at i = m, and negated at m + 1
+    quot_m = schur.elt_op(schur.cartan_elt(m, n, d), n, d)
+    quot_m1 = tensor.op_scale(schur.elt_op(schur.cartan_elt(m + 1, n, d), n, d), -laurent.ONE)
+    for s, o in (("+", "-"), ("-", "+")):
+        dj = _op_sum((J[s], None), (J[o], -1))
+        lhs = _op_sum((tensor.op_compose(J[s], EmFm), None), (tensor.op_compose(EmFm, J[o]), -1))
+        checks.append(("r6 J%s" % s, tensor.op_eq(lhs, tensor.op_compose(quot_m, dj))))
+        lhs7 = _op_sum((tensor.op_compose(J[s], Fm1Em1), None), (tensor.op_compose(Fm1Em1, J[o]), -1))
+        checks.append(("r7 J%s" % s, tensor.op_eq(lhs7, tensor.op_compose(quot_m1, dj))))
+    # the printed two-sided delta rules each fail at the other special index
+    for s in ("+", "-"):
+        checks.append(("expect-fail printed r2 first i=m+1 J%s" % s, _moves_whole(J[s], Em1, J[s])))
+        checks.append(("expect-fail printed r2 second i=m J%s" % s, _moves_whole(J[s], Em, J[s])))
+    return checks

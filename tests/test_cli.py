@@ -335,10 +335,14 @@ PINNED_REPORTS = [
      "feec49a26ac30566d4a958c7a7b5f01ff544ec92b822dc3ac8edc523ad7c9a73"),
     ("jparity-tilde", {"n": 4, "d": 3, "m": 1},
      "b1439085bce7e627abbd1bc340f8a161c936b34781ad8762f8596f0bc2ea0450"),
+    ("jparity-tilde", {"n": 4, "d": 4, "m": 2},
+     "d74c59e38e215a9f68f3cdad6749d7f9a1b32dff764748c71cad3036ed4b874e"),
     ("jparity-hat", {"n": 3},
      "3ce0465c60af012344d779de62fc8190a3c3116fdfda1d4edaa1ee825b7542c9"),
     ("jparity-hat", {"n": 5, "d": 4, "m": 2},
      "a9d88c901c090f612cc25ee853affd1c6a3fda5a124f4f5469b1d4aeac191c16"),
+    ("jparity-hat", {"n": 8, "d": 4, "m": 1},
+     "db4dc3e853bb9f6a1e74892cf7adacf71c3f19dcf782917f7f270cc2fa9368ec"),
     ("descend", {"n": 3},
      "0f34e120839e63a2bcaa41415498c45c69912ef278a0af21173c0996751dc5a4"),
     # d >= 4 reaches the Hecke generator rows past the generators themselves

@@ -4,7 +4,7 @@ from vtschur import jparity as jp, schur, stab, tensor
 from vtschur.laurent import ONE
 from vtschur.matrices import add as mat_add, compositions, diag
 
-from references import j_operator_by_sequence
+from references import j_operator_by_sequence, verify_hat_relations_whole, verify_tilde_relations_whole
 
 
 def test_tilde_projector_small():
@@ -128,27 +128,47 @@ def test_shift_compatibility():
 
 
 def test_planted_projector_breaks_partition_of_unity(monkeypatch):
-    # a J- that misses one sequence: J+ + J- is no longer the identity, and
-    # only the checks that read J- fail; each projector is still idempotent
-    # and the two are still orthogonal
-    real = jp.j_operator
+    # a J- rule that rejects content (1, 1) at (2, 2, 1), where low and mid
+    # are both 1: no projector keeps it, so J+ + J- is no longer the
+    # identity, and only the checks that read J- at (1, 1) fail; each
+    # projector is still idempotent and the two are still orthogonal.  The
+    # whole-operator reference, whose J- reads the same rule, agrees
+    real = jp._keep
 
-    def planted(variant, sign, m, n, d):
-        P = real(variant, sign, m, n, d)
-        if sign == "-":
-            del P[min(P)]
-        return P
+    def planted(variant, sign, d, low, mid):
+        return real(variant, sign, d, low, mid) and (sign, low, mid) != ("-", 1, 1)
 
-    monkeypatch.setattr(jp, "j_operator", planted)
+    monkeypatch.setattr(jp, "_keep", planted)
     checks = jp.verify_tilde_relations(2, 2, 1)
     failed = {name for name, ok in checks if not ok and not name.startswith("expect-fail")}
     assert failed == {"partition of unity", "J+ E_m = E_m J-", "J- E_m = E_m J+", "J+ F_m = F_m J-"}
+    assert checks == verify_tilde_relations_whole(2, 2, 1)
+
+
+def test_planted_overlap_breaks_orthogonality(monkeypatch):
+    # a J+ rule that also keeps content (1, 1) at (2, 2, 1): J+ and J- now
+    # overlap there, so they are not orthogonal and sum past the identity,
+    # as on the whole operators
+    real = jp._keep
+
+    def planted(variant, sign, d, low, mid):
+        return real(variant, sign, d, low, mid) or (sign, low, mid) == ("+", 1, 1)
+
+    monkeypatch.setattr(jp, "_keep", planted)
+    checks = jp.verify_tilde_relations(2, 2, 1)
+    failed = {name for name, ok in checks if not ok and not name.startswith("expect-fail")}
+    assert failed == {"partition of unity", "orthogonality J+ J-", "orthogonality J- J+",
+                      "J+ E_m = E_m J-", "J- E_m = E_m J+", "J+ F_m = F_m J-"}
+    assert checks == verify_tilde_relations_whole(2, 2, 1)
 
 
 def test_planted_content_grouping_breaks_partition_of_unity(monkeypatch):
-    # a content grouping that drops one sequence: no projector keeps it, so
-    # the three no longer sum to the identity.  The diagonal braced operators
-    # are memoized on the grouping, so they are rebuilt on each side
+    # a content grouping that drops one sequence of content (1, 1, 1, 0),
+    # which J0 keeps at (4, 3, 1): j_operator, a sum of content projectors
+    # read off the grouping, then misses it, so the whole-operator
+    # partition of unity fails.  The catalog reads contents, not the
+    # grouping, and still passes.  The diagonal braced operators are
+    # memoized on the grouping, so they are rebuilt on each side
     real = schur._content_groups
 
     def planted(n, d):
@@ -159,8 +179,43 @@ def test_planted_content_grouping_breaks_partition_of_unity(monkeypatch):
     schur.braced_op.cache_clear()
     monkeypatch.setattr(schur, "_content_groups", planted)
     try:
+        differ = [s for s in jp.SIGNS if jp.j_operator("hat", s, 1, 4, 3) != j_operator_by_sequence("hat", s, 1, 4, 3)]
+        reference = verify_hat_relations_whole(4, 3, 1)
         checks = jp.verify_hat_relations(4, 3, 1)
     finally:
         schur.braced_op.cache_clear()
+    assert differ == ["0"]
+    failed = {name for name, ok in reference if not ok and not name.startswith("expect-fail")}
+    assert "r1 partition of unity" in failed
+    assert all(ok for name, ok in checks if not name.startswith("expect-fail"))
+
+
+def test_planted_content_count_breaks_partition_of_unity(monkeypatch):
+    # a content that counts the values 0..n-1 instead of 1..n: a sequence
+    # holding n gets a content outside the compositions, which no projector
+    # keeps, so the column path loses the partition of unity.  _content_groups
+    # is memoized on _content, so it is emptied on each side
+    schur._content_groups.cache_clear()
+    monkeypatch.setattr(schur, "_content", lambda r, n: tuple(r.count(a) for a in range(n)))
+    try:
+        checks = jp.verify_hat_relations(4, 3, 1)
+    finally:
+        schur._content_groups.cache_clear()
     failed = {name for name, ok in checks if not ok and not name.startswith("expect-fail")}
     assert "r1 partition of unity" in failed
+
+
+HAT_SIZES = [(3, 1, 1), (3, 2, 1), (3, 3, 1), (4, 2, 1), (4, 3, 1), (4, 3, 2), (4, 4, 2),
+             (5, 2, 1), (5, 3, 3), (5, 4, 2), (3, 4, 1), (8, 4, 1)]
+TILDE_SIZES = [(2, 2, 1), (3, 2, 1), (3, 3, 2), (4, 3, 1), (3, 4, 1), (4, 4, 2), (2, 5, 1)]
+
+
+# (3, 4, 1) and (2, 5, 1): n < d
+@pytest.mark.parametrize("variant,n,d,m", [("hat",) + s for s in HAT_SIZES] + [("tilde",) + s for s in TILDE_SIZES])
+def test_column_catalogs_match_whole_operator_reference(variant, n, d, m):
+    # the masks at the sorted sequences decide each projector identity as
+    # the whole N x N operators do, in name, order and outcome
+    if variant == "hat":
+        assert jp.verify_hat_relations(n, d, m) == verify_hat_relations_whole(n, d, m)
+    else:
+        assert jp.verify_tilde_relations(n, d, m) == verify_tilde_relations_whole(n, d, m)

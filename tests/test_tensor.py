@@ -147,8 +147,8 @@ def test_hecke_relations_as_operators():
     for n, d in [(2, 2), (2, 3), (3, 3)]:
         T1 = tn.op_T(1, n, d)
         lhs = tn.op_compose(T1, T1)
-        rhs = tn.op_add(tn.op_scale(T1, mono(1, 1) - mono(-1, 1)),
-                        tn.op_scale(tn.op_identity(n, d), mono(0, 2)))
+        rhs = tn.op_add_into(tn.op_scale(T1, mono(1, 1) - mono(-1, 1)),
+                             tn.op_identity(n, d), mono(0, 2))
         assert tn.op_eq(lhs, rhs)
         if d >= 3:
             T2 = tn.op_T(2, n, d)
@@ -212,7 +212,7 @@ def test_coproduct_compat_small(gen):
         full = tn.op_sym(gen, 2, d1 + d2)
         split = {}
         for lw, rw in tn.coproduct_legs(gen):
-            split = tn.op_add(split, tn.tensor_word_op((lw, rw), 2, (d1, d2)))
+            tn.op_add_into(split, tn.tensor_word_op((lw, rw), 2, (d1, d2)))
         assert tn.op_eq(full, split)
 
 
@@ -382,11 +382,12 @@ def test_op_compose_and_apply_match_reference(P, Q, keep):
 @KERNEL
 @given(operators, operators, small_polys, st.integers(0, 15))
 def test_op_add_sub_scale_match_reference(P, Q, poly, keep):
+    # sums and differences through op_add_into, into a fresh operator
     Q = {**Q, **_negated_part(P, keep)}
     before = _layout(P), _layout(Q)
     results = [
-        (tn.op_add(P, Q), reference_op_add(P, Q)),
-        (tn.op_sub(P, Q), reference_op_add(P, reference_op_scale(Q, -ONE))),
+        (tn.op_add_into(tn.op_add_into({}, P), Q), reference_op_add(P, Q)),
+        (tn.op_add_into(tn.op_add_into({}, P), Q, -1), reference_op_add(P, reference_op_scale(Q, -ONE))),
         (tn.op_scale(P, poly), reference_op_scale(P, poly)),
         (tn.op_scale(Q, poly), reference_op_scale(Q, poly)),
     ]
@@ -396,7 +397,7 @@ def test_op_add_sub_scale_match_reference(P, Q, poly, keep):
         if _is_clean(P):
             # the key order too, wherever the first operand is clean
             assert _layout(got) == _layout(want)
-    assert tn.op_sub(P, P) == {}
+    assert tn.op_add_into(tn.op_add_into({}, P), P, -1) == {}
     assert (_layout(P), _layout(Q)) == before
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from vtschur import cli, galois, jparity, laurent, tensor, uvt
+from vtschur import cli, galois, jparity, laurent, schur, tensor, uvt
 from vtschur.laurent import ONE, mono
 
 from references import hopf_checks_whole_sides, op_combo, printed_word_antipode, verify_all_whole
@@ -165,10 +165,11 @@ def test_jparity_word_checks_match_whole_operator_reference(monkeypatch, plant):
 
 
 def test_word_checks_apply_only_at_the_sorted_sequences(monkeypatch):
-    # the catalogs, the Hopf counit and antipode sides, jparity's word
-    # checks and the descended relations compose columns only at the sorted
-    # sequences; whole operators take 14,258, 4,472, 4,011 and 4,362
-    # op_apply calls here
+    # the catalogs, the Hopf counit and antipode sides, jparity's word and
+    # projector checks and the descended relations compose columns only at
+    # the sorted sequences; whole operators take 14,258, 4,472, 4,011, 3,506
+    # and 4,362 op_apply calls here.  Neither parity catalog builds a whole
+    # operator: no projector, braced-element operator or identity
     calls = []
     columns = []
     apply, build = tensor.op_apply, tensor.combo_columns
@@ -182,16 +183,25 @@ def test_word_checks_apply_only_at_the_sorted_sequences(monkeypatch):
         columns.extend(out)
         return out
 
+    def whole(name):
+        def refuse(*args):
+            raise AssertionError("%s built a whole operator" % name)
+        return refuse
+
     monkeypatch.setattr(tensor, "op_apply", counted_apply)
     monkeypatch.setattr(tensor, "combo_columns", recorded)
     for run, count in [(lambda: uvt.verify_all(4, 3), 4284), (lambda: uvt.hopf_checks(4, 3), 1360),
-                       (lambda: jparity.verify_tilde_relations(3, 3, 2), 1719),
+                       (lambda: jparity.verify_tilde_relations(3, 3, 2), 1256),
+                       (lambda: jparity.verify_hat_relations(4, 3, 1), 40),
                        (lambda: galois.descent_suite(4, 3), 1212)]:
         calls.clear()
         checks = run()
         assert len(calls) == count
         assert all(ok for name, ok in checks if not name.startswith("expect-fail"))
     assert columns and all(s == tuple(sorted(s)) for s in columns)
+    for owner, name in [(schur, "elt_op"), (jparity, "j_operator"), (tensor, "op_identity")]:
+        monkeypatch.setattr(owner, name, whole(name))
+    assert jparity.verify_tilde_relations(3, 3, 2) and jparity.verify_hat_relations(4, 3, 1)
 
 
 def test_hopf_builds_only_the_differing_leg_operators(monkeypatch):
